@@ -13,9 +13,9 @@
 //! are supplied by a [`WmmaHandler`] implementation (the Volta and Turing
 //! models live in `tcsim-core`).
 
-use crate::instr::{AtomOp, Instr, Op, Operand, Reg, ShflMode, UnitClass};
+use crate::instr::{AtomOp, CmpOp, Instr, Op, Operand, Reg, ShflMode, UnitClass};
 use crate::kernel::Kernel;
-use crate::traits::{ByteMemory, WarpRegFile, WarpRegisters};
+use crate::traits::{ByteMemory, Row, WarpRegFile, WarpRegisters};
 use crate::types::{DataType, Dim3, MemSpace, MemWidth, SpecialReg};
 use crate::wmma::{WmmaDirective, WARP_SIZE};
 use tcsim_f16::{F16x2, F16};
@@ -48,8 +48,8 @@ pub struct WarpExec {
     pub stack: Vec<SimtEntry>,
     /// Register file (32 lanes).
     pub regs: WarpRegFile,
-    /// Predicate registers, one byte of 8 predicate bits per lane.
-    pub preds: [u8; WARP_SIZE],
+    /// Predicate registers `p0`–`p7`, one 32-lane bit mask each.
+    pub preds: [u32; 8],
     /// Warp index within its CTA.
     pub warp_in_cta: u32,
 }
@@ -63,7 +63,7 @@ impl WarpExec {
             exited: !live_lanes,
             stack: Vec::new(),
             regs: WarpRegFile::new(num_regs as usize),
-            preds: [0; WARP_SIZE],
+            preds: [0; 8],
             warp_in_cta,
         }
     }
@@ -75,15 +75,15 @@ impl WarpExec {
 
     /// Reads predicate `p` of `lane`.
     pub fn pred(&self, lane: usize, p: u8) -> bool {
-        self.preds[lane] & (1 << p) != 0
+        self.preds[p as usize] >> lane & 1 != 0
     }
 
     /// Writes predicate `p` of `lane`.
     pub fn set_pred(&mut self, lane: usize, p: u8, v: bool) {
         if v {
-            self.preds[lane] |= 1 << p;
+            self.preds[p as usize] |= 1 << lane;
         } else {
-            self.preds[lane] &= !(1 << p);
+            self.preds[p as usize] &= !(1 << lane);
         }
     }
 
@@ -112,12 +112,32 @@ pub struct ExecEnv<'a> {
 }
 
 impl ExecEnv<'_> {
-    fn special(&self, warp: &WarpExec, lane: usize, s: SpecialReg) -> u32 {
-        let tid = self.block.delinearize(warp.thread_linear(lane) as u64);
-        match s {
-            SpecialReg::TidX => tid.x,
-            SpecialReg::TidY => tid.y,
-            SpecialReg::TidZ => tid.z,
+    /// The value of special register `s` on every lane of `warp`.
+    fn special_row(&self, warp: &WarpExec, s: SpecialReg) -> Row {
+        let uniform = match s {
+            SpecialReg::TidX | SpecialReg::TidY | SpecialReg::TidZ => {
+                // Lane 0's thread index, then step through the block one
+                // thread per lane: no division per lane.
+                let mut tid = self.block.delinearize(warp.thread_linear(0) as u64);
+                return std::array::from_fn(|_| {
+                    let v = match s {
+                        SpecialReg::TidX => tid.x,
+                        SpecialReg::TidY => tid.y,
+                        _ => tid.z,
+                    };
+                    tid.x += 1;
+                    if tid.x == self.block.x {
+                        tid.x = 0;
+                        tid.y += 1;
+                        if tid.y == self.block.y {
+                            tid.y = 0;
+                            tid.z += 1;
+                        }
+                    }
+                    v
+                });
+            }
+            SpecialReg::LaneId => return std::array::from_fn(|lane| lane as u32),
             SpecialReg::CtaIdX => self.cta.x,
             SpecialReg::CtaIdY => self.cta.y,
             SpecialReg::CtaIdZ => self.cta.z,
@@ -125,9 +145,9 @@ impl ExecEnv<'_> {
             SpecialReg::NTidY => self.block.y,
             SpecialReg::NCtaIdX => self.grid.x,
             SpecialReg::NCtaIdY => self.grid.y,
-            SpecialReg::LaneId => lane as u32,
             SpecialReg::WarpId => warp.warp_in_cta,
-        }
+        };
+        [uniform; WARP_SIZE]
     }
 }
 
@@ -154,7 +174,7 @@ pub struct MemTrace {
 }
 
 /// What a step did, for the caller's scheduling decisions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepAction {
     /// Normal completion; the warp has advanced.
     Continue,
@@ -289,60 +309,213 @@ impl WmmaHandler for NoWmma {
     }
 }
 
-fn value32(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u32 {
+/// One 64-bit value per lane (register pairs, addresses, doubles).
+type Row64 = [u64; WARP_SIZE];
+
+/// The lanes set in `mask`, ascending.
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
+/// Resolves a source operand into its 32-bit value on every lane.
+fn row32(warp: &WarpExec, env: &ExecEnv<'_>, op: Operand) -> Row {
     match op {
-        Operand::Reg(r) => warp.regs.read(lane, r),
-        Operand::RegPair(r) => warp.regs.read(lane, r),
-        Operand::Imm(i) => i as u32,
-        Operand::Special(s) => env.special(warp, lane, s),
-        Operand::Pred(p) => warp.pred(lane, p.0) as u32,
+        Operand::Reg(r) | Operand::RegPair(r) => *warp.regs.row(r),
+        Operand::Imm(i) => [i as u32; WARP_SIZE],
+        Operand::Special(s) => env.special_row(warp, s),
+        Operand::Pred(p) => {
+            let bits = warp.preds[p.0 as usize];
+            std::array::from_fn(|lane| bits >> lane & 1)
+        }
     }
 }
 
-fn value64(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> u64 {
+/// Resolves a source operand into its 64-bit value on every lane
+/// (32-bit kinds zero-extend, immediates sign-extend).
+fn row64(warp: &WarpExec, env: &ExecEnv<'_>, op: Operand) -> Row64 {
     match op {
-        Operand::Reg(r) => warp.regs.read(lane, r) as u64,
-        Operand::RegPair(r) => warp.regs.read_pair(lane, r),
-        Operand::Imm(i) => i as u64,
-        Operand::Special(s) => env.special(warp, lane, s) as u64,
-        Operand::Pred(p) => warp.pred(lane, p.0) as u64,
+        Operand::RegPair(r) => {
+            let (lo, hi) = (warp.regs.row(r), warp.regs.row(Reg(r.0 + 1)));
+            std::array::from_fn(|lane| lo[lane] as u64 | (hi[lane] as u64) << 32)
+        }
+        Operand::Imm(i) => [i as u64; WARP_SIZE],
+        other => row32(warp, env, other).map(u64::from),
     }
 }
 
-fn f32v(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, op: Operand) -> f32 {
-    f32::from_bits(value32(warp, env, lane, op))
+/// `f` over every lane: the 32-wide straight loop of the cheap opcodes
+/// (the compiler vectorises it; inactive lanes are computed and then
+/// dropped by the masked write-back).
+fn map1<T: Copy, U: Copy + Default>(a: &[T; WARP_SIZE], f: impl Fn(T) -> U) -> [U; WARP_SIZE] {
+    let mut out = [U::default(); WARP_SIZE];
+    for (o, &a) in out.iter_mut().zip(a) {
+        *o = f(a);
+    }
+    out
+}
+
+/// Two-operand [`map1`].
+fn map2<T: Copy, U: Copy + Default>(
+    a: &[T; WARP_SIZE],
+    b: &[T; WARP_SIZE],
+    f: impl Fn(T, T) -> U,
+) -> [U; WARP_SIZE] {
+    let mut out = [U::default(); WARP_SIZE];
+    for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+        *o = f(a, b);
+    }
+    out
+}
+
+/// `f(lane)` on the lanes of `mask` only, for opcodes whose per-lane cost
+/// is a library call or soft-float (fma, transcendentals, binary16): a
+/// warp with one live lane pays for one.
+fn map_on<U: Copy + Default>(mask: u32, f: impl Fn(usize) -> U) -> [U; WARP_SIZE] {
+    let mut out = [U::default(); WARP_SIZE];
+    for lane in lanes(mask) {
+        out[lane] = f(lane);
+    }
+    out
+}
+
+/// Writes `vals` to register `dst` on the lanes of `mask`.
+fn write32(warp: &mut WarpExec, dst: Reg, vals: &Row, mask: u32) {
+    let row = warp.regs.row_mut(dst);
+    if mask == FULL_MASK {
+        *row = *vals;
+    } else {
+        for lane in lanes(mask) {
+            row[lane] = vals[lane];
+        }
+    }
+}
+
+/// Writes `vals` to the register pair `(dst, dst+1)` on the lanes of
+/// `mask`.
+fn write64(warp: &mut WarpExec, dst: Reg, vals: &Row64, mask: u32) {
+    write32(warp, dst, &vals.map(|v| v as u32), mask);
+    write32(warp, Reg(dst.0 + 1), &vals.map(|v| (v >> 32) as u32), mask);
+}
+
+fn f32s(row: &Row) -> [f32; WARP_SIZE] {
+    row.map(f32::from_bits)
+}
+
+fn f64s(row: &Row64) -> [f64; WARP_SIZE] {
+    row.map(f64::from_bits)
+}
+
+/// Lanes on which `cmp` holds between `a` and `b` under the ordering
+/// `ord`.
+fn cmp_mask<T: Copy>(
+    a: &[T; WARP_SIZE],
+    b: &[T; WARP_SIZE],
+    cmp: CmpOp,
+    ord: impl Fn(T, T) -> std::cmp::Ordering,
+) -> u32 {
+    let mut bits = 0;
+    for lane in 0..WARP_SIZE {
+        bits |= (cmp.eval(ord(a[lane], b[lane])) as u32) << lane;
+    }
+    bits
+}
+
+/// [`StepOutcome`] without the owned access list: what [`step_into`]
+/// returns next to the caller's access buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepInfo {
+    /// Control effect of the instruction.
+    pub action: StepAction,
+    /// PC of the instruction that executed.
+    pub pc: usize,
+    /// The functional unit class it issues to.
+    pub unit: UnitClass,
+    /// Address space and direction of its memory traffic, if it was a
+    /// load/store/atomic/WMMA memory operation.
+    pub mem: Option<MemOp>,
+}
+
+/// Which memory an instruction accessed and how.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MemOp {
+    /// Address space accessed.
+    pub space: MemSpace,
+    /// Whether the accesses are stores.
+    pub is_store: bool,
 }
 
 /// Executes the instruction at `warp.pc` and advances architectural state.
 ///
+/// Convenience form of [`step_into`] that returns the lane accesses in a
+/// freshly allocated [`MemTrace`].
+///
 /// # Panics
 ///
-/// Panics on malformed instructions (wrong operand kinds), on divergent
-/// branches without a reconvergence point, and on WMMA instructions issued
-/// with a partially active warp.
+/// As [`step_into`].
 pub fn step(
     warp: &mut WarpExec,
     kernel: &Kernel,
     env: &mut ExecEnv<'_>,
     wmma: &dyn WmmaHandler,
 ) -> StepOutcome {
+    let mut accesses = Vec::new();
+    let info = step_into(warp, kernel, env, wmma, &mut accesses);
+    StepOutcome {
+        action: info.action,
+        pc: info.pc,
+        unit: info.unit,
+        mem: info.mem.map(|m| MemTrace {
+            space: m.space,
+            is_store: m.is_store,
+            accesses,
+        }),
+    }
+}
+
+/// Executes the instruction at `warp.pc` and advances architectural
+/// state, leaving the per-lane memory accesses it made in `accesses`
+/// (cleared first; empty for non-memory instructions). A caller that
+/// passes the same buffer every time — the SM does — allocates nothing
+/// per instruction.
+///
+/// Every opcode works a warp at a time: each source operand is resolved
+/// once into a 32-lane row, the result row is computed by a straight
+/// loop, and only then written back under the execution mask — so all
+/// sources are read before any destination is written and `dst == src`
+/// or overlapping register pairs keep per-lane semantics.
+///
+/// # Panics
+///
+/// Panics on malformed instructions (wrong operand kinds), on divergent
+/// branches without a reconvergence point, and on WMMA instructions issued
+/// with a partially active warp.
+pub fn step_into(
+    warp: &mut WarpExec,
+    kernel: &Kernel,
+    env: &mut ExecEnv<'_>,
+    wmma: &dyn WmmaHandler,
+    accesses: &mut Vec<MemAccess>,
+) -> StepInfo {
+    accesses.clear();
     let pc = warp.pc;
     let instr = &kernel.instrs()[pc];
     let unit = instr.op.unit();
 
-    // Guard evaluation: per-lane execution mask for this instruction.
+    // Guard evaluation: the execution mask of this instruction.
     let mut exec_mask = warp.active;
     if let Some((p, sense)) = instr.guard {
-        let mut m = 0u32;
-        for lane in 0..WARP_SIZE {
-            if exec_mask & (1 << lane) != 0 && warp.pred(lane, p.0) == sense {
-                m |= 1 << lane;
-            }
-        }
-        exec_mask = m;
+        let bits = warp.preds[p.0 as usize];
+        exec_mask &= if sense { bits } else { !bits };
     }
 
-    let mut outcome = StepOutcome {
+    let mut outcome = StepInfo {
         action: StepAction::Continue,
         pc,
         unit,
@@ -410,17 +583,52 @@ pub fn step(
         _ => {}
     }
 
-    // Straight-line instruction: execute on each lane in exec_mask.
+    // Straight-line instruction, executed on the lanes of exec_mask.
+    let src32 = |warp: &WarpExec, i: usize| row32(warp, env, instr.srcs[i]);
+    let src64 = |warp: &WarpExec, i: usize| row64(warp, env, instr.srcs[i]);
     match &instr.op {
+        Op::Ld { space, width } => {
+            exec_load(warp, env, instr, *space, *width, exec_mask, accesses);
+            outcome.mem = Some(MemOp {
+                space: *space,
+                is_store: false,
+            });
+        }
+        Op::St { space, width } => {
+            exec_store(warp, env, instr, *space, *width, exec_mask, accesses);
+            outcome.mem = Some(MemOp {
+                space: *space,
+                is_store: true,
+            });
+        }
+        Op::Atom { space, op } => {
+            // Atomics read and write; the coalescer/timing treat them as
+            // stores plus a returned value (handled by the SM's memory
+            // accounting).
+            exec_atom(warp, env, instr, *space, *op, exec_mask, accesses);
+            outcome.mem = Some(MemOp {
+                space: *space,
+                is_store: true,
+            });
+        }
+        Op::Wmma(dir) => {
+            assert_eq!(
+                exec_mask, FULL_MASK,
+                "wmma instructions are warp-synchronous and need all 32 lanes active"
+            );
+            outcome.mem = exec_wmma(warp, env, instr, dir, wmma, accesses);
+        }
+        // No lane executes: nothing is read and nothing is written.
+        _ if exec_mask == 0 => {}
         Op::Nop => {}
-        Op::Mov => each_lane(warp, exec_mask, |warp, lane| {
-            let v = value32(warp, env, lane, instr.srcs[0]);
-            warp.regs.write(lane, instr.dst.expect("mov dst"), v);
-        }),
-        Op::Mov64 => each_lane(warp, exec_mask, |warp, lane| {
-            let v = value64(warp, env, lane, instr.srcs[0]);
-            warp.regs.write_pair(lane, instr.dst.expect("mov64 dst"), v);
-        }),
+        Op::Mov => {
+            let v = src32(warp, 0);
+            write32(warp, instr.dst.expect("mov dst"), &v, exec_mask);
+        }
+        Op::Mov64 => {
+            let v = src64(warp, 0);
+            write64(warp, instr.dst.expect("mov64 dst"), &v, exec_mask);
+        }
         Op::IAdd
         | Op::ISub
         | Op::IMul
@@ -431,266 +639,195 @@ pub fn step(
         | Op::Sar
         | Op::And
         | Op::Or
-        | Op::Xor => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]);
-            let b = value32(warp, env, lane, instr.srcs[1]);
+        | Op::Xor => {
+            let (a, b) = (src32(warp, 0), src32(warp, 1));
             let v = match instr.op {
-                Op::IAdd => a.wrapping_add(b),
-                Op::ISub => a.wrapping_sub(b),
-                Op::IMul => a.wrapping_mul(b),
-                Op::IMin => (a as i32).min(b as i32) as u32,
-                Op::IMax => (a as i32).max(b as i32) as u32,
-                Op::Shl => a.wrapping_shl(b),
-                Op::Shr => a.wrapping_shr(b),
-                Op::Sar => ((a as i32).wrapping_shr(b)) as u32,
-                Op::And => a & b,
-                Op::Or => a | b,
-                _ => a ^ b,
+                Op::IAdd => map2(&a, &b, u32::wrapping_add),
+                Op::ISub => map2(&a, &b, u32::wrapping_sub),
+                Op::IMul => map2(&a, &b, u32::wrapping_mul),
+                Op::IMin => map2(&a, &b, |a, b| (a as i32).min(b as i32) as u32),
+                Op::IMax => map2(&a, &b, |a, b| (a as i32).max(b as i32) as u32),
+                Op::Shl => map2(&a, &b, u32::wrapping_shl),
+                Op::Shr => map2(&a, &b, u32::wrapping_shr),
+                Op::Sar => map2(&a, &b, |a, b| (a as i32).wrapping_shr(b) as u32),
+                Op::And => map2(&a, &b, |a, b| a & b),
+                Op::Or => map2(&a, &b, |a, b| a | b),
+                _ => map2(&a, &b, |a, b| a ^ b),
             };
-            warp.regs.write(lane, instr.dst.expect("alu dst"), v);
-        }),
-        Op::Not => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]);
-            warp.regs.write(lane, instr.dst.expect("not dst"), !a);
-        }),
-        Op::IMad => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]);
-            let b = value32(warp, env, lane, instr.srcs[1]);
-            let c = value32(warp, env, lane, instr.srcs[2]);
-            warp.regs.write(
-                lane,
-                instr.dst.expect("imad dst"),
-                a.wrapping_mul(b).wrapping_add(c),
-            );
-        }),
-        Op::IAdd64 => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value64(warp, env, lane, instr.srcs[0]);
-            let b = value64(warp, env, lane, instr.srcs[1]);
-            warp.regs
-                .write_pair(lane, instr.dst.expect("iadd64 dst"), a.wrapping_add(b));
-        }),
-        Op::IMadWide => each_lane(warp, exec_mask, |warp, lane| {
-            let a = value32(warp, env, lane, instr.srcs[0]) as u64;
-            let b = value32(warp, env, lane, instr.srcs[1]) as u64;
-            let c = value64(warp, env, lane, instr.srcs[2]);
-            warp.regs.write_pair(
-                lane,
-                instr.dst.expect("imad.wide dst"),
-                a.wrapping_mul(b).wrapping_add(c),
-            );
-        }),
-        Op::FAdd | Op::FMul | Op::FMin | Op::FMax => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f32v(warp, env, lane, instr.srcs[0]);
-            let b = f32v(warp, env, lane, instr.srcs[1]);
+            write32(warp, instr.dst.expect("alu dst"), &v, exec_mask);
+        }
+        Op::Not => {
+            let v = map1(&src32(warp, 0), |a: u32| !a);
+            write32(warp, instr.dst.expect("not dst"), &v, exec_mask);
+        }
+        Op::IMad => {
+            let (a, b, c) = (src32(warp, 0), src32(warp, 1), src32(warp, 2));
+            let v = map2(&map2(&a, &b, u32::wrapping_mul), &c, u32::wrapping_add);
+            write32(warp, instr.dst.expect("imad dst"), &v, exec_mask);
+        }
+        Op::IAdd64 => {
+            let v = map2(&src64(warp, 0), &src64(warp, 1), u64::wrapping_add);
+            write64(warp, instr.dst.expect("iadd64 dst"), &v, exec_mask);
+        }
+        Op::IMadWide => {
+            let (a, b, c) = (src32(warp, 0), src32(warp, 1), src64(warp, 2));
+            let ab = map2(&a, &b, |a, b| (a as u64).wrapping_mul(b as u64));
+            let v = map2(&ab, &c, u64::wrapping_add);
+            write64(warp, instr.dst.expect("imad.wide dst"), &v, exec_mask);
+        }
+        Op::FAdd | Op::FMul | Op::FMin | Op::FMax => {
+            let (a, b) = (f32s(&src32(warp, 0)), f32s(&src32(warp, 1)));
             let v = match instr.op {
-                Op::FAdd => a + b,
-                Op::FMul => a * b,
-                Op::FMin => a.min(b),
-                _ => a.max(b),
+                Op::FAdd => map2(&a, &b, |a, b| (a + b).to_bits()),
+                Op::FMul => map2(&a, &b, |a, b| (a * b).to_bits()),
+                Op::FMin => map2(&a, &b, |a, b| a.min(b).to_bits()),
+                _ => map2(&a, &b, |a, b| a.max(b).to_bits()),
             };
-            warp.regs
-                .write(lane, instr.dst.expect("fp dst"), v.to_bits());
-        }),
-        Op::FFma => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f32v(warp, env, lane, instr.srcs[0]);
-            let b = f32v(warp, env, lane, instr.srcs[1]);
-            let c = f32v(warp, env, lane, instr.srcs[2]);
-            warp.regs.write(
-                lane,
-                instr.dst.expect("ffma dst"),
-                a.mul_add(b, c).to_bits(),
+            write32(warp, instr.dst.expect("fp dst"), &v, exec_mask);
+        }
+        Op::FFma => {
+            let (a, b, c) = (
+                f32s(&src32(warp, 0)),
+                f32s(&src32(warp, 1)),
+                f32s(&src32(warp, 2)),
             );
-        }),
-        Op::FRcp => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f32v(warp, env, lane, instr.srcs[0]);
-            warp.regs
-                .write(lane, instr.dst.expect("frcp dst"), (1.0 / a).to_bits());
-        }),
-        Op::FSqrt => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f32v(warp, env, lane, instr.srcs[0]);
-            warp.regs
-                .write(lane, instr.dst.expect("fsqrt dst"), a.sqrt().to_bits());
-        }),
-        Op::FEx2 => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f32v(warp, env, lane, instr.srcs[0]);
-            warp.regs
-                .write(lane, instr.dst.expect("fex2 dst"), a.exp2().to_bits());
-        }),
-        Op::FLg2 => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f32v(warp, env, lane, instr.srcs[0]);
-            warp.regs
-                .write(lane, instr.dst.expect("flg2 dst"), a.log2().to_bits());
-        }),
-        Op::DAdd | Op::DMul => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f64::from_bits(value64(warp, env, lane, instr.srcs[0]));
-            let b = f64::from_bits(value64(warp, env, lane, instr.srcs[1]));
+            let v = map_on(exec_mask, |l| a[l].mul_add(b[l], c[l]).to_bits());
+            write32(warp, instr.dst.expect("ffma dst"), &v, exec_mask);
+        }
+        Op::FRcp | Op::FSqrt | Op::FEx2 | Op::FLg2 => {
+            let a = f32s(&src32(warp, 0));
+            let v = match instr.op {
+                Op::FRcp => map_on(exec_mask, |l| (1.0 / a[l]).to_bits()),
+                Op::FSqrt => map_on(exec_mask, |l| a[l].sqrt().to_bits()),
+                Op::FEx2 => map_on(exec_mask, |l| a[l].exp2().to_bits()),
+                _ => map_on(exec_mask, |l| a[l].log2().to_bits()),
+            };
+            write32(warp, instr.dst.expect("mufu dst"), &v, exec_mask);
+        }
+        Op::DAdd | Op::DMul => {
+            let (a, b) = (f64s(&src64(warp, 0)), f64s(&src64(warp, 1)));
             let v = if matches!(instr.op, Op::DAdd) {
-                a + b
+                map2(&a, &b, |a, b| (a + b).to_bits())
             } else {
-                a * b
+                map2(&a, &b, |a, b| (a * b).to_bits())
             };
-            warp.regs
-                .write_pair(lane, instr.dst.expect("fp64 dst"), v.to_bits());
-        }),
-        Op::DFma => each_lane(warp, exec_mask, |warp, lane| {
-            let a = f64::from_bits(value64(warp, env, lane, instr.srcs[0]));
-            let b = f64::from_bits(value64(warp, env, lane, instr.srcs[1]));
-            let c = f64::from_bits(value64(warp, env, lane, instr.srcs[2]));
-            warp.regs.write_pair(
-                lane,
-                instr.dst.expect("dfma dst"),
-                a.mul_add(b, c).to_bits(),
+            write64(warp, instr.dst.expect("fp64 dst"), &v, exec_mask);
+        }
+        Op::DFma => {
+            let (a, b, c) = (
+                f64s(&src64(warp, 0)),
+                f64s(&src64(warp, 1)),
+                f64s(&src64(warp, 2)),
             );
-        }),
-        Op::HAdd2 | Op::HMul2 => each_lane(warp, exec_mask, |warp, lane| {
-            let a = F16x2::from_bits(value32(warp, env, lane, instr.srcs[0]));
-            let b = F16x2::from_bits(value32(warp, env, lane, instr.srcs[1]));
-            let v = if matches!(instr.op, Op::HAdd2) {
-                a.hadd2(b)
-            } else {
-                a.hmul2(b)
+            let v = map_on(exec_mask, |l| a[l].mul_add(b[l], c[l]).to_bits());
+            write64(warp, instr.dst.expect("dfma dst"), &v, exec_mask);
+        }
+        Op::HAdd2 | Op::HMul2 | Op::HFma2 => {
+            let h2 = |warp: &WarpExec, i| src32(warp, i).map(F16x2::from_bits);
+            let (a, b) = (h2(warp, 0), h2(warp, 1));
+            let v = match instr.op {
+                Op::HAdd2 => map_on(exec_mask, |l| a[l].hadd2(b[l]).to_bits()),
+                Op::HMul2 => map_on(exec_mask, |l| a[l].hmul2(b[l]).to_bits()),
+                _ => {
+                    let c = h2(warp, 2);
+                    map_on(exec_mask, |l| a[l].hfma2(b[l], c[l]).to_bits())
+                }
             };
-            warp.regs
-                .write(lane, instr.dst.expect("h2 dst"), v.to_bits());
-        }),
-        Op::HFma2 => each_lane(warp, exec_mask, |warp, lane| {
-            let a = F16x2::from_bits(value32(warp, env, lane, instr.srcs[0]));
-            let b = F16x2::from_bits(value32(warp, env, lane, instr.srcs[1]));
-            let c = F16x2::from_bits(value32(warp, env, lane, instr.srcs[2]));
-            warp.regs
-                .write(lane, instr.dst.expect("hfma2 dst"), a.hfma2(b, c).to_bits());
-        }),
-        Op::Cvt { from, to } => each_lane(warp, exec_mask, |warp, lane| {
+            write32(warp, instr.dst.expect("h2 dst"), &v, exec_mask);
+        }
+        Op::Cvt { from, to } => {
             let dst = instr.dst.expect("cvt dst");
-            let src = instr.srcs[0];
             match (from, to) {
-                (DataType::F32, DataType::F16) => {
-                    let v = F16::from_f32(f32v(warp, env, lane, src));
-                    warp.regs.write(lane, dst, v.to_bits() as u32);
-                }
-                (DataType::F16, DataType::F32) => {
-                    let v = F16::from_bits(value32(warp, env, lane, src) as u16);
-                    warp.regs.write(lane, dst, v.to_f32().to_bits());
-                }
-                (DataType::U32, DataType::F32) => {
-                    let v = value32(warp, env, lane, src) as f32;
-                    warp.regs.write(lane, dst, v.to_bits());
-                }
-                (DataType::S32, DataType::F32) => {
-                    let v = value32(warp, env, lane, src) as i32 as f32;
-                    warp.regs.write(lane, dst, v.to_bits());
-                }
-                (DataType::F32, DataType::S32) => {
-                    let v = f32v(warp, env, lane, src).trunc() as i32;
-                    warp.regs.write(lane, dst, v as u32);
-                }
-                (DataType::F32, DataType::U32) => {
-                    let v = f32v(warp, env, lane, src).trunc().max(0.0) as u32;
-                    warp.regs.write(lane, dst, v);
-                }
                 (DataType::U32, DataType::U64) => {
-                    let v = value32(warp, env, lane, src) as u64;
-                    warp.regs.write_pair(lane, dst, v);
-                }
-                (DataType::U64, DataType::U32) => {
-                    let v = value64(warp, env, lane, src) as u32;
-                    warp.regs.write(lane, dst, v);
+                    let v = src32(warp, 0).map(u64::from);
+                    write64(warp, dst, &v, exec_mask);
                 }
                 (DataType::F32, DataType::F64) => {
-                    let v = f32v(warp, env, lane, src) as f64;
-                    warp.regs.write_pair(lane, dst, v.to_bits());
+                    let v = map1(&f32s(&src32(warp, 0)), |a| (a as f64).to_bits());
+                    write64(warp, dst, &v, exec_mask);
+                }
+                (DataType::U64, DataType::U32) => {
+                    let v = src64(warp, 0).map(|a| a as u32);
+                    write32(warp, dst, &v, exec_mask);
                 }
                 (DataType::F64, DataType::F32) => {
-                    let v = f64::from_bits(value64(warp, env, lane, src)) as f32;
-                    warp.regs.write(lane, dst, v.to_bits());
+                    let v = map1(&f64s(&src64(warp, 0)), |a| (a as f32).to_bits());
+                    write32(warp, dst, &v, exec_mask);
                 }
-                other => panic!("unsupported conversion {other:?}"),
+                _ => {
+                    let a = src32(warp, 0);
+                    let f = f32s(&a);
+                    let v = match (from, to) {
+                        (DataType::F32, DataType::F16) => {
+                            map_on(exec_mask, |l| F16::from_f32(f[l]).to_bits() as u32)
+                        }
+                        (DataType::F16, DataType::F32) => {
+                            map_on(exec_mask, |l| F16::from_bits(a[l] as u16).to_f32().to_bits())
+                        }
+                        (DataType::U32, DataType::F32) => map1(&a, |a| (a as f32).to_bits()),
+                        (DataType::S32, DataType::F32) => {
+                            map1(&a, |a| (a as i32 as f32).to_bits())
+                        }
+                        (DataType::F32, DataType::S32) => map1(&f, |a| a.trunc() as i32 as u32),
+                        (DataType::F32, DataType::U32) => {
+                            map1(&f, |a| a.trunc().max(0.0) as u32)
+                        }
+                        other => panic!("unsupported conversion {other:?}"),
+                    };
+                    write32(warp, dst, &v, exec_mask);
+                }
             }
-        }),
-        Op::Setp { cmp, ty } => each_lane(warp, exec_mask, |warp, lane| {
+        }
+        Op::Setp { cmp, ty } => {
             let pd = instr.pred_dst.expect("setp pred dst");
-            let ord = match ty {
-                DataType::S32 => {
-                    let a = value32(warp, env, lane, instr.srcs[0]) as i32;
-                    let b = value32(warp, env, lane, instr.srcs[1]) as i32;
-                    a.cmp(&b)
-                }
-                DataType::U32 => {
-                    let a = value32(warp, env, lane, instr.srcs[0]);
-                    let b = value32(warp, env, lane, instr.srcs[1]);
-                    a.cmp(&b)
-                }
-                DataType::U64 => {
-                    let a = value64(warp, env, lane, instr.srcs[0]);
-                    let b = value64(warp, env, lane, instr.srcs[1]);
-                    a.cmp(&b)
-                }
-                DataType::F32 => {
-                    let a = f32v(warp, env, lane, instr.srcs[0]);
-                    let b = f32v(warp, env, lane, instr.srcs[1]);
-                    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Greater)
-                }
+            let holds = match ty {
+                DataType::S32 => cmp_mask(&src32(warp, 0), &src32(warp, 1), *cmp, |a, b| {
+                    (a as i32).cmp(&(b as i32))
+                }),
+                DataType::U32 => cmp_mask(&src32(warp, 0), &src32(warp, 1), *cmp, |a, b| a.cmp(&b)),
+                DataType::U64 => cmp_mask(&src64(warp, 0), &src64(warp, 1), *cmp, |a, b| a.cmp(&b)),
+                DataType::F32 => cmp_mask(
+                    &f32s(&src32(warp, 0)),
+                    &f32s(&src32(warp, 1)),
+                    *cmp,
+                    |a, b| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Greater),
+                ),
                 other => panic!("unsupported setp type {other}"),
             };
-            let v = cmp.eval(ord);
-            warp.set_pred(lane, pd.0, v);
-        }),
-        Op::SelP => each_lane(warp, exec_mask, |warp, lane| {
+            let bits = &mut warp.preds[pd.0 as usize];
+            *bits = (*bits & !exec_mask) | (holds & exec_mask);
+        }
+        Op::SelP => {
             let Operand::Pred(p) = instr.srcs[0] else {
                 panic!("selp pred operand")
             };
-            let v = if warp.pred(lane, p.0) {
-                value32(warp, env, lane, instr.srcs[1])
-            } else {
-                value32(warp, env, lane, instr.srcs[2])
-            };
-            warp.regs.write(lane, instr.dst.expect("selp dst"), v);
-        }),
-        Op::Clock => each_lane(warp, exec_mask, |warp, lane| {
-            warp.regs
-                .write(lane, instr.dst.expect("clock dst"), env.clock as u32);
-        }),
-        Op::Ld { space, width } => {
-            outcome.mem = Some(exec_load(warp, env, instr, *space, *width, exec_mask));
+            let bits = warp.preds[p.0 as usize];
+            let (a, b) = (src32(warp, 1), src32(warp, 2));
+            let v: Row = std::array::from_fn(|l| if bits >> l & 1 != 0 { a[l] } else { b[l] });
+            write32(warp, instr.dst.expect("selp dst"), &v, exec_mask);
         }
-        Op::St { space, width } => {
-            outcome.mem = Some(exec_store(warp, env, instr, *space, *width, exec_mask));
-        }
-        Op::Atom { space, op } => {
-            outcome.mem = Some(exec_atom(warp, env, instr, *space, *op, exec_mask));
+        Op::Clock => {
+            let v = [env.clock as u32; WARP_SIZE];
+            write32(warp, instr.dst.expect("clock dst"), &v, exec_mask);
         }
         Op::Shfl { mode } => {
-            // Two-phase: snapshot all source values, then write, so lanes
-            // exchange pre-instruction values.
+            // Lanes exchange pre-instruction values: the source row is a
+            // copy, so `dst == src` cannot leak a written lane.
             let Operand::Reg(src) = instr.srcs[0] else {
                 panic!("shfl value operand")
             };
-            let dst = instr.dst.expect("shfl dst");
-            let mut vals = [0u32; WARP_SIZE];
-            let mut srcs_lane = [0usize; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                vals[lane] = warp.regs.read(lane, src);
-                let b = value32(warp, env, lane, instr.srcs[1]) as usize;
+            let (vals, b) = (*warp.regs.row(src), src32(warp, 1));
+            let v: Row = std::array::from_fn(|lane| {
+                let b = b[lane] as usize;
                 let j = match mode {
                     ShflMode::Down => lane + b,
                     ShflMode::Up => lane.wrapping_sub(b),
                     ShflMode::Bfly => lane ^ b,
                     ShflMode::Idx => b,
                 };
-                srcs_lane[lane] = if j < WARP_SIZE { j } else { lane };
-            }
-            for lane in 0..WARP_SIZE {
-                if exec_mask & (1 << lane) != 0 {
-                    warp.regs.write(lane, dst, vals[srcs_lane[lane]]);
-                }
-            }
-        }
-        Op::Wmma(dir) => {
-            assert_eq!(
-                exec_mask, FULL_MASK,
-                "wmma instructions are warp-synchronous and need all 32 lanes active"
-            );
-            outcome.mem = exec_wmma(warp, env, instr, dir, wmma);
+                vals[if j < WARP_SIZE { j } else { lane }]
+            });
+            write32(warp, instr.dst.expect("shfl dst"), &v, exec_mask);
         }
         Op::Bra | Op::Bar | Op::Exit => unreachable!("handled above"),
     }
@@ -717,131 +854,115 @@ fn check_reconvergence(warp: &mut WarpExec) {
     }
 }
 
-fn each_lane(warp: &mut WarpExec, mask: u32, mut f: impl FnMut(&mut WarpExec, usize)) {
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) != 0 {
-            f(warp, lane);
-        }
-    }
-}
-
-fn lane_addr(warp: &WarpExec, env: &ExecEnv<'_>, lane: usize, instr: &Instr) -> u64 {
-    let base = value64(warp, env, lane, instr.srcs[0]);
+/// Per-lane byte addresses of a load/store/atomic: base operand plus the
+/// immediate offset.
+fn lane_addrs(warp: &WarpExec, env: &ExecEnv<'_>, instr: &Instr) -> Row64 {
     let off = match instr.srcs[1] {
-        Operand::Imm(i) => i,
+        Operand::Imm(i) => i as u64,
         other => panic!("load/store offset must be immediate, found {other:?}"),
     };
-    base.wrapping_add(off as u64)
+    map1(&row64(warp, env, instr.srcs[0]), |base: u64| {
+        base.wrapping_add(off)
+    })
+}
+
+/// Records one access per lane of `mask`.
+fn push_accesses(accesses: &mut Vec<MemAccess>, addrs: &Row64, bytes: u64, mask: u32) {
+    accesses.reserve(mask.count_ones() as usize);
+    for lane in lanes(mask) {
+        accesses.push(MemAccess {
+            lane: lane as u8,
+            addr: addrs[lane],
+            bytes: bytes as u8,
+        });
+    }
 }
 
 fn exec_load(
     warp: &mut WarpExec,
-    env: &mut ExecEnv<'_>,
+    env: &ExecEnv<'_>,
     instr: &Instr,
     space: MemSpace,
     width: MemWidth,
     mask: u32,
-) -> MemTrace {
-    let dst = instr.dst.expect("load dst");
-    let mut accesses = Vec::with_capacity(WARP_SIZE);
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        let addr = if space == MemSpace::Param {
-            match instr.srcs[0] {
-                Operand::Imm(i) => i as u64,
-                other => panic!("param load offset must be immediate, found {other:?}"),
-            }
-        } else {
-            lane_addr(warp, env, lane, instr)
-        };
-        accesses.push(MemAccess {
-            lane: lane as u8,
-            addr,
-            bytes: width.bytes() as u8,
-        });
-        let read_u32_at = |env: &ExecEnv<'_>, a: u64| -> u32 {
-            match space {
-                MemSpace::Global | MemSpace::Local => env.global.read_u32(a),
-                MemSpace::Shared => env.shared.read_u32(a),
-                MemSpace::Param => {
-                    let mut b = [0u8; 4];
-                    for (i, out) in b.iter_mut().enumerate() {
-                        *out = env.params.get(a as usize + i).copied().unwrap_or(0);
-                    }
-                    u32::from_le_bytes(b)
-                }
-            }
-        };
-        match width {
-            MemWidth::B8 => {
-                let v = read_u32_at(env, addr) & 0xFF;
-                warp.regs.write(lane, dst, v);
-            }
-            MemWidth::B16 => {
-                let v = read_u32_at(env, addr) & 0xFFFF;
-                warp.regs.write(lane, dst, v);
-            }
-            _ => {
-                for i in 0..width.regs() {
-                    let v = read_u32_at(env, addr + 4 * i as u64);
-                    warp.regs.write(lane, Reg(dst.0 + i as u16), v);
-                }
-            }
-        }
+    accesses: &mut Vec<MemAccess>,
+) {
+    if mask == 0 {
+        return;
     }
-    MemTrace {
-        space,
-        is_store: false,
-        accesses,
+    let dst = instr.dst.expect("load dst");
+    let addrs = if space == MemSpace::Param {
+        match instr.srcs[0] {
+            Operand::Imm(i) => [i as u64; WARP_SIZE],
+            other => panic!("param load offset must be immediate, found {other:?}"),
+        }
+    } else {
+        lane_addrs(warp, env, instr)
+    };
+    push_accesses(accesses, &addrs, width.bytes(), mask);
+    let read = |a: u64| -> u32 {
+        match space {
+            MemSpace::Global | MemSpace::Local => env.global.read_u32(a),
+            MemSpace::Shared => env.shared.read_u32(a),
+            MemSpace::Param => {
+                let mut b = [0u8; 4];
+                for (i, out) in b.iter_mut().enumerate() {
+                    *out = env.params.get(a as usize + i).copied().unwrap_or(0);
+                }
+                u32::from_le_bytes(b)
+            }
+        }
+    };
+    let keep = match width {
+        MemWidth::B8 => 0xFF,
+        MemWidth::B16 => 0xFFFF,
+        _ => u32::MAX,
+    };
+    // Loads have no side effect on memory, so the words of a vector load
+    // can be fetched a destination row at a time.
+    for i in 0..width.regs() {
+        let row = warp.regs.row_mut(Reg(dst.0 + i as u16));
+        for lane in lanes(mask) {
+            row[lane] = read(addrs[lane] + 4 * i as u64) & keep;
+        }
     }
 }
 
 fn exec_store(
-    warp: &mut WarpExec,
+    warp: &WarpExec,
     env: &mut ExecEnv<'_>,
     instr: &Instr,
     space: MemSpace,
     width: MemWidth,
     mask: u32,
-) -> MemTrace {
+    accesses: &mut Vec<MemAccess>,
+) {
+    if mask == 0 {
+        return;
+    }
     let Operand::Reg(data) = instr.srcs[2] else {
         panic!("store data operand")
     };
-    let mut accesses = Vec::with_capacity(WARP_SIZE);
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        let addr = lane_addr(warp, env, lane, instr);
-        accesses.push(MemAccess {
-            lane: lane as u8,
-            addr,
-            bytes: width.bytes() as u8,
-        });
-        let mem: &mut dyn ByteMemory = match space {
-            MemSpace::Global | MemSpace::Local => env.global,
-            MemSpace::Shared => env.shared,
-            MemSpace::Param => panic!("stores to param space are not allowed"),
-        };
+    let addrs = lane_addrs(warp, env, instr);
+    push_accesses(accesses, &addrs, width.bytes(), mask);
+    let mem: &mut dyn ByteMemory = match space {
+        MemSpace::Global | MemSpace::Local => &mut *env.global,
+        MemSpace::Shared => &mut *env.shared,
+        MemSpace::Param => panic!("stores to param space are not allowed"),
+    };
+    // Lane-major, ascending: where the addresses of two lanes overlap the
+    // higher lane's data lands last.
+    for lane in lanes(mask) {
+        let word = |i: usize| warp.regs.row(Reg(data.0 + i as u16))[lane];
         match width {
-            MemWidth::B8 => mem.write_u8(addr, warp.regs.read(lane, data) as u8),
-            MemWidth::B16 => mem.write_u16(addr, warp.regs.read(lane, data) as u16),
+            MemWidth::B8 => mem.write_u8(addrs[lane], word(0) as u8),
+            MemWidth::B16 => mem.write_u16(addrs[lane], word(0) as u16),
             _ => {
                 for i in 0..width.regs() {
-                    mem.write_u32(
-                        addr + 4 * i as u64,
-                        warp.regs.read(lane, Reg(data.0 + i as u16)),
-                    );
+                    mem.write_u32(addrs[lane] + 4 * i as u64, word(i));
                 }
             }
         }
-    }
-    MemTrace {
-        space,
-        is_store: true,
-        accesses,
     }
 }
 
@@ -854,45 +975,37 @@ fn exec_atom(
     space: MemSpace,
     op: AtomOp,
     mask: u32,
-) -> MemTrace {
+    accesses: &mut Vec<MemAccess>,
+) {
+    if mask == 0 {
+        return;
+    }
     let dst = instr.dst.expect("atom dst");
     let Operand::Reg(data) = instr.srcs[2] else {
         panic!("atom data operand")
     };
-    let mut accesses = Vec::with_capacity(WARP_SIZE);
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        let addr = lane_addr(warp, env, lane, instr);
-        accesses.push(MemAccess {
-            lane: lane as u8,
-            addr,
-            bytes: 4,
-        });
-        let mem: &mut dyn ByteMemory = match space {
-            MemSpace::Global | MemSpace::Local => env.global,
-            MemSpace::Shared => env.shared,
-            MemSpace::Param => panic!("atomics on param space are not allowed"),
-        };
-        let old = mem.read_u32(addr);
-        let v = warp.regs.read(lane, data);
+    let addrs = lane_addrs(warp, env, instr);
+    push_accesses(accesses, &addrs, 4, mask);
+    let mem: &mut dyn ByteMemory = match space {
+        MemSpace::Global | MemSpace::Local => &mut *env.global,
+        MemSpace::Shared => &mut *env.shared,
+        MemSpace::Param => panic!("atomics on param space are not allowed"),
+    };
+    let vals = *warp.regs.row(data);
+    let mut olds = [0u32; WARP_SIZE];
+    for lane in lanes(mask) {
+        let old = mem.read_u32(addrs[lane]);
+        let v = vals[lane];
         let new = match op {
             AtomOp::Add => old.wrapping_add(v),
             AtomOp::Min => (old as i32).min(v as i32) as u32,
             AtomOp::Max => (old as i32).max(v as i32) as u32,
             AtomOp::Exch => v,
         };
-        mem.write_u32(addr, new);
-        warp.regs.write(lane, dst, old);
+        mem.write_u32(addrs[lane], new);
+        olds[lane] = old;
     }
-    // Atomics read and write; the coalescer/timing treat them as stores
-    // plus a returned value (handled by the SM's memory accounting).
-    MemTrace {
-        space,
-        is_store: true,
-        accesses,
-    }
+    write32(warp, dst, &olds, mask);
 }
 
 fn exec_wmma(
@@ -901,26 +1014,28 @@ fn exec_wmma(
     instr: &Instr,
     dir: &WmmaDirective,
     wmma: &dyn WmmaHandler,
-) -> Option<MemTrace> {
+    accesses: &mut Vec<MemAccess>,
+) -> Option<MemOp> {
+    // Warp-uniform operands (tile base, leading dimension): lane 0's value.
+    let uniform = |warp: &WarpExec, op: Operand| row64(warp, env, op)[0];
     match dir {
         WmmaDirective::Load { .. } => {
-            let base = value64(warp, env, 0, instr.srcs[0]);
-            let stride = value64(warp, env, 0, instr.srcs[1]) as usize;
+            let base = uniform(warp, instr.srcs[0]);
+            let stride = uniform(warp, instr.srcs[1]) as usize;
             let shared = matches!(instr.srcs[2], Operand::Imm(1));
             let dst = instr.dst.expect("wmma.load dst");
-            let accesses = if shared {
+            *accesses = if shared {
                 wmma.wmma_load(dir, dst, base, stride, env.shared, &mut warp.regs)
             } else {
                 wmma.wmma_load(dir, dst, base, stride, env.global, &mut warp.regs)
             };
-            Some(MemTrace {
+            Some(MemOp {
                 space: if shared {
                     MemSpace::Shared
                 } else {
                     MemSpace::Global
                 },
                 is_store: false,
-                accesses,
             })
         }
         WmmaDirective::Mma { .. } => {
@@ -952,25 +1067,24 @@ fn exec_wmma(
             None
         }
         WmmaDirective::Store { .. } => {
-            let base = value64(warp, env, 0, instr.srcs[0]);
-            let stride = value64(warp, env, 0, instr.srcs[1]) as usize;
+            let base = uniform(warp, instr.srcs[0]);
+            let stride = uniform(warp, instr.srcs[1]) as usize;
             let Operand::Reg(d) = instr.srcs[2] else {
                 panic!("wmma.store data operand")
             };
             let shared = matches!(instr.srcs[3], Operand::Imm(1));
-            let accesses = if shared {
+            *accesses = if shared {
                 wmma.wmma_store(dir, d, base, stride, env.shared, &warp.regs)
             } else {
                 wmma.wmma_store(dir, d, base, stride, env.global, &warp.regs)
             };
-            Some(MemTrace {
+            Some(MemOp {
                 space: if shared {
                     MemSpace::Shared
                 } else {
                     MemSpace::Global
                 },
                 is_store: true,
-                accesses,
             })
         }
     }
@@ -990,8 +1104,9 @@ pub fn run_warp(
     wmma: &dyn WmmaHandler,
     max_steps: usize,
 ) -> usize {
+    let mut accesses = Vec::new();
     for n in 0..max_steps {
-        let out = step(warp, kernel, env, wmma);
+        let out = step_into(warp, kernel, env, wmma, &mut accesses);
         env.clock += 1;
         if out.action == StepAction::Exited {
             return n + 1;

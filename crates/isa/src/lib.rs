@@ -51,7 +51,7 @@ mod wmma;
 
 pub use instr::{AtomOp, CmpOp, Instr, Op, Operand, PredReg, Reg, ShflMode, UnitClass};
 pub use kernel::{Kernel, KernelBuilder, Label, ParamDesc, Program};
-pub use traits::{ByteMemory, VecMemory, WarpRegFile, WarpRegisters};
+pub use traits::{ByteMemory, Row, VecMemory, WarpRegFile, WarpRegisters};
 pub use types::{DataType, Dim3, LaunchConfig, MemSpace, MemWidth, SpecialReg};
 pub use uop::{Uop, UopStream};
 pub use wmma::{

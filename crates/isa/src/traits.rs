@@ -129,11 +129,23 @@ pub trait WarpRegisters {
     }
 }
 
-/// Dense register storage for one warp.
+/// One 32-bit value per lane of a warp: the unit the executor works in.
+pub type Row = [u32; crate::WARP_SIZE];
+
+/// Dense register storage for one warp, **register-major**: the 32 lanes
+/// of one register are contiguous (`rows[reg][lane]`), so the executor
+/// reads an operand as one [`Row`] and loops over it 32-wide, while the
+/// tensor-core fragment code keeps addressing single `(lane, reg)` cells
+/// through [`WarpRegisters`].
 #[derive(Clone, Debug)]
 pub struct WarpRegFile {
-    regs: Vec<u32>,
-    per_lane: usize,
+    rows: Vec<Row>,
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_range(reg: Reg, per_lane: usize) -> ! {
+    panic!("register {reg} out of range (kernel declares {per_lane} regs)")
 }
 
 impl WarpRegFile {
@@ -141,34 +153,50 @@ impl WarpRegFile {
     /// lanes, all zero.
     pub fn new(per_lane: usize) -> WarpRegFile {
         WarpRegFile {
-            regs: vec![0; per_lane * crate::WARP_SIZE],
-            per_lane,
+            rows: vec![[0; crate::WARP_SIZE]; per_lane],
         }
     }
 
     /// Registers per lane.
     pub fn per_lane(&self) -> usize {
-        self.per_lane
+        self.rows.len()
+    }
+
+    /// All 32 lanes of register `reg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` is not below [`WarpRegFile::per_lane`].
+    #[inline]
+    pub fn row(&self, reg: Reg) -> &Row {
+        match self.rows.get(reg.0 as usize) {
+            Some(row) => row,
+            None => out_of_range(reg, self.rows.len()),
+        }
+    }
+
+    /// Mutable view of all 32 lanes of register `reg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` is not below [`WarpRegFile::per_lane`].
+    #[inline]
+    pub fn row_mut(&mut self, reg: Reg) -> &mut Row {
+        let per_lane = self.rows.len();
+        match self.rows.get_mut(reg.0 as usize) {
+            Some(row) => row,
+            None => out_of_range(reg, per_lane),
+        }
     }
 }
 
 impl WarpRegisters for WarpRegFile {
     fn read(&self, lane: usize, reg: Reg) -> u32 {
-        assert!(
-            (reg.0 as usize) < self.per_lane,
-            "register {reg} out of range (kernel declares {} regs)",
-            self.per_lane
-        );
-        self.regs[lane * self.per_lane + reg.0 as usize]
+        self.row(reg)[lane]
     }
 
     fn write(&mut self, lane: usize, reg: Reg, value: u32) {
-        assert!(
-            (reg.0 as usize) < self.per_lane,
-            "register {reg} out of range (kernel declares {} regs)",
-            self.per_lane
-        );
-        self.regs[lane * self.per_lane + reg.0 as usize] = value;
+        self.row_mut(reg)[lane] = value;
     }
 }
 
@@ -214,6 +242,39 @@ mod tests {
         assert_eq!(rf.read(1, Reg(3)), 222);
         assert_eq!(rf.read(2, Reg(3)), 0);
         assert_eq!(rf.per_lane(), 16);
+    }
+
+    #[test]
+    fn rows_agree_with_lane_accessors() {
+        let mut rf = WarpRegFile::new(4);
+        for reg in 0..4u16 {
+            for lane in 0..crate::WARP_SIZE {
+                rf.write(lane, Reg(reg), (reg as u32) << 8 | lane as u32);
+            }
+        }
+        for reg in 0..4u16 {
+            let row = *rf.row(Reg(reg));
+            for (lane, &v) in row.iter().enumerate() {
+                assert_eq!(v, rf.read(lane, Reg(reg)));
+                assert_eq!(v, (reg as u32) << 8 | lane as u32);
+            }
+        }
+        rf.row_mut(Reg(2))[9] = 0xDEAD;
+        assert_eq!(rf.read(9, Reg(2)), 0xDEAD);
+        assert_eq!(rf.read(9, Reg(1)), 1 << 8 | 9, "neighbouring row untouched");
+        assert_eq!(rf.read(8, Reg(2)), 2 << 8 | 8, "neighbouring lane untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "register r7 out of range (kernel declares 4 regs)")]
+    fn out_of_range_read_names_the_register() {
+        WarpRegFile::new(4).read(0, Reg(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "register r4 out of range (kernel declares 4 regs)")]
+    fn out_of_range_row_mut_names_the_register() {
+        WarpRegFile::new(4).row_mut(Reg(4));
     }
 
     #[test]

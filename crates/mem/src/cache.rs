@@ -95,7 +95,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
     sectors_valid: u8,
@@ -126,9 +126,13 @@ pub enum Lookup {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line in one allocation: set `s` is `lines[s * ways..][..ways]`.
+    lines: Vec<Line>,
     mshrs: HashMap<u64, u64>, // sector addr → fill completion cycle
     stats: CacheStats,
+    /// A line was installed or a fill registered since the last flush;
+    /// while clear, [`Cache::flush`] has nothing to invalidate.
+    touched: bool,
 }
 
 impl Cache {
@@ -136,21 +140,10 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Cache {
         Cache {
             cfg,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        sectors_valid: 0,
-                        sectors_dirty: 0,
-                        last_use: 0,
-                        valid: false
-                    };
-                    cfg.ways
-                ];
-                cfg.sets
-            ],
+            lines: vec![Line::default(); cfg.sets * cfg.ways],
             mshrs: HashMap::new(),
             stats: CacheStats::default(),
+            touched: false,
         }
     }
 
@@ -175,6 +168,10 @@ impl Cache {
         ((line ^ (line / self.cfg.sets as u64)) % self.cfg.sets as u64) as usize
     }
 
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        &mut self.lines[set * self.cfg.ways..][..self.cfg.ways]
+    }
+
     fn sector_bit(&self, addr: u64) -> u8 {
         let within = (addr % self.cfg.line_bytes) / self.cfg.sector_bytes;
         1u8 << within
@@ -188,17 +185,14 @@ impl Cache {
         let tag = addr / self.cfg.line_bytes;
         let sector = self.sector_bit(addr);
         let set = self.set_index(addr);
-        for line in &mut self.sets[set] {
+        // A store hit in a write-through no-allocate cache updates data
+        // (functional state lives elsewhere) and dirties nothing.
+        let dirties = is_store && self.cfg.write_allocate;
+        for line in self.set_mut(set) {
             if line.valid && line.tag == tag && line.sectors_valid & sector != 0 {
                 line.last_use = now;
-                if is_store {
-                    if self.cfg.write_allocate {
-                        line.sectors_dirty |= sector;
-                    } else {
-                        // Write-through no-allocate: a store hit updates
-                        // data (functional state lives elsewhere) and
-                        // invalidates nothing.
-                    }
+                if dirties {
+                    line.sectors_dirty |= sector;
                 }
                 self.stats.hits += 1;
                 return Lookup::Hit {
@@ -228,18 +222,25 @@ impl Cache {
     pub fn start_fill(&mut self, addr: u64, fill_at: u64) {
         let sector_addr = addr / self.cfg.sector_bytes * self.cfg.sector_bytes;
         self.mshrs.insert(sector_addr, fill_at);
+        self.touched = true;
     }
 
     /// Completes a fill: installs the sector, evicting an LRU victim if
     /// needed. Returns `true` if a dirty line was written back.
     pub fn fill(&mut self, addr: u64, now: u64, mark_dirty: bool) -> bool {
-        let sector_addr = addr / self.cfg.sector_bytes * self.cfg.sector_bytes;
-        self.mshrs.remove(&sector_addr);
+        // The shipped hierarchy fills in the same call that missed and
+        // never registers the fill, so the table is empty there.
+        if !self.mshrs.is_empty() {
+            let sector_addr = addr / self.cfg.sector_bytes * self.cfg.sector_bytes;
+            self.mshrs.remove(&sector_addr);
+        }
+        self.touched = true;
         let tag = addr / self.cfg.line_bytes;
         let sector = self.sector_bit(addr);
         let set = self.set_index(addr);
+        let lines = self.set_mut(set);
         // Existing line: add the sector.
-        for line in &mut self.sets[set] {
+        for line in lines.iter_mut() {
             if line.valid && line.tag == tag {
                 line.sectors_valid |= sector;
                 if mark_dirty {
@@ -250,39 +251,39 @@ impl Cache {
             }
         }
         // Victim: invalid way first, else LRU.
-        let victim = {
-            let lines = &self.sets[set];
-            (0..lines.len())
-                .min_by_key(|&i| (lines[i].valid, lines[i].last_use))
-                .expect("non-zero associativity")
-        };
-        let evicted_dirty = {
-            let v = &self.sets[set][victim];
-            v.valid && v.sectors_dirty != 0
-        };
-        if evicted_dirty {
-            self.stats.writebacks += 1;
-        }
-        self.sets[set][victim] = Line {
+        let victim = lines
+            .iter_mut()
+            .min_by_key(|l| (l.valid, l.last_use))
+            .expect("non-zero associativity");
+        let evicted_dirty = victim.valid && victim.sectors_dirty != 0;
+        *victim = Line {
             tag,
             sectors_valid: sector,
             sectors_dirty: if mark_dirty { sector } else { 0 },
             last_use: now,
             valid: true,
         };
+        if evicted_dirty {
+            self.stats.writebacks += 1;
+        }
         evicted_dirty
     }
 
-    /// Invalidates everything (kernel-launch boundary).
+    /// Invalidates everything (kernel-launch boundary). A cache nothing
+    /// was installed in since its last flush is already empty, so this
+    /// returns without walking the lines: a launch that used three SMs
+    /// does not pay for flushing the other seventy-seven.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.sectors_valid = 0;
-                line.sectors_dirty = 0;
-            }
+        if !self.touched {
+            return;
+        }
+        for line in &mut self.lines {
+            line.valid = false;
+            line.sectors_valid = 0;
+            line.sectors_dirty = 0;
         }
         self.mshrs.clear();
+        self.touched = false;
     }
 }
 
@@ -413,6 +414,31 @@ mod tests {
         assert!(matches!(c.lookup(0x100, false, 2), Lookup::Hit { .. }));
         c.flush();
         assert_eq!(c.lookup(0x100, false, 3), Lookup::Miss);
+    }
+
+    #[test]
+    fn flush_of_an_untouched_cache_is_a_no_op_and_reflush_still_works() {
+        let mut c = small();
+        c.flush(); // never touched
+        c.fill(0x100, 1, true);
+        c.start_fill(0x200, 9);
+        c.flush();
+        assert_eq!(c.lookup(0x100, false, 2), Lookup::Miss);
+        assert_eq!(c.mshr_count(), 0);
+        c.flush(); // untouched again: lookups alone install nothing
+        c.fill(0x100, 3, false);
+        assert!(matches!(c.lookup(0x100, false, 4), Lookup::Hit { .. }));
+    }
+
+    #[test]
+    fn fill_without_a_registered_mshr_leaves_others_alone() {
+        let mut c = small();
+        c.fill(0x100, 1, false); // table empty: nothing to remove
+        c.start_fill(0x200, 50);
+        c.fill(0x300, 2, false); // a different sector stays outstanding
+        assert_eq!(c.mshr_count(), 1);
+        c.fill(0x200, 50, false);
+        assert_eq!(c.mshr_count(), 0);
     }
 
     #[test]

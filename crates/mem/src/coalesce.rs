@@ -37,25 +37,41 @@ impl Transaction {
 /// Coalesces the per-lane accesses of one warp instruction into sector
 /// transactions, ordered by address.
 pub fn coalesce(accesses: &[MemAccess]) -> Vec<Transaction> {
-    let mut sectors: Vec<(u64, u32)> = Vec::new();
+    let mut txns = Vec::new();
+    coalesce_into(accesses, &mut txns);
+    txns
+}
+
+/// [`coalesce`] into a caller-owned list (cleared first), so a caller
+/// that keeps `txns` (the SM does) never allocates.
+pub fn coalesce_into(accesses: &[MemAccess], txns: &mut Vec<Transaction>) {
+    txns.clear();
     for a in accesses {
         let first = a.addr / SECTOR_BYTES;
         let last = (a.addr + a.bytes as u64 - 1) / SECTOR_BYTES;
         for s in first..=last {
-            match sectors.binary_search_by_key(&s, |&(sec, _)| sec) {
-                Ok(i) => sectors[i].1 |= 1 << a.lane,
-                Err(i) => sectors.insert(i, (s, 1 << a.lane)),
+            let addr = s * SECTOR_BYTES;
+            // Lanes mostly walk memory upwards, so the sector is usually
+            // the last one seen or a new highest; only out-of-order
+            // lanes pay for the search.
+            let at = match txns.last() {
+                Some(t) if t.addr == addr => Ok(txns.len() - 1),
+                Some(t) if t.addr > addr => txns.binary_search_by_key(&addr, |t| t.addr),
+                _ => Err(txns.len()),
+            };
+            match at {
+                Ok(i) => txns[i].lane_mask |= 1 << a.lane,
+                Err(i) => txns.insert(
+                    i,
+                    Transaction {
+                        addr,
+                        bytes: SECTOR_BYTES,
+                        lane_mask: 1 << a.lane,
+                    },
+                ),
             }
         }
     }
-    sectors
-        .into_iter()
-        .map(|(s, mask)| Transaction {
-            addr: s * SECTOR_BYTES,
-            bytes: SECTOR_BYTES,
-            lane_mask: mask,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -126,6 +142,22 @@ mod tests {
         assert_eq!(txns.len(), 16, "512-byte tile = 16 sector transactions");
         // Every sector serves exactly two lanes (the double-loading pair).
         assert!(txns.iter().all(|t| t.lane_mask.count_ones() == 2));
+    }
+
+    #[test]
+    fn reused_list_is_cleared_and_descending_lanes_still_sort() {
+        let mut txns = Vec::new();
+        coalesce_into(&[acc(0, 0x40, 4)], &mut txns);
+        assert_eq!(txns.len(), 1);
+        // Lanes walking memory downwards, revisiting a sector.
+        let accesses: Vec<MemAccess> = (0..32).map(|l| acc(l, 0x400 - 16 * l as u64, 4)).collect();
+        coalesce_into(&accesses, &mut txns);
+        assert_eq!(txns, coalesce(&accesses));
+        assert!(txns.windows(2).all(|w| w[0].addr < w[1].addr));
+        assert_eq!(
+            txns.iter().map(|t| t.lane_mask).fold(0, |m, x| m | x),
+            u32::MAX
+        );
     }
 
     #[test]

@@ -54,16 +54,36 @@ impl DeviceMemory {
         self.direct.iter().filter(|p| p.is_some()).count() + self.far.len()
     }
 
-    /// Copies a byte slice into device memory ("host-to-device").
+    /// Copies a byte slice into device memory ("host-to-device"), one
+    /// page-table lookup per page touched.
     pub fn copy_from_host(&mut self, addr: u64, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+        let mut at = addr;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let off = (at as usize) & (PAGE_BYTES - 1);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_BYTES - off));
+            self.page_mut(at)[off..off + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len() as u64;
+            rest = tail;
         }
     }
 
     /// Copies device memory out to a byte vector ("device-to-host").
+    /// Pages never written read as zeros and stay unmaterialized.
     pub fn copy_to_host(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        let mut out = vec![0u8; len];
+        let mut at = addr;
+        let mut rest = out.as_mut_slice();
+        while !rest.is_empty() {
+            let off = (at as usize) & (PAGE_BYTES - 1);
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_BYTES - off));
+            if let Some(page) = self.page(at) {
+                chunk.copy_from_slice(&page[off..off + chunk.len()]);
+            }
+            at += chunk.len() as u64;
+            rest = tail;
+        }
+        out
     }
 }
 
@@ -206,6 +226,48 @@ mod tests {
         assert_eq!(m.read_u32(far), 0x1234_5678);
         assert_eq!(m.resident_pages(), 1);
         assert!(m.direct.is_empty());
+    }
+
+    #[test]
+    fn host_copy_straddles_page_boundaries() {
+        // Starts mid-page, covers one whole page and ends in a third.
+        let mut m = DeviceMemory::new();
+        let addr = PAGE_BYTES as u64 - 3;
+        let data: Vec<u8> = (0..PAGE_BYTES + 10).map(|i| (i % 251) as u8 + 1).collect();
+        m.copy_from_host(addr, &data);
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.copy_to_host(addr, data.len()), data);
+        for (i, &b) in data.iter().enumerate() {
+            assert_eq!(m.read_u8(addr + i as u64), b, "byte {i}");
+        }
+        // The bytes around the copy are untouched.
+        assert_eq!(m.read_u8(addr - 1), 0);
+        assert_eq!(m.read_u8(addr + data.len() as u64), 0);
+    }
+
+    #[test]
+    fn host_copy_reaches_the_far_map() {
+        let mut m = DeviceMemory::new();
+        let far = ((DIRECT_PAGES + 7) << PAGE_SHIFT) - 2;
+        m.copy_from_host(far, &[9, 8, 7, 6]);
+        assert_eq!(m.copy_to_host(far, 4), vec![9, 8, 7, 6]);
+        assert_eq!(m.read_u32(far), 0x0607_0809);
+        assert_eq!(m.resident_pages(), 2);
+        assert!(m.direct.is_empty());
+    }
+
+    #[test]
+    fn reading_back_unwritten_memory_materializes_nothing() {
+        let mut m = DeviceMemory::new();
+        m.write_u8(5, 1);
+        let before = m.resident_pages();
+        // Spans the written page, two untouched direct pages and a far one.
+        assert_eq!(m.copy_to_host(0, 8)[5], 1);
+        let gap = m.copy_to_host(PAGE_BYTES as u64 - 4, 2 * PAGE_BYTES + 8);
+        assert!(gap.iter().all(|&b| b == 0));
+        let far = m.copy_to_host(DIRECT_PAGES << PAGE_SHIFT, 64);
+        assert_eq!(far, vec![0; 64]);
+        assert_eq!(m.resident_pages(), before);
     }
 
     #[test]

@@ -101,11 +101,9 @@ impl MemSystem {
                 if is_store {
                     // Write-allocate: line fetched then dirtied; the store
                     // itself completes on arrival at L2.
-                    self.l2[p].start_fill(addr, fill);
                     self.l2[p].fill(addr, fill, true);
                     arrive + self.l2[p].config().hit_latency
                 } else {
-                    self.l2[p].start_fill(addr, fill);
                     self.l2[p].fill(addr, fill, false);
                     fill
                 }
@@ -198,7 +196,6 @@ impl L1Path {
                     now + self.l1.config().hit_latency
                 } else {
                     let fill = sys.access(txn.addr, false, now + 1, sm, tracer);
-                    self.l1.start_fill(txn.addr, fill);
                     self.l1.fill(txn.addr, fill, false);
                     fill + 1
                 }

@@ -85,33 +85,44 @@ impl ByteMemory for SharedMemory {
 /// hardware does — distinct 4-byte words wanted from the same bank
 /// serialize; lanes reading the same word broadcast.
 pub fn conflict_passes(accesses: &[MemAccess]) -> u32 {
-    // Runs once per shared-memory instruction: gather every touched
-    // word id into a reused scratch buffer, sort, then count distinct
-    // words per bank — no per-call allocation, no quadratic `contains`.
-    thread_local! {
-        static WORDS: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+    conflict_passes_in(accesses, &mut Vec::new())
+}
+
+/// [`conflict_passes`] with caller-owned scratch for the conflicting
+/// case, so a caller that keeps `words` (the SM does) never allocates.
+pub fn conflict_passes_in(accesses: &[MemAccess], words: &mut Vec<u64>) -> u32 {
+    let touched = |a: &MemAccess| a.addr / BANK_BYTES..=(a.addr + a.bytes as u64 - 1) / BANK_BYTES;
+
+    // The common case in one pass: while every bank is asked for a single
+    // word (any number of lanes may share it — a broadcast), the
+    // instruction is conflict-free. Word ids are below 2^62, so u64::MAX
+    // marks a bank nobody has touched yet.
+    let mut wanted = [u64::MAX; NUM_BANKS];
+    let conflict_free = accesses.iter().flat_map(touched).all(|w| {
+        let slot = &mut wanted[w as usize % NUM_BANKS];
+        if *slot == u64::MAX {
+            *slot = w;
+        }
+        *slot == w
+    });
+    if conflict_free {
+        return 1;
     }
-    WORDS.with(|cell| {
-        let mut words = cell.borrow_mut();
-        words.clear();
-        for a in accesses {
-            let first = a.addr / BANK_BYTES;
-            let last = (a.addr + a.bytes as u64 - 1) / BANK_BYTES;
-            for w in first..=last {
-                words.push(w);
-            }
+
+    // Some bank serializes: sort the touched words and count the distinct
+    // ones per bank.
+    words.clear();
+    words.extend(accesses.iter().flat_map(touched));
+    words.sort_unstable();
+    let mut counts = [0u32; NUM_BANKS];
+    let mut prev = u64::MAX;
+    for &w in words.iter() {
+        if w != prev {
+            counts[(w as usize) % NUM_BANKS] += 1;
+            prev = w;
         }
-        words.sort_unstable();
-        let mut counts = [0u32; NUM_BANKS];
-        let mut prev = u64::MAX;
-        for &w in words.iter() {
-            if w != prev {
-                counts[(w as usize) % NUM_BANKS] += 1;
-                prev = w;
-            }
-        }
-        counts.iter().copied().max().unwrap_or(0).max(1)
-    })
+    }
+    counts.iter().copied().max().unwrap_or(0).max(1)
 }
 
 #[cfg(test)]
@@ -162,6 +173,28 @@ mod tests {
         // Two lanes reading 128B apart with 16B each: words collide in 4
         // banks → 2 passes.
         assert_eq!(conflict_passes(&[acc(0, 0, 16), acc(1, 128, 16)]), 2);
+    }
+
+    #[test]
+    fn unaligned_and_partial_broadcasts() {
+        // A 4-byte access straddling two words touches two banks.
+        assert_eq!(conflict_passes(&[acc(0, 2, 4)]), 1);
+        // ... and collides with a lane wanting another word of bank 1.
+        assert_eq!(conflict_passes(&[acc(0, 2, 4), acc(1, 132, 4)]), 2);
+        // Half the warp broadcasts one word, half another in the same
+        // bank: two passes, not sixteen.
+        let a: Vec<MemAccess> = (0..32).map(|l| acc(l, 128 * (l as u64 % 2), 4)).collect();
+        assert_eq!(conflict_passes(&a), 2);
+    }
+
+    #[test]
+    fn reused_scratch_does_not_leak_between_calls() {
+        let mut words = Vec::new();
+        let serial: Vec<MemAccess> = (0..32).map(|l| acc(l, 128 * l as u64, 4)).collect();
+        let two_way: Vec<MemAccess> = (0..32).map(|l| acc(l, 8 * l as u64, 4)).collect();
+        assert_eq!(conflict_passes_in(&serial, &mut words), 32);
+        assert_eq!(conflict_passes_in(&two_way, &mut words), 2);
+        assert_eq!(conflict_passes_in(&serial[..1], &mut words), 1);
     }
 
     #[test]

@@ -16,11 +16,13 @@ use crate::scoreboard::Scoreboard;
 use crate::stats::{unit_index, SmStats, WmmaKind, WmmaSample};
 use std::sync::Arc;
 use tcsim_core::{mma_timing, trace_mma, TensorCoreModel};
-use tcsim_isa::exec::{ExecEnv, StepAction, WarpExec, FULL_MASK};
+use tcsim_isa::exec::{step_into, ExecEnv, MemAccess, MemOp, StepAction, WarpExec, FULL_MASK};
 use tcsim_isa::{
     Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, Operand, UnitClass, WmmaDirective, WARP_SIZE,
 };
-use tcsim_mem::{coalesce, conflict_passes, DeviceMemory, L1Path, MemSystem, SharedMemory};
+use tcsim_mem::{
+    coalesce_into, conflict_passes_in, DeviceMemory, L1Path, MemSystem, SharedMemory, Transaction,
+};
 use tcsim_trace::{emit, EventKind, StallReason, TraceEvent, TraceUnit, Tracer};
 
 /// Everything shared by all CTAs of one kernel launch.
@@ -83,11 +85,58 @@ struct WarpSlot {
     block_until: u64,
 }
 
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Default)]
 struct SubCore {
     last_issued: Option<usize>,
     unit_free: [u64; UnitClass::COUNT],
     rr_cursor: usize,
+    /// This sub-core's resident warp slots, oldest first. Ages are handed
+    /// out in increasing order within a launch, so appending on CTA launch
+    /// and dropping on CTA retire keeps the list sorted: GTO walks it as
+    /// is and never sorts.
+    by_age: Vec<usize>,
+    /// Event core only: no warp of this sub-core can issue before this
+    /// cycle, so a step before it skips the sub-core (0 = must look).
+    wake: u64,
+}
+
+/// Buffers the issue path refills for every memory instruction. They
+/// live here, once per SM, rather than in each warp: a per-warp copy is
+/// thousands of small buffers on a full GPU.
+#[derive(Default)]
+struct Scratch {
+    /// Lane accesses of the instruction being issued.
+    accesses: Vec<MemAccess>,
+    /// Its coalesced global transactions.
+    txns: Vec<Transaction>,
+    /// Shared-memory words, when the bank-conflict count has to sort.
+    words: Vec<u64>,
+}
+
+/// What memory accounting needs to know about the issuing instruction,
+/// taken while the kernel is still borrowed from its CTA slot.
+#[derive(Clone, Copy)]
+struct MemClass {
+    /// `shfl`: no memory traffic, but it occupies the MIO path.
+    is_shfl: bool,
+    /// `wmma.load` / `wmma.store`, for the latency profile.
+    wmma: Option<WmmaKind>,
+    /// The instruction writes a register (loads, atomics).
+    has_dst: bool,
+}
+
+impl MemClass {
+    fn of(instr: &Instr) -> MemClass {
+        MemClass {
+            is_shfl: matches!(instr.op, Op::Shfl { .. }),
+            wmma: match &instr.op {
+                Op::Wmma(WmmaDirective::Load { .. }) => Some(WmmaKind::Load),
+                Op::Wmma(WmmaDirective::Store { .. }) => Some(WmmaKind::Store),
+                _ => None,
+            },
+            has_dst: instr.dst.is_some(),
+        }
+    }
 }
 
 /// Warp is resident in its slot.
@@ -167,6 +216,7 @@ pub struct Sm {
     /// A warp exited since the last retire pass, so a CTA may be
     /// complete; cleared when the pass runs.
     retire_check: bool,
+    scratch: Scratch,
 }
 
 impl Sm {
@@ -200,6 +250,7 @@ impl Sm {
             live_ctas: 0,
             barrier_waiters: 0,
             retire_check: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -289,6 +340,9 @@ impl Sm {
             self.meta.age[slot] = self.age_counter;
             self.meta.block_until[slot] = now;
             self.age_counter += 1;
+            let sub = &mut self.sub[slot % self.cfg.sub_cores];
+            sub.by_age.push(slot);
+            sub.wake = 0;
             warp_slots.push(slot);
         }
         self.ctas[cta_index] = Some(CtaSlot {
@@ -344,6 +398,93 @@ impl Sm {
         tracer: &mut dyn Tracer,
         fast: bool,
     ) -> Option<u64> {
+        let (issued_any, hint) = if fast {
+            self.issue_event(now, global, sys, tracer)
+        } else {
+            self.issue_stepped(now, global, sys, tracer)
+        };
+
+        // Barrier release: a CTA whose live warps have all arrived. With
+        // no warp parked at a barrier the pass cannot release anything,
+        // so the event-driven core skips it outright.
+        if !fast || self.barrier_waiters > 0 {
+            let sub_cores = self.cfg.sub_cores;
+            for cta in self.ctas.iter().flatten() {
+                let arrived = cta
+                    .warp_slots
+                    .iter()
+                    .filter(|&&wi| self.warps[wi].as_ref().is_some_and(|w| w.at_barrier))
+                    .count();
+                if arrived > 0 && arrived + cta.warps_done == cta.warps_total {
+                    for &wi in &cta.warp_slots {
+                        if let Some(w) = self.warps[wi].as_mut() {
+                            if w.at_barrier {
+                                w.at_barrier = false;
+                                w.block_until = now + 1;
+                                self.meta.flags[wi] &= !WARP_AT_BARRIER;
+                                self.meta.block_until[wi] = now + 1;
+                                let sub = &mut self.sub[wi % sub_cores];
+                                sub.wake = sub.wake.min(now + 1);
+                                self.barrier_waiters -= 1;
+                            }
+                        }
+                    }
+                    self.stats.barriers += 1;
+                }
+            }
+        }
+
+        // Retire completed CTAs and free their resources. `warps_done`
+        // only advances when a warp issues its exit, which raises
+        // `retire_check`; until then no CTA can newly complete and the
+        // event-driven core skips the scan.
+        if !fast || self.retire_check {
+            let mut retired = false;
+            for c in 0..self.ctas.len() {
+                let done = self.ctas[c]
+                    .as_ref()
+                    .is_some_and(|cta| cta.warps_done == cta.warps_total);
+                if done {
+                    let cta = self.ctas[c].take().expect("checked");
+                    for wi in cta.warp_slots {
+                        self.warps[wi] = None;
+                        self.meta.flags[wi] = 0;
+                    }
+                    self.warps_used -= cta.warps_total;
+                    self.regs_used -= cta.requirements.registers;
+                    self.shared_used -= cta.requirements.shared_bytes;
+                    self.stats.ctas_completed += 1;
+                    self.live_ctas -= 1;
+                    retired = true;
+                }
+            }
+            if retired {
+                let flags = &self.meta.flags;
+                for sub in &mut self.sub {
+                    sub.by_age.retain(|&wi| flags[wi] != 0);
+                }
+            }
+            self.retire_check = false;
+        }
+
+        if issued_any {
+            self.stats.active_cycles += 1;
+            None
+        } else {
+            Some(hint)
+        }
+    }
+
+    /// One issue slot per sub-core for the cycle-stepped core: collect the
+    /// ready warps, order them by policy, try them in turn. Returns
+    /// whether anything issued and the earliest cycle something could.
+    fn issue_stepped(
+        &mut self,
+        now: u64,
+        global: &mut DeviceMemory,
+        sys: &mut MemSystem,
+        tracer: &mut dyn Tracer,
+    ) -> (bool, u64) {
         let mut issued_any = false;
         let mut hint = u64::MAX;
 
@@ -355,37 +496,18 @@ impl Sm {
             let mut cand = [(u64::MAX, usize::MAX); 64];
             let mut n = 0;
             let mut wi = sc;
-            if fast {
-                // The event-driven core scans the compact SoA mirror:
-                // three small arrays instead of one multi-KiB WarpSlot
-                // dereference per slot — this loop runs for every
-                // sub-core of every awake SM on every visited cycle.
-                while wi < self.meta.flags.len() {
-                    if self.meta.flags[wi] == WARP_LIVE {
-                        let until = self.meta.block_until[wi];
-                        if until > now {
-                            hint = hint.min(until);
+            while wi < self.warps.len() {
+                if let Some(w) = self.warps[wi].as_ref() {
+                    if !w.done && !w.at_barrier {
+                        if w.block_until > now {
+                            hint = hint.min(w.block_until);
                         } else {
-                            cand[n] = (self.meta.age[wi], wi);
+                            cand[n] = (w.age, wi);
                             n += 1;
                         }
                     }
-                    wi += self.cfg.sub_cores;
                 }
-            } else {
-                while wi < self.warps.len() {
-                    if let Some(w) = self.warps[wi].as_ref() {
-                        if !w.done && !w.at_barrier {
-                            if w.block_until > now {
-                                hint = hint.min(w.block_until);
-                            } else {
-                                cand[n] = (w.age, wi);
-                                n += 1;
-                            }
-                        }
-                    }
-                    wi += self.cfg.sub_cores;
-                }
+                wi += self.cfg.sub_cores;
             }
             let cand = &mut cand[..n];
             match self.cfg.scheduler {
@@ -408,17 +530,11 @@ impl Sm {
                 }
             }
 
-            let mut issued_here = false;
             for &(_, wi) in cand.iter() {
-                let result = if fast {
-                    self.try_issue_fast(sc, wi, now, global, sys, tracer)
-                } else {
-                    self.try_issue(sc, wi, now, global, sys, tracer)
-                };
-                match result {
+                match self.try_issue(sc, wi, now, global, sys, tracer) {
                     IssueResult::Issued => {
                         self.sub[sc].last_issued = Some(wi);
-                        issued_here = true;
+                        issued_any = true;
                         break;
                     }
                     IssueResult::Blocked(until) => {
@@ -426,69 +542,136 @@ impl Sm {
                     }
                 }
             }
-            if issued_here {
-                issued_any = true;
+        }
+        (issued_any, hint)
+    }
+
+    /// [`Sm::issue_stepped`] for the event-driven core: the same warps are
+    /// tried in the same order with the same outcome, but nothing is
+    /// collected or sorted. Each sub-core is walked lazily in policy
+    /// order over the compact [`WarpMeta`] mirror and the walk stops at
+    /// the first issue. A sub-core whose last walk found every warp
+    /// blocked is not walked again before the earliest of those blocks
+    /// expires: `block_until` only moves when a warp is tried, issued,
+    /// launched or released from a barrier, so the skipped walk would try
+    /// nothing, emit nothing and report the same wake cycle.
+    fn issue_event(
+        &mut self,
+        now: u64,
+        global: &mut DeviceMemory,
+        sys: &mut MemSystem,
+        tracer: &mut dyn Tracer,
+    ) -> (bool, u64) {
+        let mut issued_any = false;
+        let mut hint = u64::MAX;
+
+        for sc in 0..self.cfg.sub_cores {
+            if self.sub[sc].wake > now {
+                hint = hint.min(self.sub[sc].wake);
+                continue;
+            }
+            let mut walk = Walk {
+                sc,
+                now,
+                hint: u64::MAX,
+                global: &mut *global,
+                sys: &mut *sys,
+                tracer: &mut *tracer,
+            };
+            let issued = match self.cfg.scheduler {
+                SchedPolicy::Gto => self.walk_gto(&mut walk),
+                SchedPolicy::RoundRobin => self.walk_round_robin(&mut walk),
+            };
+            let sub = &mut self.sub[sc];
+            match issued {
+                Some(wi) => {
+                    sub.last_issued = Some(wi);
+                    sub.wake = 0;
+                    issued_any = true;
+                }
+                None => sub.wake = walk.hint,
+            }
+            hint = hint.min(walk.hint);
+        }
+        (issued_any, hint)
+    }
+
+    /// GTO order: the last-issued warp first, then oldest first.
+    fn walk_gto(&mut self, walk: &mut Walk<'_>) -> Option<usize> {
+        let last = self.sub[walk.sc].last_issued;
+        if let Some(wi) = last {
+            if self.attempt(wi, walk) {
+                return Some(wi);
             }
         }
+        for k in 0..self.sub[walk.sc].by_age.len() {
+            let wi = self.sub[walk.sc].by_age[k];
+            if Some(wi) != last && self.attempt(wi, walk) {
+                return Some(wi);
+            }
+        }
+        None
+    }
 
-        // Barrier release: a CTA whose live warps have all arrived. With
-        // no warp parked at a barrier the pass cannot release anything,
-        // so the event-driven core skips it outright.
-        if !fast || self.barrier_waiters > 0 {
-            for c in 0..self.ctas.len() {
-                let Some(cta) = &self.ctas[c] else { continue };
-                let arrived = cta
-                    .warp_slots
-                    .iter()
-                    .filter(|&&wi| self.warps[wi].as_ref().is_some_and(|w| w.at_barrier))
-                    .count();
-                if arrived > 0 && arrived + cta.warps_done == cta.warps_total {
-                    for &wi in &self.ctas[c].as_ref().expect("checked").warp_slots.clone() {
-                        if let Some(w) = self.warps[wi].as_mut() {
-                            if w.at_barrier {
-                                w.at_barrier = false;
-                                w.block_until = now + 1;
-                                self.meta.flags[wi] &= !WARP_AT_BARRIER;
-                                self.meta.block_until[wi] = now + 1;
-                                self.barrier_waiters -= 1;
-                            }
-                        }
-                    }
-                    self.stats.barriers += 1;
+    /// Round-robin order: the warps ready at the start of the step, in
+    /// slot order, rotated by the cursor. The cursor advances only on
+    /// steps with a ready warp, so skipped steps cannot desynchronize it.
+    fn walk_round_robin(&mut self, walk: &mut Walk<'_>) -> Option<usize> {
+        let (sc, now) = (walk.sc, walk.now);
+        let mut ready = 0;
+        for wi in (sc..self.meta.flags.len()).step_by(self.cfg.sub_cores) {
+            if self.meta.flags[wi] == WARP_LIVE {
+                if self.meta.block_until[wi] > now {
+                    walk.hint = walk.hint.min(self.meta.block_until[wi]);
+                } else {
+                    ready += 1;
                 }
             }
         }
-
-        // Retire completed CTAs and free their resources. `warps_done`
-        // only advances when a warp issues its exit, which raises
-        // `retire_check`; until then no CTA can newly complete and the
-        // event-driven core skips the scan.
-        if !fast || self.retire_check {
-            for c in 0..self.ctas.len() {
-                let done = self.ctas[c]
-                    .as_ref()
-                    .is_some_and(|cta| cta.warps_done == cta.warps_total);
-                if done {
-                    let cta = self.ctas[c].take().expect("checked");
-                    for wi in cta.warp_slots {
-                        self.warps[wi] = None;
-                        self.meta.flags[wi] = 0;
-                    }
-                    self.warps_used -= cta.warps_total;
-                    self.regs_used -= cta.requirements.registers;
-                    self.shared_used -= cta.requirements.shared_bytes;
-                    self.stats.ctas_completed += 1;
-                    self.live_ctas -= 1;
+        if ready == 0 {
+            return None;
+        }
+        let start = self.sub[sc].rr_cursor % ready;
+        self.sub[sc].rr_cursor = self.sub[sc].rr_cursor.wrapping_add(1);
+        // Ready warps `start..` first, then `..start`. A warp tried and
+        // blocked in the first pass is no longer ready, and all of those
+        // sit after the first `start` ready warps in slot order.
+        for wrapped in [false, true] {
+            let mut nth = 0;
+            for wi in (sc..self.meta.flags.len()).step_by(self.cfg.sub_cores) {
+                if wrapped && nth == start {
+                    break;
+                }
+                if self.meta.flags[wi] != WARP_LIVE || self.meta.block_until[wi] > now {
+                    continue;
+                }
+                nth += 1;
+                if (wrapped || nth > start) && self.attempt(wi, walk) {
+                    return Some(wi);
                 }
             }
-            self.retire_check = false;
         }
+        None
+    }
 
-        if issued_any {
-            self.stats.active_cycles += 1;
-            None
-        } else {
-            Some(hint)
+    /// Tries to issue from warp slot `wi` if it holds a schedulable warp
+    /// that is not known to be blocked; otherwise folds its wake cycle
+    /// into the walk's hint.
+    fn attempt(&mut self, wi: usize, walk: &mut Walk<'_>) -> bool {
+        if self.meta.flags[wi] != WARP_LIVE {
+            return false;
+        }
+        let until = self.meta.block_until[wi];
+        if until > walk.now {
+            walk.hint = walk.hint.min(until);
+            return false;
+        }
+        match self.try_issue_fast(wi, walk) {
+            IssueResult::Issued => true,
+            IssueResult::Blocked(until) => {
+                walk.hint = walk.hint.min(until.max(walk.now + 1));
+                false
+            }
         }
     }
 
@@ -631,7 +814,13 @@ impl Sm {
                 cta: cta.cta_id,
                 clock: now,
             };
-            tcsim_isa::exec::step(&mut w.exec, &kernel, &mut env, &self.tensor)
+            step_into(
+                &mut w.exec,
+                &kernel,
+                &mut env,
+                &self.tensor,
+                &mut self.scratch.accesses,
+            )
         };
 
         // Operand collection: register-bank conflicts among source reads.
@@ -700,7 +889,9 @@ impl Sm {
                 );
                 ready
             }
-            UnitClass::Mem => self.account_memory(instr, &outcome, now, collect, sys, tracer),
+            UnitClass::Mem => {
+                self.account_memory(MemClass::of(instr), outcome.mem, now, collect, sys, tracer)
+            }
             UnitClass::Control => now + 1,
         };
 
@@ -747,20 +938,38 @@ impl Sm {
         IssueResult::Issued
     }
 
+    /// Parks warp `wi` until `until` and reports why (event core).
+    fn park(
+        &mut self,
+        wi: usize,
+        walk: &mut Walk<'_>,
+        reason: StallReason,
+        until: u64,
+    ) -> IssueResult {
+        self.warps[wi].as_mut().expect("warp exists").block_until = until;
+        self.meta.block_until[wi] = until;
+        emit(walk.tracer, || TraceEvent {
+            cycle: walk.now,
+            sm: self.id,
+            kind: EventKind::Stall {
+                sub_core: walk.sc as u8,
+                warp: wi as u16,
+                reason,
+                until,
+            },
+        });
+        IssueResult::Blocked(until)
+    }
+
     /// [`Sm::try_issue`] over the decode-once tables: the blocked paths
     /// (unit busy, scoreboard hazard, barrier fence) read the μop's
-    /// pre-expanded operand spans and the dense scoreboard — no `Arc`
-    /// clone, no `Vec` expansion, no hashing. Stall decisions, emitted
-    /// events and all statistics are identical to the legacy path.
-    fn try_issue_fast(
-        &mut self,
-        sc: usize,
-        wi: usize,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-    ) -> IssueResult {
+    /// pre-expanded operand spans and the dense scoreboard, and an issue
+    /// borrows the kernel and parameters from the CTA slot and refills
+    /// the SM's [`Scratch`] — no `Arc` clone, no `Vec`, no hashing. Stall
+    /// decisions, emitted events and all statistics are identical to the
+    /// legacy path.
+    fn try_issue_fast(&mut self, wi: usize, walk: &mut Walk<'_>) -> IssueResult {
+        let (sc, now) = (walk.sc, walk.now);
         let (cta_idx, pc) = {
             let w = self.warps[wi].as_ref().expect("warp exists");
             (w.cta, w.exec.pc)
@@ -778,120 +987,81 @@ impl Sm {
         match unit {
             UnitClass::Mem => {
                 if self.mio_free > now {
-                    let until = self.mio_free;
-                    self.warps[wi].as_mut().expect("warp exists").block_until = until;
-                    self.meta.block_until[wi] = until;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until,
-                        },
-                    });
-                    return IssueResult::Blocked(until);
+                    return self.park(wi, walk, StallReason::Structural, self.mio_free);
                 }
             }
             UnitClass::Control => {}
             u => {
                 let free = self.sub[sc].unit_free[unit_index(u)];
                 if free > now {
-                    self.warps[wi].as_mut().expect("warp exists").block_until = free;
-                    self.meta.block_until[wi] = free;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until: free,
-                        },
-                    });
-                    return IssueResult::Blocked(free);
+                    return self.park(wi, walk, StallReason::Structural, free);
                 }
             }
         }
 
-        // Scoreboard RAW/WAW over the pre-expanded spans.
-        {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            let uses = cta.decoded.uops().uses(pc);
-            let defs = cta.decoded.uops().defs(pc);
+        // Scoreboard RAW/WAW over the pre-expanded spans; a barrier also
+        // fences on every outstanding write.
+        let blocked = {
+            let uops = self.ctas[cta_idx].as_ref().expect("cta exists").decoded.uops();
             let w = self.warps[wi].as_mut().expect("warp exists");
-            if let Err(hazard) = w.dense.check(uses, defs, now) {
-                w.block_until = hazard.ready;
-                self.meta.block_until[wi] = hazard.ready;
-                let reason = if hazard.from_mem {
-                    StallReason::Memory
-                } else {
-                    StallReason::Raw
-                };
-                emit(tracer, || TraceEvent {
-                    cycle: now,
-                    sm: sm_id,
-                    kind: EventKind::Stall {
-                        sub_core: sc as u8,
-                        warp: wi as u16,
-                        reason,
-                        until: hazard.ready,
-                    },
-                });
-                return IssueResult::Blocked(hazard.ready);
-            }
-            if uop.is_bar {
-                let clear = w.dense.all_clear_at(now);
-                if clear > now {
-                    w.block_until = clear;
-                    self.meta.block_until[wi] = clear;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Barrier,
-                            until: clear,
-                        },
-                    });
-                    return IssueResult::Blocked(clear);
+            match w.dense.check(uops.uses(pc), uops.defs(pc), now) {
+                Err(hazard) if hazard.from_mem => Some((StallReason::Memory, hazard.ready)),
+                Err(hazard) => Some((StallReason::Raw, hazard.ready)),
+                Ok(()) if uop.is_bar => {
+                    let clear = w.dense.all_clear_at(now);
+                    (clear > now).then_some((StallReason::Barrier, clear))
                 }
+                Ok(()) => None,
             }
+        };
+        if let Some((reason, until)) = blocked {
+            return self.park(wi, walk, reason, until);
         }
 
-        // --- Issue (off the hot path): exactly the legacy sequence. ---
-        let (kernel, params, block, grid) = {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            (
-                Arc::clone(&cta.spec.kernel),
-                Arc::clone(&cta.spec.params),
-                cta.spec.launch.block,
-                cta.spec.launch.grid,
-            )
-        };
-        let instr = &kernel.instrs()[pc];
-
-        let outcome = {
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
-            let mut env = ExecEnv {
-                global,
-                shared: &mut cta.shared,
-                params: &params,
-                block,
-                grid,
-                cta: cta.cta_id,
-                clock: now,
-            };
-            tcsim_isa::exec::step(&mut w.exec, &kernel, &mut env, &self.tensor)
-        };
+        // --- Issue: execute functionally, then account timing. ---
 
         // Operand collection: the bank-conflict count was precomputed at
         // decode (zero where the reuse cache absorbs it).
         let collect = self.cfg.operand_collect + timing.bank_conflicts;
         self.stats.reg_bank_stalls += timing.bank_conflicts;
+
+        let (action, mem, class) = {
+            let w = self.warps[wi].as_mut().expect("warp exists");
+            let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
+            let kernel: &Kernel = &cta.spec.kernel;
+            let mut env = ExecEnv {
+                global: &mut *walk.global,
+                shared: &mut cta.shared,
+                params: &cta.spec.params,
+                block: cta.spec.launch.block,
+                grid: cta.spec.launch.grid,
+                cta: cta.cta_id,
+                clock: now,
+            };
+            let info = step_into(
+                &mut w.exec,
+                kernel,
+                &mut env,
+                &self.tensor,
+                &mut self.scratch.accesses,
+            );
+            let instr = &kernel.instrs()[pc];
+            if unit == UnitClass::Tensor {
+                let Op::Wmma(dir) = &instr.op else {
+                    unreachable!("tensor unit ⇒ wmma.mma")
+                };
+                trace_mma(
+                    walk.tracer,
+                    volta,
+                    dir,
+                    now + collect,
+                    sm_id,
+                    sc as u8,
+                    wi as u16,
+                );
+            }
+            (info.action, info.mem, MemClass::of(instr))
+        };
 
         let ready = match unit {
             UnitClass::Sp | UnitClass::Int | UnitClass::Fp64 | UnitClass::Mufu => {
@@ -904,25 +1074,13 @@ impl Sm {
                 if self.profile_wmma {
                     self.push_sample(WmmaKind::Mma, now, ready - now);
                 }
-                let Op::Wmma(dir) = &instr.op else {
-                    unreachable!("tensor unit ⇒ wmma.mma")
-                };
-                trace_mma(
-                    tracer,
-                    volta,
-                    dir,
-                    now + collect,
-                    sm_id,
-                    sc as u8,
-                    wi as u16,
-                );
                 ready
             }
-            UnitClass::Mem => self.account_memory(instr, &outcome, now, collect, sys, tracer),
+            UnitClass::Mem => self.account_memory(class, mem, now, collect, walk.sys, walk.tracer),
             UnitClass::Control => now + 1,
         };
 
-        emit(tracer, || TraceEvent {
+        emit(walk.tracer, || TraceEvent {
             cycle: now,
             sm: sm_id,
             kind: EventKind::WarpIssue {
@@ -932,35 +1090,31 @@ impl Sm {
             },
         });
 
-        {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            let defs = cta.decoded.uops().defs(pc);
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            w.dense.issue(defs, ready, unit == UnitClass::Mem);
-            match outcome.action {
-                StepAction::Exited => {
-                    w.done = true;
-                    self.meta.flags[wi] |= WARP_DONE;
-                    self.retire_check = true;
-                }
-                StepAction::Barrier => {
-                    w.at_barrier = true;
-                    self.meta.flags[wi] |= WARP_AT_BARRIER;
-                    self.barrier_waiters += 1;
-                }
-                StepAction::Continue => {}
+        let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
+        let w = self.warps[wi].as_mut().expect("warp exists");
+        w.dense
+            .issue(cta.decoded.uops().defs(pc), ready, unit == UnitClass::Mem);
+        match action {
+            StepAction::Exited => {
+                w.done = true;
+                self.meta.flags[wi] |= WARP_DONE;
+                self.retire_check = true;
+                cta.warps_done += 1;
+                emit(walk.tracer, || TraceEvent {
+                    cycle: now,
+                    sm: sm_id,
+                    kind: EventKind::WarpRetire {
+                        sub_core: sc as u8,
+                        warp: wi as u16,
+                    },
+                });
             }
-        }
-        if matches!(outcome.action, StepAction::Exited) {
-            self.ctas[cta_idx].as_mut().expect("cta exists").warps_done += 1;
-            emit(tracer, || TraceEvent {
-                cycle: now,
-                sm: sm_id,
-                kind: EventKind::WarpRetire {
-                    sub_core: sc as u8,
-                    warp: wi as u16,
-                },
-            });
+            StepAction::Barrier => {
+                w.at_barrier = true;
+                self.meta.flags[wi] |= WARP_AT_BARRIER;
+                self.barrier_waiters += 1;
+            }
+            StepAction::Continue => {}
         }
 
         self.stats.issued += 1;
@@ -968,17 +1122,20 @@ impl Sm {
         IssueResult::Issued
     }
 
+    /// Timing of a memory-unit instruction whose lane accesses
+    /// [`step_into`] left in the scratch buffer: the cycle its result (or
+    /// its issue slot, for plain stores) is ready.
     fn account_memory(
         &mut self,
-        instr: &Instr,
-        outcome: &tcsim_isa::exec::StepOutcome,
+        class: MemClass,
+        mem: Option<MemOp>,
         now: u64,
         collect: u64,
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
     ) -> u64 {
-        let Some(trace) = &outcome.mem else {
-            if matches!(instr.op, Op::Shfl { .. }) {
+        let Some(mem) = mem else {
+            if class.is_shfl {
                 // Warp shuffles route through the MIO/shared path on Volta.
                 self.mio_free = now + self.cfg.mio_cycles_per_txn;
                 return now + collect + self.cfg.shared_latency;
@@ -986,21 +1143,18 @@ impl Sm {
             // Parameter-space loads: constant-cache hit.
             return now + collect + self.cfg.alu_latency;
         };
-        let kind = match &instr.op {
-            Op::Wmma(WmmaDirective::Load { .. }) => Some(WmmaKind::Load),
-            Op::Wmma(WmmaDirective::Store { .. }) => Some(WmmaKind::Store),
-            _ => None,
-        };
-        let ready = match trace.space {
+        let ready = match mem.space {
             MemSpace::Shared => {
-                let passes = conflict_passes(&trace.accesses) as u64;
+                let passes =
+                    conflict_passes_in(&self.scratch.accesses, &mut self.scratch.words) as u64;
                 self.stats.shared_conflict_passes += passes - 1;
                 self.mio_free = now + passes * self.cfg.mio_cycles_per_txn;
                 now + collect + self.cfg.shared_latency + 2 * (passes - 1)
             }
             MemSpace::Param => now + collect + self.cfg.alu_latency,
             MemSpace::Global | MemSpace::Local => {
-                let txns = coalesce(&trace.accesses);
+                coalesce_into(&self.scratch.accesses, &mut self.scratch.txns);
+                let txns = &self.scratch.txns;
                 self.stats.global_txns += txns.len() as u64;
                 self.mio_free = now + txns.len() as u64 * self.cfg.mio_cycles_per_txn;
                 let mut done = now + collect + self.cfg.shared_latency;
@@ -1008,11 +1162,11 @@ impl Sm {
                     let start = now + collect + i as u64 * self.cfg.mio_cycles_per_txn;
                     let r = self
                         .l1
-                        .access(t, trace.is_store, start, sys, self.id, tracer);
+                        .access(t, mem.is_store, start, sys, self.id, tracer);
                     done = done.max(r);
                 }
-                if trace.is_store {
-                    if instr.dst.is_some() {
+                if mem.is_store {
+                    if class.has_dst {
                         // Atomics return the old value: the destination is
                         // not ready until the round trip completes.
                         return done;
@@ -1020,7 +1174,7 @@ impl Sm {
                     // Plain stores retire at issue (no register
                     // writeback); the write-ack time still shows up in the
                     // profile below.
-                    if let Some(k) = kind {
+                    if let Some(k) = class.wmma {
                         if self.profile_wmma {
                             self.push_sample(k, now, done - now);
                         }
@@ -1030,7 +1184,7 @@ impl Sm {
                 done
             }
         };
-        if let Some(k) = kind {
+        if let Some(k) = class.wmma {
             if self.profile_wmma {
                 self.push_sample(k, now, ready - now);
             }
@@ -1066,7 +1220,11 @@ impl Sm {
         assert!(self.idle(), "clock reset with resident CTAs");
         self.mio_free = 0;
         for sc in &mut self.sub {
-            *sc = SubCore::default();
+            // Idle: `by_age` is empty; keep its allocation.
+            sc.last_issued = None;
+            sc.unit_free = [0; UnitClass::COUNT];
+            sc.rr_cursor = 0;
+            sc.wake = 0;
         }
         self.age_counter = 0;
     }
@@ -1090,6 +1248,17 @@ impl Sm {
 enum IssueResult {
     Issued,
     Blocked(u64),
+}
+
+/// One sub-core's issue slot on the event core: where and when, the
+/// earliest wake cycle seen so far, and the machine the issue acts on.
+struct Walk<'a> {
+    sc: usize,
+    now: u64,
+    hint: u64,
+    global: &'a mut DeviceMemory,
+    sys: &'a mut MemSystem,
+    tracer: &'a mut dyn Tracer,
 }
 
 // `Operand` is referenced by kernels embedded in tests below.
