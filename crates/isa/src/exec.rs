@@ -36,7 +36,7 @@ pub struct SimtEntry {
 }
 
 /// Architectural state of one warp.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct WarpExec {
     /// Next program counter.
     pub pc: usize,
