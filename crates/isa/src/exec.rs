@@ -346,13 +346,14 @@ fn row64(warp: &WarpExec, env: &ExecEnv<'_>, op: Operand) -> Row64 {
             std::array::from_fn(|lane| lo[lane] as u64 | (hi[lane] as u64) << 32)
         }
         Operand::Imm(i) => [i as u64; WARP_SIZE],
-        other => row32(warp, env, other).map(u64::from),
+        other => map1(&row32(warp, env, other), u64::from),
     }
 }
 
 /// `f` over every lane: the 32-wide straight loop of the cheap opcodes
 /// (the compiler vectorises it; inactive lanes are computed and then
-/// dropped by the masked write-back).
+/// dropped by the masked write-back). Used instead of `<[T; N]>::map`,
+/// which is neither inlined nor vectorised at this size.
 fn map1<T: Copy, U: Copy + Default>(a: &[T; WARP_SIZE], f: impl Fn(T) -> U) -> [U; WARP_SIZE] {
     let mut out = [U::default(); WARP_SIZE];
     for (o, &a) in out.iter_mut().zip(a) {
@@ -400,16 +401,21 @@ fn write32(warp: &mut WarpExec, dst: Reg, vals: &Row, mask: u32) {
 /// Writes `vals` to the register pair `(dst, dst+1)` on the lanes of
 /// `mask`.
 fn write64(warp: &mut WarpExec, dst: Reg, vals: &Row64, mask: u32) {
-    write32(warp, dst, &vals.map(|v| v as u32), mask);
-    write32(warp, Reg(dst.0 + 1), &vals.map(|v| (v >> 32) as u32), mask);
+    write32(warp, dst, &map1(vals, |v| v as u32), mask);
+    write32(
+        warp,
+        Reg(dst.0 + 1),
+        &map1(vals, |v| (v >> 32) as u32),
+        mask,
+    );
 }
 
 fn f32s(row: &Row) -> [f32; WARP_SIZE] {
-    row.map(f32::from_bits)
+    map1(row, f32::from_bits)
 }
 
 fn f64s(row: &Row64) -> [f64; WARP_SIZE] {
-    row.map(f64::from_bits)
+    map1(row, f64::from_bits)
 }
 
 /// Lanes on which `cmp` holds between `a` and `b` under the ordering
@@ -723,7 +729,7 @@ pub fn step_into(
             write64(warp, instr.dst.expect("dfma dst"), &v, exec_mask);
         }
         Op::HAdd2 | Op::HMul2 | Op::HFma2 => {
-            let h2 = |warp: &WarpExec, i| src32(warp, i).map(F16x2::from_bits);
+            let h2 = |warp: &WarpExec, i| map1(&src32(warp, i), F16x2::from_bits);
             let (a, b) = (h2(warp, 0), h2(warp, 1));
             let v = match instr.op {
                 Op::HAdd2 => map_on(exec_mask, |l| a[l].hadd2(b[l]).to_bits()),
@@ -739,7 +745,7 @@ pub fn step_into(
             let dst = instr.dst.expect("cvt dst");
             match (from, to) {
                 (DataType::U32, DataType::U64) => {
-                    let v = src32(warp, 0).map(u64::from);
+                    let v = map1(&src32(warp, 0), u64::from);
                     write64(warp, dst, &v, exec_mask);
                 }
                 (DataType::F32, DataType::F64) => {
@@ -747,7 +753,7 @@ pub fn step_into(
                     write64(warp, dst, &v, exec_mask);
                 }
                 (DataType::U64, DataType::U32) => {
-                    let v = src64(warp, 0).map(|a| a as u32);
+                    let v = map1(&src64(warp, 0), |a| a as u32);
                     write32(warp, dst, &v, exec_mask);
                 }
                 (DataType::F64, DataType::F32) => {
@@ -761,17 +767,13 @@ pub fn step_into(
                         (DataType::F32, DataType::F16) => {
                             map_on(exec_mask, |l| F16::from_f32(f[l]).to_bits() as u32)
                         }
-                        (DataType::F16, DataType::F32) => {
-                            map_on(exec_mask, |l| F16::from_bits(a[l] as u16).to_f32().to_bits())
-                        }
+                        (DataType::F16, DataType::F32) => map_on(exec_mask, |l| {
+                            F16::from_bits(a[l] as u16).to_f32().to_bits()
+                        }),
                         (DataType::U32, DataType::F32) => map1(&a, |a| (a as f32).to_bits()),
-                        (DataType::S32, DataType::F32) => {
-                            map1(&a, |a| (a as i32 as f32).to_bits())
-                        }
+                        (DataType::S32, DataType::F32) => map1(&a, |a| (a as i32 as f32).to_bits()),
                         (DataType::F32, DataType::S32) => map1(&f, |a| a.trunc() as i32 as u32),
-                        (DataType::F32, DataType::U32) => {
-                            map1(&f, |a| a.trunc().max(0.0) as u32)
-                        }
+                        (DataType::F32, DataType::U32) => map1(&f, |a| a.trunc().max(0.0) as u32),
                         other => panic!("unsupported conversion {other:?}"),
                     };
                     write32(warp, dst, &v, exec_mask);

@@ -262,7 +262,11 @@ mod tests {
         rf.row_mut(Reg(2))[9] = 0xDEAD;
         assert_eq!(rf.read(9, Reg(2)), 0xDEAD);
         assert_eq!(rf.read(9, Reg(1)), 1 << 8 | 9, "neighbouring row untouched");
-        assert_eq!(rf.read(8, Reg(2)), 2 << 8 | 8, "neighbouring lane untouched");
+        assert_eq!(
+            rf.read(8, Reg(2)),
+            2 << 8 | 8,
+            "neighbouring lane untouched"
+        );
     }
 
     #[test]

@@ -47,7 +47,14 @@ impl Rng {
             0 => self.below(40) as u32,
             1 => (self.below(64) as i32 - 32) as u32,
             2 => ((self.below(2000) as f32 - 1000.0) / 7.0).to_bits(),
-            3 => [0, u32::MAX, 0x8000_0000, 0x7F80_0000, 0x7FC0_0000, 0x3C00_3C00][self.below(6) as usize],
+            3 => [
+                0,
+                u32::MAX,
+                0x8000_0000,
+                0x7F80_0000,
+                0x7FC0_0000,
+                0x3C00_3C00,
+            ][self.below(6) as usize],
             _ => self.next() as u32,
         }
     }
@@ -67,8 +74,10 @@ impl Rng {
 
     fn special(&mut self) -> SpecialReg {
         use SpecialReg::*;
-        [TidX, TidY, TidZ, CtaIdX, CtaIdY, CtaIdZ, NTidX, NTidY, NCtaIdX, NCtaIdY, LaneId, WarpId]
-            [self.below(12) as usize]
+        [
+            TidX, TidY, TidZ, CtaIdX, CtaIdY, CtaIdZ, NTidX, NTidY, NCtaIdX, NCtaIdY, LaneId,
+            WarpId,
+        ][self.below(12) as usize]
     }
 
     /// A source operand of any kind (`wide` allows a register pair).
@@ -267,7 +276,8 @@ fn reference(w: &mut WarpExec, e: &mut ExecEnv<'_>, instr: &Instr) -> Vec<MemAcc
                     let word = match space {
                         MemSpace::Shared => e.shared.read_u32(a + 4 * i),
                         MemSpace::Param => {
-                            let byte = |j: u64| *e.params.get((a + 4 * i + j) as usize).unwrap_or(&0);
+                            let byte =
+                                |j: u64| *e.params.get((a + 4 * i + j) as usize).unwrap_or(&0);
                             u32::from_le_bytes([byte(0), byte(1), byte(2), byte(3)])
                         }
                         _ => e.global.read_u32(a + 4 * i),
@@ -277,7 +287,8 @@ fn reference(w: &mut WarpExec, e: &mut ExecEnv<'_>, instr: &Instr) -> Vec<MemAcc
                         MemWidth::B16 => 0xFFFF,
                         _ => u32::MAX,
                     };
-                    w.regs.write(lane, Reg(instr.dst.unwrap().0 + i as u16), word & keep);
+                    w.regs
+                        .write(lane, Reg(instr.dst.unwrap().0 + i as u16), word & keep);
                 }
             }
             Op::St { space, width } => {
@@ -403,7 +414,11 @@ fn check(rng: &mut Rng, instr: Instr, base: Option<Operand>) {
         &NoWmma,
         &mut accesses,
     );
-    let expected = reference(&mut want, &mut env(&mut g_want, &mut s_want, &params), &instr);
+    let expected = reference(
+        &mut want,
+        &mut env(&mut g_want, &mut s_want, &params),
+        &instr,
+    );
 
     let context = format!("{instr} (active {:#010x})", want.active);
     for reg in 0..REGS {
@@ -437,7 +452,7 @@ fn with_random_guard(rng: &mut Rng, instr: Instr) -> Instr {
 fn check_alu(rng: &mut Rng, op: Op, srcs: usize, wide: &[usize]) {
     for _ in 0..TRIALS {
         let operands = (0..srcs).map(|i| rng.operand(wide.contains(&i))).collect();
-        let mut instr = Instr::new(op.clone()).with_dst(rng.reg()).with_srcs(operands);
+        let mut instr = Instr::new(op).with_dst(rng.reg()).with_srcs(operands);
         if matches!(op, Op::Setp { .. }) {
             instr.dst = None;
             instr.pred_dst = Some(PredReg(rng.below(8) as u8));
@@ -518,7 +533,14 @@ fn conversions_match_the_lane_reference() {
 fn predicates_match_the_lane_reference() {
     let mut rng = Rng(0xABCD_EF01_2345_6789);
     for ty in [DataType::S32, DataType::U32, DataType::U64, DataType::F32] {
-        for cmp in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        for cmp in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
             let wide: &[usize] = if ty == DataType::U64 { &[0, 1] } else { &[] };
             check_alu(&mut rng, Op::Setp { cmp, ty }, 2, wide);
         }

@@ -88,28 +88,37 @@ pub fn conflict_passes(accesses: &[MemAccess]) -> u32 {
     conflict_passes_in(accesses, &mut Vec::new())
 }
 
+/// Calls `f` with the id of every 4-byte word `accesses` touch, in
+/// order, until it returns `false`; whether it never did.
+fn all_words(accesses: &[MemAccess], mut f: impl FnMut(u64) -> bool) -> bool {
+    for a in accesses {
+        let last = (a.addr + a.bytes as u64 - 1) / BANK_BYTES;
+        let mut w = a.addr / BANK_BYTES;
+        while w <= last {
+            if !f(w) {
+                return false;
+            }
+            w += 1;
+        }
+    }
+    true
+}
+
 /// [`conflict_passes`] with caller-owned scratch for the conflicting
 /// case, so a caller that keeps `words` (the SM does) never allocates.
 pub fn conflict_passes_in(accesses: &[MemAccess], words: &mut Vec<u64>) -> u32 {
-    let touched = |a: &MemAccess| a.addr / BANK_BYTES..=(a.addr + a.bytes as u64 - 1) / BANK_BYTES;
-
     // The common case in one pass: while every bank is asked for a single
     // word (any number of lanes may share it — a broadcast), the
     // instruction is conflict-free. Word ids are below 2^62, so u64::MAX
     // marks a bank nobody has touched yet.
     let mut wanted = [u64::MAX; NUM_BANKS];
-    let mut conflict_free = true;
-    'scan: for a in accesses {
-        for w in touched(a) {
-            let slot = &mut wanted[w as usize % NUM_BANKS];
-            if *slot == u64::MAX {
-                *slot = w;
-            } else if *slot != w {
-                conflict_free = false;
-                break 'scan;
-            }
+    let conflict_free = all_words(accesses, |w| {
+        let slot = &mut wanted[w as usize % NUM_BANKS];
+        if *slot == u64::MAX {
+            *slot = w;
         }
-    }
+        *slot == w
+    });
     if conflict_free {
         return 1;
     }
@@ -117,9 +126,10 @@ pub fn conflict_passes_in(accesses: &[MemAccess], words: &mut Vec<u64>) -> u32 {
     // Some bank serializes: sort the touched words and count the distinct
     // ones per bank.
     words.clear();
-    for a in accesses {
-        words.extend(touched(a));
-    }
+    all_words(accesses, |w| {
+        words.push(w);
+        true
+    });
     words.sort_unstable();
     let mut counts = [0u32; NUM_BANKS];
     let mut prev = u64::MAX;

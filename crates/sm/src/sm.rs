@@ -148,8 +148,8 @@ const WARP_AT_BARRIER: u8 = 4;
 
 /// Scheduling-visible warp state in structure-of-arrays form.
 ///
-/// The candidate scan of the event-driven core touches only these three
-/// compact arrays (one byte + two words per warp slot) instead of
+/// The issue walk of the event-driven core touches only these two
+/// compact arrays (one byte + one word per warp slot) instead of
 /// dereferencing the multi-kilobyte [`WarpSlot`] (register file, two
 /// scoreboards) per slot per cycle. The arrays mirror the authoritative
 /// fields in [`WarpSlot`]; every site that mutates `done`, `at_barrier`
@@ -160,8 +160,6 @@ struct WarpMeta {
     /// `WARP_LIVE | WARP_DONE | WARP_AT_BARRIER` bits; 0 = empty slot.
     /// A warp is schedulable iff its flags are exactly `WARP_LIVE`.
     flags: Vec<u8>,
-    /// Launch-order age (GTO tie-break), valid while live.
-    age: Vec<u64>,
     /// Earliest cycle the warp could issue, valid while live.
     block_until: Vec<u64>,
 }
@@ -170,7 +168,6 @@ impl WarpMeta {
     fn new(slots: usize) -> WarpMeta {
         WarpMeta {
             flags: vec![0; slots],
-            age: vec![0; slots],
             block_until: vec![0; slots],
         }
     }
@@ -337,7 +334,6 @@ impl Sm {
                 block_until: now,
             });
             self.meta.flags[slot] = WARP_LIVE;
-            self.meta.age[slot] = self.age_counter;
             self.meta.block_until[slot] = now;
             self.age_counter += 1;
             let sub = &mut self.sub[slot % self.cfg.sub_cores];
@@ -376,10 +372,12 @@ impl Sm {
     }
 
     /// [`Sm::step`] for the event-driven core: identical scheduling
-    /// decisions, trace events and statistics, but blocked issue attempts
-    /// run against the decode-once μop tables and the dense scoreboard
-    /// instead of re-expanding `Instr` operands — the per-attempt hot
-    /// path allocates nothing.
+    /// decisions, trace events and statistics, but issue attempts run
+    /// against the decode-once μop tables and the dense scoreboard, warps
+    /// are walked lazily in policy order instead of collected and sorted,
+    /// and neither a blocked attempt nor an issue allocates. An SM is
+    /// driven through one of `step` / `step_event` for its whole life:
+    /// the two keep different scoreboards and wake caches.
     pub fn step_event(
         &mut self,
         now: u64,
@@ -669,7 +667,9 @@ impl Sm {
         match self.try_issue_fast(wi, walk) {
             IssueResult::Issued => true,
             IssueResult::Blocked(until) => {
-                walk.hint = walk.hint.min(until.max(walk.now + 1));
+                // What the sub-core wake cache relies on.
+                debug_assert!(until > walk.now, "blocked until a past cycle");
+                walk.hint = walk.hint.min(until);
                 false
             }
         }
@@ -1002,7 +1002,11 @@ impl Sm {
         // Scoreboard RAW/WAW over the pre-expanded spans; a barrier also
         // fences on every outstanding write.
         let blocked = {
-            let uops = self.ctas[cta_idx].as_ref().expect("cta exists").decoded.uops();
+            let uops = self.ctas[cta_idx]
+                .as_ref()
+                .expect("cta exists")
+                .decoded
+                .uops();
             let w = self.warps[wi].as_mut().expect("warp exists");
             match w.dense.check(uops.uses(pc), uops.defs(pc), now) {
                 Err(hazard) if hazard.from_mem => Some((StallReason::Memory, hazard.ready)),
@@ -1160,9 +1164,7 @@ impl Sm {
                 let mut done = now + collect + self.cfg.shared_latency;
                 for (i, t) in txns.iter().enumerate() {
                     let start = now + collect + i as u64 * self.cfg.mio_cycles_per_txn;
-                    let r = self
-                        .l1
-                        .access(t, mem.is_store, start, sys, self.id, tracer);
+                    let r = self.l1.access(t, mem.is_store, start, sys, self.id, tracer);
                     done = done.max(r);
                 }
                 if mem.is_store {

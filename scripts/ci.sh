@@ -10,6 +10,19 @@ cargo build --release --workspace --offline
 echo "== tier-1: test =="
 cargo test -q --workspace --offline
 
+echo "== tier-1: executor under the release profile =="
+# The warp-wide executor's 32-lane loops are vectorised only in
+# optimised builds, so the directed per-lane comparison and the frozen
+# executor golden run again as the shipped binaries are compiled; the
+# allocation gate rides along (its counts are profile-independent).
+cargo test -q --release --offline -p tcsim-isa
+cargo test -q --release --offline --test exec_golden --test alloc_free_issue
+
+echo "== perf: benchmark contract (five workloads, --smoke) =="
+# Every workload of BENCHMARK.json must run, verify its outputs and
+# print every declared metric; --smoke keeps it to seconds.
+cargo test -q --release --offline -p tcsim-perf
+
 echo "== lint: rustfmt =="
 cargo fmt --check
 

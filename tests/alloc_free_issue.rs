@@ -107,7 +107,10 @@ fn issuing_instructions_allocates_nothing() {
     // The comparison only means something if the deep launch really did
     // issue several times the work, memory instructions and barriers
     // included, and the counter really counts.
-    assert!(shallow > 0, "the launch set-up allocates; the counter is dead");
+    assert!(
+        shallow > 0,
+        "the launch set-up allocates; the counter is dead"
+    );
     assert!(deep_stats.instructions > 3 * shallow_stats.instructions);
     assert!(deep_stats.sm.global_txns > 2 * shallow_stats.sm.global_txns);
     assert!(deep_stats.sm.barriers > 2 * shallow_stats.sm.barriers);
