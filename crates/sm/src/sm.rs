@@ -562,20 +562,22 @@ impl Sm {
     ) -> (bool, u64) {
         let mut issued_any = false;
         let mut hint = u64::MAX;
+        let mut walk = Walk {
+            sc: 0,
+            now,
+            hint: u64::MAX,
+            global,
+            sys,
+            tracer,
+        };
 
         for sc in 0..self.cfg.sub_cores {
             if self.sub[sc].wake > now {
                 hint = hint.min(self.sub[sc].wake);
                 continue;
             }
-            let mut walk = Walk {
-                sc,
-                now,
-                hint: u64::MAX,
-                global: &mut *global,
-                sys: &mut *sys,
-                tracer: &mut *tracer,
-            };
+            walk.sc = sc;
+            walk.hint = u64::MAX;
             let issued = match self.cfg.scheduler {
                 SchedPolicy::Gto => self.walk_gto(&mut walk),
                 SchedPolicy::RoundRobin => self.walk_round_robin(&mut walk),

@@ -19,7 +19,6 @@
 //!
 //! and review the diff.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tcsim_check::corpus::case_from_text;
 use tcsim_check::gen::{generate, Arch, GenConfig};
@@ -64,8 +63,7 @@ fn regenerate() -> String {
         };
         for seed in SEEDS {
             let case = Case::from_program(&generate(seed, &cfg), seed.wrapping_mul(97));
-            let mut label = String::new();
-            write!(label, "gen {} {seed}", arch.qualifier()).expect("string write");
+            let label = format!("gen {} {seed}", arch.qualifier());
             text.push_str(&digest_line(&label, &case));
         }
     }
