@@ -25,7 +25,7 @@ use tcsim_core::{
 use tcsim_f16::{Bf16, F16};
 use tcsim_isa::exec::{step, ExecEnv, MemAccess, StepAction, WarpExec, WmmaHandler};
 use tcsim_isa::{mma_sync_a_shape, FragmentKind, Layout, WmmaDirective, WmmaType};
-use tcsim_isa::{ByteMemory, Dim3, Kernel, Op, Reg, VecMemory, WarpRegisters};
+use tcsim_isa::{ByteMemory, Dim3, Kernel, Op, Reg, VecMemory, WarpRegFile};
 use tcsim_nn::gemm_tolerance;
 use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
 use tcsim_sm::SmConfig;
@@ -412,9 +412,11 @@ impl WmmaHandler for MutantWmma {
         base: u64,
         stride: usize,
         mem: &dyn ByteMemory,
-        regs: &mut dyn WarpRegisters,
-    ) -> Vec<MemAccess> {
-        self.inner.wmma_load(dir, dst, base, stride, mem, regs)
+        regs: &mut WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    ) {
+        self.inner
+            .wmma_load(dir, dst, base, stride, mem, regs, accesses)
     }
 
     fn wmma_mma(
@@ -424,7 +426,7 @@ impl WmmaHandler for MutantWmma {
         a: Reg,
         b: Reg,
         c: Reg,
-        regs: &mut dyn WarpRegisters,
+        regs: &mut WarpRegFile,
     ) {
         let WmmaDirective::Mma {
             shape,
@@ -448,9 +450,9 @@ impl WmmaHandler for MutantWmma {
         let bmap = FragmentMap::for_arch(volta, FragmentKind::B, shape, ab_type, b_layout);
         let cmap = FragmentMap::for_arch(volta, FragmentKind::C, shape, c_type, Layout::Row);
         let dmap = FragmentMap::for_arch(volta, FragmentKind::D, shape, d_type, Layout::Row);
-        let at = gather_tile(&self.inner, &amap, a, regs);
-        let bt = gather_tile(&self.inner, &bmap, b, regs);
-        let ct = gather_tile(&self.inner, &cmap, c, regs);
+        let at = gather_tile(&amap, a, regs);
+        let bt = gather_tile(&bmap, b, regs);
+        let ct = gather_tile(&cmap, c, regs);
         let dt = mma_reference_chopped(&at, &bt, &ct);
         scatter_tile(&dmap, d, &dt, regs);
     }
@@ -463,7 +465,7 @@ impl WmmaHandler for MutantWmma {
         b: Reg,
         c: Reg,
         meta: Option<Reg>,
-        regs: &mut dyn WarpRegisters,
+        regs: &mut WarpRegFile,
     ) {
         let WmmaDirective::MmaSync {
             shape,
@@ -489,9 +491,9 @@ impl WmmaHandler for MutantWmma {
         let bmap = FragmentMap::for_arch(false, FragmentKind::B, shape, ab_type, Layout::Col);
         let cmap = FragmentMap::for_arch(false, FragmentKind::C, shape, c_type, Layout::Row);
         let dmap = FragmentMap::for_arch(false, FragmentKind::D, shape, d_type, Layout::Row);
-        let at = gather_tile(&self.inner, &amap, a, regs);
-        let bt = gather_tile(&self.inner, &bmap, b, regs);
-        let ct = gather_tile(&self.inner, &cmap, c, regs);
+        let at = gather_tile(&amap, a, regs);
+        let bt = gather_tile(&bmap, b, regs);
+        let ct = gather_tile(&cmap, c, regs);
         let at = if sparse {
             let mreg = meta.expect("sparse mma.sync requires a metadata register");
             let mut row_meta = read_sparse_meta(regs, mreg);
@@ -521,9 +523,11 @@ impl WmmaHandler for MutantWmma {
         base: u64,
         stride: usize,
         mem: &mut dyn ByteMemory,
-        regs: &dyn WarpRegisters,
-    ) -> Vec<MemAccess> {
-        self.inner.wmma_store(dir, src, base, stride, mem, regs)
+        regs: &WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    ) {
+        self.inner
+            .wmma_store(dir, src, base, stride, mem, regs, accesses)
     }
 }
 

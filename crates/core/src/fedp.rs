@@ -50,6 +50,27 @@ pub fn fedp_f32_pre(a: &[f32], b: &[f32], acc: f32) -> f32 {
     s + acc
 }
 
+/// One output element's whole reduction: `acc` chained through one FEDP
+/// per four `k` of `a` (a row of A) and `b` (a column of B), both already
+/// widened to binary32, with the accumulator rounded to binary16 after
+/// every FEDP when `round_f16` (FP16-accumulate mode).
+///
+/// Never inlined, so that there is one compiled copy: when both operands
+/// of an add are NaN, the payload that propagates follows the operand
+/// order of the *instruction*, which the compiler picks per call site.
+/// [`crate::mma_reference`] and the functional model both reduce through
+/// this one function and so agree on every bit.
+#[inline(never)]
+pub fn fedp_chain_f32(a: &[f32], b: &[f32], mut acc: f32, round_f16: bool) -> f32 {
+    for (qa, qb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
+        acc = fedp_f32_pre(qa, qb, acc);
+        if round_f16 {
+            acc = F16::from_f32(acc).to_f32();
+        }
+    }
+    acc
+}
+
 /// FEDP in FP16-accumulate mode: internal arithmetic identical to
 /// [`fedp_f32`], with a single final rounding to binary16.
 pub fn fedp_f16(a: [F16; 4], b: [F16; 4], acc: F16) -> F16 {

@@ -13,76 +13,24 @@
 //! All 32 Volta configurations (2 A layouts × 2 B layouts × 2 C types ×
 //! 2 D types × 2 store layouts) and the Turing integer modes/tile shapes
 //! are supported.
+//!
+//! The handler runs on compiled fragment plans (`plan.rs`): fragments move a register
+//! row at a time, tiles live in fixed stack arrays, memory is touched a
+//! tile line at a time, and nothing is allocated. [`gather_tile`],
+//! [`scatter_tile`] and [`crate::mma_reference`] spell the same semantics
+//! out an element at a time; `tests/plan_vs_reference.rs` holds the two
+//! together bit for bit.
 
-use crate::hmma::{expand_sparse_a, mma_reference};
+use crate::fedp::fedp_chain_f32;
 use crate::mapping::FragmentMap;
+use crate::plan::{plan, FragPlan, TileBits, MAX_TILE};
 use crate::tile::Tile;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use tcsim_f16::{Bf16, Tf32, F16};
 use tcsim_isa::exec::{MemAccess, WmmaHandler};
 use tcsim_isa::{
-    mma_sync_a_shape, ByteMemory, FragmentKind, Layout, Reg, WarpRegisters, WmmaDirective,
-    WmmaShape, WmmaType, WARP_SIZE,
+    mma_sync_a_shape, ByteMemory, FragmentKind, Layout, Reg, WarpRegFile, WarpRegisters,
+    WmmaDirective, WmmaShape, WmmaType, WARP_SIZE,
 };
-
-type MapKey = (bool, FragmentKind, WmmaShape, WmmaType, Layout);
-type LaneRuns = Vec<Vec<(u64, u8)>>;
-
-// Thread-safety invariant (parallel sweep engine): these caches are
-// `thread_local!`, so each sweep worker thread builds and consults its own
-// private copy. Both caches memoize *pure* functions of their keys — a
-// `FragmentMap` depends only on (arch, fragment, shape, type, layout) and
-// the access runs additionally only on the stride — so per-worker copies
-// are always mutually consistent and simulation results cannot depend on
-// which thread executed a launch. The `Rc` values never cross threads
-// (the cache and every handle into it live and die on one worker), which
-// is what keeps this sound without `Arc`.
-thread_local! {
-    /// Fragment mappings are pure functions of their qualifiers and are
-    /// consulted on every executed wmma instruction; memoize them.
-    static MAP_CACHE: RefCell<HashMap<MapKey, Rc<FragmentMap>>> =
-        RefCell::new(HashMap::new());
-    /// Per-lane access runs additionally depend on the leading-dimension
-    /// stride (one or two distinct strides per kernel); memoize those too.
-    static ACCESS_CACHE: RefCell<HashMap<(MapKey, usize), Rc<LaneRuns>>> =
-        RefCell::new(HashMap::new());
-}
-
-fn cached_accesses(volta: bool, map: &FragmentMap, stride: usize) -> Rc<LaneRuns> {
-    ACCESS_CACHE.with(|c| {
-        Rc::clone(
-            c.borrow_mut()
-                .entry((
-                    (volta, map.frag(), map.shape(), map.ty(), map.layout()),
-                    stride,
-                ))
-                .or_insert_with(|| {
-                    Rc::new(
-                        (0..WARP_SIZE)
-                            .map(|lane| map.lane_accesses(lane, stride))
-                            .collect(),
-                    )
-                }),
-        )
-    })
-}
-
-fn cached_map(
-    volta: bool,
-    frag: FragmentKind,
-    shape: WmmaShape,
-    ty: WmmaType,
-    layout: Layout,
-) -> Rc<FragmentMap> {
-    MAP_CACHE.with(|c| {
-        Rc::clone(
-            c.borrow_mut()
-                .entry((volta, frag, shape, ty, layout))
-                .or_insert_with(|| Rc::new(FragmentMap::for_arch(volta, frag, shape, ty, layout))),
-        )
-    })
-}
 
 /// The tensor-core functional model for one architecture generation.
 ///
@@ -186,168 +134,228 @@ pub fn write_frag_elem(
     regs.write(lane, reg, (old & !mask) | ((value << off) & mask));
 }
 
-/// Reads tile element `(row, col)` from memory given the tile `base`
-/// address, `stride` (leading dimension in elements) and `layout`.
-fn read_mem_elem(
-    mem: &dyn ByteMemory,
-    base: u64,
-    row: usize,
-    col: usize,
-    stride: usize,
-    layout: Layout,
-    ty: WmmaType,
-) -> u32 {
-    let linear = match layout {
-        Layout::Row => row * stride + col,
-        Layout::Col => col * stride + row,
-    };
-    match ty.bits() {
-        4 => {
-            let byte = mem.read_u8(base + (linear / 2) as u64);
-            if linear % 2 == 0 {
-                (byte & 0xF) as u32
-            } else {
-                (byte >> 4) as u32
-            }
-        }
-        8 => mem.read_u8(base + linear as u64) as u32,
-        16 => mem.read_u16(base + (linear * 2) as u64) as u32,
-        _ => mem.read_u32(base + (linear * 4) as u64),
-    }
-}
-
-/// Writes tile element `(row, col)` to memory.
-#[allow(clippy::too_many_arguments)]
-fn write_mem_elem(
-    mem: &mut dyn ByteMemory,
-    base: u64,
-    row: usize,
-    col: usize,
-    stride: usize,
-    layout: Layout,
-    ty: WmmaType,
-    value: u32,
-) {
-    let linear = match layout {
-        Layout::Row => row * stride + col,
-        Layout::Col => col * stride + row,
-    };
-    match ty.bits() {
-        4 => {
-            let addr = base + (linear / 2) as u64;
-            let old = mem.read_u8(addr);
-            let new = if linear % 2 == 0 {
-                (old & 0xF0) | (value as u8 & 0x0F)
-            } else {
-                (old & 0x0F) | ((value as u8 & 0x0F) << 4)
-            };
-            mem.write_u8(addr, new);
-        }
-        8 => mem.write_u8(base + linear as u64, value as u8),
-        16 => mem.write_u16(base + (linear * 2) as u64, value as u16),
-        _ => mem.write_u32(base + (linear * 4) as u64, value),
-    }
-}
-
 /// Gathers a whole tile from a warp's fragment registers using the
-/// element mapping (inverse of `scatter_tile`).
-pub fn gather_tile(
-    model: &TensorCoreModel,
-    map: &FragmentMap,
-    base: Reg,
-    regs: &dyn WarpRegisters,
-) -> Tile {
-    let _ = model;
+/// element mapping (inverse of `scatter_tile`), an element at a time in
+/// lane order. On Volta, A/B elements have two holders; the higher lane's
+/// copy is the one the tile ends up with.
+pub fn gather_tile(map: &FragmentMap, base: Reg, regs: &dyn WarpRegisters) -> Tile {
     let (rows, cols) = map.frag().dims(map.shape());
     let mut t = Tile::new(map.ty(), rows, cols);
     let bits = map.ty().bits();
-    let mask = elem_mask(bits);
     for lane in 0..WARP_SIZE {
-        let elems = map.lane_elems(lane);
-        if let Some(words) = whole_words(elems.len(), bits) {
-            // Hot path: the fragment tiles its registers exactly, so one
-            // read per register replaces one virtual read per element.
-            let mut buf = [0u32; MAX_FRAG_WORDS];
-            for (w, slot) in buf.iter_mut().take(words).enumerate() {
-                *slot = regs.read(lane, Reg(base.0 + w as u16));
-            }
-            for (slot, &(r, c)) in elems.iter().enumerate() {
-                let bitpos = slot * bits;
-                // On Volta, A/B elements appear twice; both copies hold
-                // the same value, so later writes are idempotent.
-                t.set_bits(
-                    r as usize,
-                    c as usize,
-                    (buf[bitpos / 32] >> (bitpos % 32)) & mask,
-                );
-            }
-        } else {
-            for (slot, &(r, c)) in elems.iter().enumerate() {
-                let v = read_frag_elem(regs, lane, base, slot, bits);
-                t.set_bits(r as usize, c as usize, v);
-            }
+        for (slot, &(r, c)) in map.lane_elems(lane).iter().enumerate() {
+            let v = read_frag_elem(regs, lane, base, slot, bits);
+            t.set_bits(r as usize, c as usize, v);
         }
     }
     t
 }
 
-/// Upper bound on fragment registers per thread (C/D in FP32: 8 elements
-/// × 32 bits).
-const MAX_FRAG_WORDS: usize = 16;
-
-/// Number of whole registers a fragment of `n` elements × `bits` covers,
-/// or `None` when the fragment does not tile its registers exactly (the
-/// per-element fallback handles that).
-#[inline]
-fn whole_words(n: usize, bits: usize) -> Option<usize> {
-    let total = n * bits;
-    if total > 0 && total.is_multiple_of(32) && total / 32 <= MAX_FRAG_WORDS {
-        Some(total / 32)
-    } else {
-        None
-    }
-}
-
-#[inline]
-fn elem_mask(bits: usize) -> u32 {
-    if bits >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << bits) - 1
-    }
-}
-
-/// Scatters a whole tile into a warp's fragment registers.
+/// Scatters a whole tile into a warp's fragment registers, an element at
+/// a time.
 pub fn scatter_tile(map: &FragmentMap, base: Reg, tile: &Tile, regs: &mut dyn WarpRegisters) {
     let bits = map.ty().bits();
-    let mask = elem_mask(bits);
     for lane in 0..WARP_SIZE {
-        let elems = map.lane_elems(lane);
-        if let Some(words) = whole_words(elems.len(), bits) {
-            // The slots tile the registers exactly, so composing them in
-            // a buffer and writing each register once produces the same
-            // final bits as the per-element read-modify-write chain.
-            let mut buf = [0u32; MAX_FRAG_WORDS];
-            for (slot, &(r, c)) in elems.iter().enumerate() {
-                let bitpos = slot * bits;
-                buf[bitpos / 32] |= (tile.get_bits(r as usize, c as usize) & mask) << (bitpos % 32);
+        for (slot, &(r, c)) in map.lane_elems(lane).iter().enumerate() {
+            let v = tile.get_bits(r as usize, c as usize);
+            write_frag_elem(regs, lane, base, slot, bits, v);
+        }
+    }
+}
+
+/// A whole operand tile widened for the FEDP chain, row-major.
+type TileF32 = [f32; MAX_TILE];
+
+/// `acc[r][..] = A[r][..] · B + acc[r][..]` for every row of `A`, with
+/// exactly [`crate::fedp_f32_pre`]'s arithmetic per output element: four
+/// `k` at a time in ascending order, `((p0 + p1) + (p2 + p3)) + acc`, one
+/// binary32 rounding per node, and a rounding to binary16 after every
+/// chunk in FP16-accumulate mode. That order *is* the numeric contract —
+/// binary32 addition does not associate — so the loops below only
+/// exchange the order of independent output columns: `N` is the
+/// innermost, vectorisable dimension (B is `k × N`, a chunk's four rows
+/// contiguous), and no product is fused into an add.
+///
+/// The operands must be free of NaNs: the compiler may commute a
+/// vectorised add or multiply, and with two NaN operands that picks the
+/// other payload. Without NaN inputs every NaN that arises is the
+/// target's one default NaN, and operand order cannot show.
+fn fedp_rows<const N: usize>(a: &[f32], b: &[f32], acc: &mut [f32], k: usize, round_f16: bool) {
+    for (a_row, acc_row) in a.chunks_exact(k).zip(acc.chunks_exact_mut(N)) {
+        for (qa, qb) in a_row.chunks_exact(4).zip(b.chunks_exact(4 * N)) {
+            let (b0, rest) = qb.split_at(N);
+            let (b1, rest) = rest.split_at(N);
+            let (b2, b3) = rest.split_at(N);
+            for j in 0..N {
+                let p = [qa[0] * b0[j], qa[1] * b1[j], qa[2] * b2[j], qa[3] * b3[j]];
+                let acc = acc_row[j];
+                acc_row[j] = ((p[0] + p[1]) + (p[2] + p[3])) + acc;
             }
-            for (w, &word) in buf.iter().take(words).enumerate() {
-                regs.write(lane, Reg(base.0 + w as u16), word);
-            }
-        } else {
-            for (slot, &(r, c)) in elems.iter().enumerate() {
-                write_frag_elem(
-                    regs,
-                    lane,
-                    base,
-                    slot,
-                    bits,
-                    tile.get_bits(r as usize, c as usize),
-                );
+            if round_f16 {
+                for v in acc_row.iter_mut() {
+                    *v = F16::from_f32(*v).to_f32();
+                }
             }
         }
     }
+}
+
+/// [`fedp_rows`] for operands that do hold NaNs: every output element
+/// reduced by the one compiled [`fedp_chain_f32`], as
+/// [`crate::mma_reference`] does.
+#[cold]
+fn fedp_rows_nan(a: &[f32], b: &[f32], acc: &mut [f32], (n, k): (usize, usize), round_f16: bool) {
+    let mut b_col = [0f32; 32];
+    for col in 0..n {
+        for (kk, v) in b_col[..k].iter_mut().enumerate() {
+            *v = b[kk * n + col];
+        }
+        for (a_row, acc_row) in a.chunks_exact(k).zip(acc.chunks_exact_mut(n)) {
+            acc_row[col] = fedp_chain_f32(a_row, &b_col[..k], acc_row[col], round_f16);
+        }
+    }
+}
+
+/// The integer modes' `acc[r][..] += A[r][..] · B`, wrapping in `i32`.
+/// Wrapping addition associates, so any order gives [`crate::dot_i32`]'s
+/// result.
+fn dot_rows_i32<const N: usize>(a: &[i32], b: &[i32], acc: &mut [i32], k: usize) {
+    for (a_row, acc_row) in a.chunks_exact(k).zip(acc.chunks_exact_mut(N)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(N)) {
+            for j in 0..N {
+                acc_row[j] = acc_row[j].wrapping_add(av.wrapping_mul(b_row[j]));
+            }
+        }
+    }
+}
+
+/// Widens raw multiplicand bits to binary32 (exact for every tensor-core
+/// multiplicand format).
+fn widen(ty: WmmaType, raw: &[u32], out: &mut [f32]) {
+    let pairs = out.iter_mut().zip(raw);
+    match ty {
+        WmmaType::F16 => {
+            pairs.for_each(|(o, &r)| *o = F16::from_bits(r as u16).to_f32_branchless())
+        }
+        WmmaType::BF16 => pairs.for_each(|(o, &r)| *o = Bf16::from_bits(r as u16).to_f32()),
+        WmmaType::TF32 => pairs.for_each(|(o, &r)| *o = Tf32::from_bits(r).to_f32()),
+        WmmaType::F32 => pairs.for_each(|(o, &r)| *o = f32::from_bits(r)),
+        other => panic!("{other} is not a floating-point tensor-core type"),
+    }
+}
+
+/// Sign- or zero-extends raw integer multiplicand bits.
+fn extend(ty: WmmaType, raw: &[u32], out: &mut [i32]) {
+    let pairs = out.iter_mut().zip(raw);
+    match ty {
+        WmmaType::S8 => pairs.for_each(|(o, &r)| *o = r as u8 as i8 as i32),
+        WmmaType::S4 => pairs.for_each(|(o, &r)| *o = ((r << 28) as i32) >> 28),
+        WmmaType::U8 | WmmaType::U4 => pairs.for_each(|(o, &r)| *o = r as i32),
+        other => panic!("{other} is not an integer tensor-core multiplicand type"),
+    }
+}
+
+/// Expands a 2:4-compressed 16×8 A tile to the dense 16×16 one, dropped
+/// elements +0 ([`crate::expand_sparse_a`] on raw bits).
+fn expand_sparse(a: &TileBits, row_meta: &[u16; 16], dense: &mut TileBits) {
+    for (r, &meta) in row_meta.iter().enumerate() {
+        for j in 0..4 {
+            let nibble = (meta >> (4 * j)) & 0xF;
+            let (i0, i1) = ((nibble & 0x3) as usize, (nibble >> 2) as usize);
+            dense[16 * r + 4 * j + i0] = a[8 * r + 2 * j];
+            dense[16 * r + 4 * j + i1] = a[8 * r + 2 * j + 1];
+        }
+    }
+}
+
+/// The fragments of one `wmma.mma` / `mma.sync`.
+struct MmaPlans {
+    a: &'static FragPlan,
+    b: &'static FragPlan,
+    c: &'static FragPlan,
+    d: &'static FragPlan,
+}
+
+/// `D = A×B + C` on register fragments: gather to stack tiles, widen
+/// once, run the FEDP chain, scatter.
+fn mma(
+    plans: &MmaPlans,
+    shape: WmmaShape,
+    (d, a, b, c): (Reg, Reg, Reg, Reg),
+    sparse_meta: Option<[u16; 16]>,
+    regs: &mut WarpRegFile,
+) {
+    let (m, n, k) = (shape.m(), shape.n(), shape.k());
+    let (ab_type, c_type, d_type) = (plans.a.map().ty(), plans.c.map().ty(), plans.d.map().ty());
+    let mut a_bits = [0u32; MAX_TILE + 1];
+    let mut b_bits = [0u32; MAX_TILE + 1];
+    let mut acc_bits = [0u32; MAX_TILE + 1];
+    plans.a.gather(regs, a, &mut a_bits);
+    plans.b.gather(regs, b, &mut b_bits);
+    plans.c.gather(regs, c, &mut acc_bits);
+    if let Some(row_meta) = sparse_meta {
+        let mut dense = [0u32; MAX_TILE + 1];
+        expand_sparse(&a_bits, &row_meta, &mut dense);
+        a_bits = dense;
+    }
+
+    if ab_type.is_integer() {
+        assert!(
+            c_type == WmmaType::S32 && d_type == WmmaType::S32,
+            "invalid mma type combination ({ab_type}, {c_type}, {d_type})"
+        );
+        let (mut av, mut bv, mut acc) = ([0i32; MAX_TILE], [0i32; MAX_TILE], [0i32; MAX_TILE]);
+        extend(ab_type, &a_bits[..m * k], &mut av);
+        extend(ab_type, &b_bits[..k * n], &mut bv);
+        for (o, &r) in acc.iter_mut().zip(&acc_bits[..m * n]) {
+            *o = r as i32;
+        }
+        let (av, bv, acc) = (&av[..m * k], &bv[..k * n], &mut acc[..m * n]);
+        match n {
+            8 => dot_rows_i32::<8>(av, bv, acc, k),
+            16 => dot_rows_i32::<16>(av, bv, acc, k),
+            32 => dot_rows_i32::<32>(av, bv, acc, k),
+            _ => unreachable!("no tile is {n} columns wide"),
+        }
+        for (o, &v) in acc_bits.iter_mut().zip(acc.iter()) {
+            *o = v as u32;
+        }
+    } else {
+        let round_f16 = match d_type {
+            WmmaType::F16 => true,
+            WmmaType::F32 => false,
+            other => panic!("invalid mma type combination ({ab_type}, {c_type}, {other})"),
+        };
+        assert!(
+            matches!(c_type, WmmaType::F16 | WmmaType::F32),
+            "invalid mma type combination ({ab_type}, {c_type}, {d_type})"
+        );
+        let (mut av, mut bv, mut acc): (TileF32, TileF32, TileF32) =
+            ([0.0; MAX_TILE], [0.0; MAX_TILE], [0.0; MAX_TILE]);
+        widen(ab_type, &a_bits[..m * k], &mut av);
+        widen(ab_type, &b_bits[..k * n], &mut bv);
+        widen(c_type, &acc_bits[..m * n], &mut acc);
+        let (av, bv, acc) = (&av[..m * k], &bv[..k * n], &mut acc[..m * n]);
+        let any_nan = |tile: &[f32]| tile.iter().fold(false, |nan, v| nan | v.is_nan());
+        if any_nan(av) | any_nan(bv) | any_nan(acc) {
+            fedp_rows_nan(av, bv, acc, (n, k), round_f16);
+        } else {
+            match n {
+                8 => fedp_rows::<8>(av, bv, acc, k, round_f16),
+                16 => fedp_rows::<16>(av, bv, acc, k, round_f16),
+                32 => fedp_rows::<32>(av, bv, acc, k, round_f16),
+                _ => unreachable!("no tile is {n} columns wide"),
+            }
+        }
+        for (o, &v) in acc_bits.iter_mut().zip(acc.iter()) {
+            *o = if round_f16 {
+                u32::from(F16::from_f32(v).to_bits())
+            } else {
+                v.to_bits()
+            };
+        }
+    }
+    plans.d.scatter(&acc_bits, d, regs);
 }
 
 impl WmmaHandler for TensorCoreModel {
@@ -358,8 +366,9 @@ impl WmmaHandler for TensorCoreModel {
         base: u64,
         stride: usize,
         mem: &dyn ByteMemory,
-        regs: &mut dyn WarpRegisters,
-    ) -> Vec<MemAccess> {
+        regs: &mut WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    ) {
         let WmmaDirective::Load {
             frag,
             shape,
@@ -369,38 +378,9 @@ impl WmmaHandler for TensorCoreModel {
         else {
             panic!("wmma_load requires a Load directive")
         };
-        let map = cached_map(self.volta, frag, shape, ty, layout);
-        let runs = cached_accesses(self.volta, &map, stride);
-        let bits = ty.bits();
-        let mask = elem_mask(bits);
-        let mut accesses = Vec::new();
-        for lane in 0..WARP_SIZE {
-            let elems = map.lane_elems(lane);
-            if let Some(words) = whole_words(elems.len(), bits) {
-                let mut buf = [0u32; MAX_FRAG_WORDS];
-                for (slot, &(r, c)) in elems.iter().enumerate() {
-                    let v = read_mem_elem(mem, base, r as usize, c as usize, stride, layout, ty);
-                    let bitpos = slot * bits;
-                    buf[bitpos / 32] |= (v & mask) << (bitpos % 32);
-                }
-                for (w, &word) in buf.iter().take(words).enumerate() {
-                    regs.write(lane, Reg(dst.0 + w as u16), word);
-                }
-            } else {
-                for (slot, &(r, c)) in elems.iter().enumerate() {
-                    let v = read_mem_elem(mem, base, r as usize, c as usize, stride, layout, ty);
-                    write_frag_elem(regs, lane, dst, slot, bits, v);
-                }
-            }
-            for &(off, bytes) in &runs[lane] {
-                accesses.push(MemAccess {
-                    lane: lane as u8,
-                    addr: base + off,
-                    bytes,
-                });
-            }
-        }
-        accesses
+        let plan = plan(self.volta, frag, shape, ty, layout);
+        plan.push_accesses(base, stride, accesses);
+        plan.load(dst, base, stride, mem, regs);
     }
 
     fn wmma_mma(
@@ -410,7 +390,7 @@ impl WmmaHandler for TensorCoreModel {
         a: Reg,
         b: Reg,
         c: Reg,
-        regs: &mut dyn WarpRegisters,
+        regs: &mut WarpRegFile,
     ) {
         let WmmaDirective::Mma {
             shape,
@@ -423,16 +403,14 @@ impl WmmaHandler for TensorCoreModel {
         else {
             panic!("wmma_mma requires an Mma directive")
         };
-        let amap = cached_map(self.volta, FragmentKind::A, shape, ab_type, a_layout);
-        let bmap = cached_map(self.volta, FragmentKind::B, shape, ab_type, b_layout);
-        // The accumulator distribution is layout-independent (§III-B1).
-        let cmap = cached_map(self.volta, FragmentKind::C, shape, c_type, Layout::Row);
-        let dmap = cached_map(self.volta, FragmentKind::D, shape, d_type, Layout::Row);
-        let at = gather_tile(self, &amap, a, regs);
-        let bt = gather_tile(self, &bmap, b, regs);
-        let ct = gather_tile(self, &cmap, c, regs);
-        let dt = mma_reference(&at, &bt, &ct, d_type);
-        scatter_tile(&dmap, d, &dt, regs);
+        let plans = MmaPlans {
+            a: plan(self.volta, FragmentKind::A, shape, ab_type, a_layout),
+            b: plan(self.volta, FragmentKind::B, shape, ab_type, b_layout),
+            // The accumulator distribution is layout-independent (§III-B1).
+            c: plan(self.volta, FragmentKind::C, shape, c_type, Layout::Row),
+            d: plan(self.volta, FragmentKind::D, shape, d_type, Layout::Row),
+        };
+        mma(&plans, shape, (d, a, b, c), None, regs);
     }
 
     fn mma_sync(
@@ -443,7 +421,7 @@ impl WmmaHandler for TensorCoreModel {
         b: Reg,
         c: Reg,
         meta: Option<Reg>,
-        regs: &mut dyn WarpRegisters,
+        regs: &mut WarpRegFile,
     ) {
         let WmmaDirective::MmaSync {
             shape,
@@ -462,21 +440,17 @@ impl WmmaHandler for TensorCoreModel {
         // mma.sync operand layouts are fixed (A row-major, B col-major);
         // the stored layout qualifier does not change the mapping.
         let a_shape = mma_sync_a_shape(shape, sparse);
-        let amap = cached_map(self.volta, FragmentKind::A, a_shape, ab_type, Layout::Row);
-        let bmap = cached_map(self.volta, FragmentKind::B, shape, ab_type, Layout::Col);
-        let cmap = cached_map(self.volta, FragmentKind::C, shape, c_type, Layout::Row);
-        let dmap = cached_map(self.volta, FragmentKind::D, shape, d_type, Layout::Row);
-        let at = gather_tile(self, &amap, a, regs);
-        let bt = gather_tile(self, &bmap, b, regs);
-        let ct = gather_tile(self, &cmap, c, regs);
-        let at = if sparse {
-            let mreg = meta.expect("sparse mma.sync requires a metadata register");
-            expand_sparse_a(&at, &read_sparse_meta(regs, mreg))
-        } else {
-            at
+        let plans = MmaPlans {
+            a: plan(false, FragmentKind::A, a_shape, ab_type, Layout::Row),
+            b: plan(false, FragmentKind::B, shape, ab_type, Layout::Col),
+            c: plan(false, FragmentKind::C, shape, c_type, Layout::Row),
+            d: plan(false, FragmentKind::D, shape, d_type, Layout::Row),
         };
-        let dt = mma_reference(&at, &bt, &ct, d_type);
-        scatter_tile(&dmap, d, &dt, regs);
+        let sparse_meta = sparse.then(|| {
+            let mreg = meta.expect("sparse mma.sync requires a metadata register");
+            read_sparse_meta(regs, mreg)
+        });
+        mma(&plans, shape, (d, a, b, c), sparse_meta, regs);
     }
 
     fn wmma_store(
@@ -486,43 +460,15 @@ impl WmmaHandler for TensorCoreModel {
         base: u64,
         stride: usize,
         mem: &mut dyn ByteMemory,
-        regs: &dyn WarpRegisters,
-    ) -> Vec<MemAccess> {
+        regs: &WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    ) {
         let WmmaDirective::Store { shape, layout, ty } = *dir else {
             panic!("wmma_store requires a Store directive")
         };
-        let map = cached_map(self.volta, FragmentKind::D, shape, ty, layout);
-        let runs = cached_accesses(self.volta, &map, stride);
-        let bits = ty.bits();
-        let mask = elem_mask(bits);
-        let mut accesses = Vec::new();
-        for lane in 0..WARP_SIZE {
-            let elems = map.lane_elems(lane);
-            if let Some(words) = whole_words(elems.len(), bits) {
-                let mut buf = [0u32; MAX_FRAG_WORDS];
-                for (w, slot) in buf.iter_mut().take(words).enumerate() {
-                    *slot = regs.read(lane, Reg(src.0 + w as u16));
-                }
-                for (slot, &(r, c)) in elems.iter().enumerate() {
-                    let bitpos = slot * bits;
-                    let v = (buf[bitpos / 32] >> (bitpos % 32)) & mask;
-                    write_mem_elem(mem, base, r as usize, c as usize, stride, layout, ty, v);
-                }
-            } else {
-                for (slot, &(r, c)) in elems.iter().enumerate() {
-                    let v = read_frag_elem(regs, lane, src, slot, bits);
-                    write_mem_elem(mem, base, r as usize, c as usize, stride, layout, ty, v);
-                }
-            }
-            for &(off, bytes) in &runs[lane] {
-                accesses.push(MemAccess {
-                    lane: lane as u8,
-                    addr: base + off,
-                    bytes,
-                });
-            }
-        }
-        accesses
+        let plan = plan(self.volta, FragmentKind::D, shape, ty, layout);
+        plan.push_accesses(base, stride, accesses);
+        plan.store(src, base, stride, mem, regs);
     }
 }
 
@@ -564,7 +510,8 @@ mod tests {
                 let mut mem = VecMemory::new();
                 seed_f16_matrix(&mut mem, 64, 16, 16, layout);
                 let mut regs = WarpRegFile::new(16);
-                let acc = model.wmma_load(&dir, Reg(0), 64, 16, &mem, &mut regs);
+                let mut acc = Vec::new();
+                model.wmma_load(&dir, Reg(0), 64, 16, &mem, &mut regs, &mut acc);
                 assert!(!acc.is_empty());
                 let map = FragmentMap::for_arch(
                     volta,
@@ -573,7 +520,7 @@ mod tests {
                     WmmaType::F16,
                     layout,
                 );
-                let tile = gather_tile(&model, &map, Reg(0), &regs);
+                let tile = gather_tile(&map, Reg(0), &regs);
                 for r in 0..16 {
                     for c in 0..16 {
                         assert_eq!(
@@ -594,7 +541,8 @@ mod tests {
         seed_f16_matrix(&mut mem, 0, 16, 16, Layout::Row);
         let mut regs = WarpRegFile::new(16);
         // Row-major A: 2 × LD.E.128 per thread = 64 accesses.
-        let acc = model.wmma_load(
+        let mut acc = Vec::new();
+        model.wmma_load(
             &WmmaDirective::Load {
                 frag: FragmentKind::A,
                 shape: WmmaShape::M16N16K16,
@@ -606,11 +554,13 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut acc,
         );
         assert_eq!(acc.len(), 64);
         assert!(acc.iter().all(|a| a.bytes == 16));
         // Column-major A: 4 × LD.E.64 per thread = 128 accesses.
-        let acc = model.wmma_load(
+        let mut acc = Vec::new();
+        model.wmma_load(
             &WmmaDirective::Load {
                 frag: FragmentKind::A,
                 shape: WmmaShape::M16N16K16,
@@ -622,11 +572,13 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut acc,
         );
         assert_eq!(acc.len(), 128);
         assert!(acc.iter().all(|a| a.bytes == 8));
         // C in FP32: 8 × 32-bit per thread = 256 accesses.
-        let acc = model.wmma_load(
+        let mut acc = Vec::new();
+        model.wmma_load(
             &WmmaDirective::Load {
                 frag: FragmentKind::C,
                 shape: WmmaShape::M16N16K16,
@@ -638,6 +590,7 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut acc,
         );
         assert_eq!(acc.len(), 256);
         assert!(acc.iter().all(|a| a.bytes == 4));
@@ -682,6 +635,7 @@ mod tests {
                 16,
                 &mem,
                 &mut regs,
+                &mut Vec::new(),
             );
             model.wmma_load(
                 &WmmaDirective::Load {
@@ -695,6 +649,7 @@ mod tests {
                 16,
                 &mem,
                 &mut regs,
+                &mut Vec::new(),
             );
             model.wmma_load(
                 &WmmaDirective::Load {
@@ -708,6 +663,7 @@ mod tests {
                 16,
                 &mem,
                 &mut regs,
+                &mut Vec::new(),
             );
             model.wmma_mma(
                 &WmmaDirective::Mma {
@@ -735,6 +691,7 @@ mod tests {
                 16,
                 &mut mem,
                 &regs,
+                &mut Vec::new(),
             );
             for r in 0..16usize {
                 for c in 0..16usize {
@@ -773,6 +730,7 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
         model.wmma_load(
             &WmmaDirective::Load {
@@ -786,6 +744,7 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
         model.wmma_mma(
             &WmmaDirective::Mma {
@@ -813,6 +772,7 @@ mod tests {
             16,
             &mut mem,
             &regs,
+            &mut Vec::new(),
         );
         // D(0,0) = Σ_k A(0,k)·B(k,0) = Σ_k k·(k·16 % 512) won't overflow f32;
         // compute the reference directly.
@@ -850,6 +810,7 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
         model.wmma_load(
             &WmmaDirective::Load {
@@ -863,6 +824,7 @@ mod tests {
             16,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
         model.wmma_mma(
             &WmmaDirective::Mma {
@@ -890,6 +852,7 @@ mod tests {
             16,
             &mut mem,
             &regs,
+            &mut Vec::new(),
         );
         for r in 0..16usize {
             for c in 0..16usize {
@@ -974,6 +937,7 @@ mod tests {
             ac,
             &mem,
             regs,
+            &mut Vec::new(),
         );
         model.wmma_load(
             &WmmaDirective::Load {
@@ -987,6 +951,7 @@ mod tests {
             8,
             &mem,
             regs,
+            &mut Vec::new(),
         );
         model.wmma_load(
             &WmmaDirective::Load {
@@ -1000,6 +965,7 @@ mod tests {
             8,
             &mem,
             regs,
+            &mut Vec::new(),
         );
     }
 
@@ -1032,7 +998,7 @@ mod tests {
             );
             let dmap =
                 FragmentMap::for_arch(false, FragmentKind::D, shape, WmmaType::F32, Layout::Row);
-            let dt = gather_tile(&model, &dmap, Reg(24), &regs);
+            let dt = gather_tile(&dmap, Reg(24), &regs);
             for r in 0..16usize {
                 for c in 0..8usize {
                     let mut expect = (r as f32) - (c as f32);
@@ -1085,7 +1051,7 @@ mod tests {
             );
             let dmap =
                 FragmentMap::for_arch(false, FragmentKind::D, shape, WmmaType::F32, Layout::Row);
-            let dt = gather_tile(&model, &dmap, Reg(24), &regs);
+            let dt = gather_tile(&dmap, Reg(24), &regs);
             for r in 0..16usize {
                 for c in 0..8usize {
                     let mut expect = (r as f32) - (c as f32);
@@ -1125,26 +1091,6 @@ mod tests {
             None,
             &mut regs,
         );
-    }
-
-    #[test]
-    fn thread_local_caches_agree_across_threads() {
-        // Sweep workers each hold a private MAP_CACHE; the memoized
-        // mappings are pure, so every thread must compute identical maps.
-        let key = (
-            FragmentKind::A,
-            WmmaShape::M16N16K16,
-            WmmaType::F16,
-            Layout::Row,
-        );
-        let here = cached_map(true, key.0, key.1, key.2, key.3);
-        let there = std::thread::spawn(move || {
-            let m = cached_map(true, key.0, key.1, key.2, key.3);
-            (*m).clone()
-        })
-        .join()
-        .expect("worker thread");
-        assert_eq!(*here, there);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! tests and property tests) to produce bit-identical results to the
 //! atomic whole-tile semantics of [`mma_reference`].
 
-use crate::fedp::{fedp_f32, fedp_f32_pre, fedp_i32};
+use crate::fedp::{fedp_chain_f32, fedp_f32, fedp_i32};
 use crate::mapping::{VOLTA_A_ROW_BASE, VOLTA_B_COL_BASE};
 use crate::tile::Tile;
 use tcsim_f16::F16;
@@ -110,15 +110,12 @@ pub fn mma_reference(a: &Tile, b: &Tile, c: &Tile, d_type: WmmaType) -> Tile {
             .collect();
         for r in 0..m {
             for col in 0..n {
-                let mut acc = c.value(r, col) as f32;
-                let row = &av[r * k..(r + 1) * k];
-                let bcol = &bt[col * k..(col + 1) * k];
-                for (qa, qb) in row.chunks_exact(4).zip(bcol.chunks_exact(4)) {
-                    acc = fedp_f32_pre(qa, qb, acc);
-                    if d_type == WmmaType::F16 {
-                        acc = F16::from_f32(acc).to_f32();
-                    }
-                }
+                let acc = fedp_chain_f32(
+                    &av[r * k..(r + 1) * k],
+                    &bt[col * k..(col + 1) * k],
+                    c.value(r, col) as f32,
+                    d_type == WmmaType::F16,
+                );
                 if d_type == WmmaType::F16 {
                     d.set_f16(r, col, F16::from_f32(acc));
                 } else {

@@ -43,13 +43,14 @@ pub mod hmma;
 pub mod mapping;
 pub mod octet;
 pub mod pipe;
+mod plan;
 pub mod tile;
 pub mod timing;
 pub mod trace;
 
 pub use fedp::{
-    dot_f16, dot_f32, dot_i32, fedp_f16, fedp_f32, fedp_f32_pre, fedp_i32, FEDPS_PER_TENSOR_CORE,
-    FEDP_STAGES,
+    dot_f16, dot_f32, dot_i32, fedp_chain_f32, fedp_f16, fedp_f32, fedp_f32_pre, fedp_i32,
+    FEDPS_PER_TENSOR_CORE, FEDP_STAGES,
 };
 pub use functional::{gather_tile, read_sparse_meta, scatter_tile, TensorCoreModel};
 pub use hmma::{

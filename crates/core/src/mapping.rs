@@ -408,51 +408,61 @@ impl FragmentMap {
         (bits / 8) as u64
     }
 
-    /// The memory accesses `lane` performs to load/store its fragment,
-    /// as `(byte_offset_from_base, bytes)` runs.
-    ///
-    /// Contiguous element runs are merged up to the SASS access widths the
-    /// paper observed (§III-C): 16-byte (`LD.E.128`) / 8-byte (`LD.E.64`)
-    /// vectors for A and B, and 32-bit accesses for the C/D accumulator
+    /// The maximal runs of `lane`'s fragment slots that are contiguous in
+    /// memory under leading-dimension `stride`, as `(first slot, element
+    /// count)`, capped at the SASS access widths the paper observed
+    /// (§III-C): 16-byte (`LD.E.128`) / 8-byte (`LD.E.64`) vectors for A
+    /// and B, and 32-bit accesses for the C/D accumulator
     /// (`LD.E.SYS`/`ST.E.SYS`).
-    pub fn lane_accesses(&self, lane: usize, stride: usize) -> Vec<(u64, u8)> {
+    pub fn lane_runs(&self, lane: usize, stride: usize) -> Vec<(usize, usize)> {
         let cap: usize = match self.frag {
             FragmentKind::A | FragmentKind::B => 16,
             FragmentKind::C | FragmentKind::D => 4,
         };
         let bits = self.ty.bits();
-        let mut runs: Vec<(u64, u8)> = Vec::new();
-        let mut i = 0;
         let elems = &self.elems[lane];
+        let linear = |(r, c): RowCol| match self.layout {
+            Layout::Row => r as usize * stride + c as usize,
+            Layout::Col => c as usize * stride + r as usize,
+        };
+        let mut runs = Vec::new();
+        let mut i = 0;
         while i < elems.len() {
-            // Start a run at element i; extend while contiguous in memory.
-            let (r, c) = elems[i];
-            let linear0 = match self.layout {
-                Layout::Row => r as usize * stride + c as usize,
-                Layout::Col => c as usize * stride + r as usize,
-            };
+            // Start a run at slot i; extend while contiguous in memory.
+            let linear0 = linear(elems[i]);
             let mut n = 1;
-            while i + n < elems.len() {
-                let (r2, c2) = elems[i + n];
-                let linear = match self.layout {
-                    Layout::Row => r2 as usize * stride + c2 as usize,
-                    Layout::Col => c2 as usize * stride + r2 as usize,
-                };
-                if linear != linear0 + n || (n + 1) * bits > cap * 8 {
-                    break;
-                }
+            while i + n < elems.len()
+                && linear(elems[i + n]) == linear0 + n
+                && (n + 1) * bits <= cap * 8
+            {
                 n += 1;
             }
-            let byte0 = linear0 * bits / 8;
-            let nbytes = (n * bits).div_ceil(8);
-            assert!(
-                (linear0 * bits).is_multiple_of(8),
-                "fragment run not byte aligned (sub-byte layout violation)"
-            );
-            runs.push((byte0 as u64, nbytes as u8));
+            runs.push((i, n));
             i += n;
         }
         runs
+    }
+
+    /// The memory accesses `lane` performs to load/store its fragment,
+    /// as `(byte_offset_from_base, bytes)`: one per run of
+    /// [`FragmentMap::lane_runs`].
+    pub fn lane_accesses(&self, lane: usize, stride: usize) -> Vec<(u64, u8)> {
+        let bits = self.ty.bits();
+        self.lane_runs(lane, stride)
+            .into_iter()
+            .map(|(slot, n)| {
+                let (r, c) = self.elems[lane][slot];
+                let linear0 = match self.layout {
+                    Layout::Row => r as usize * stride + c as usize,
+                    Layout::Col => c as usize * stride + r as usize,
+                };
+                assert!(
+                    (linear0 * bits).is_multiple_of(8),
+                    "fragment run not byte aligned (sub-byte layout violation)"
+                );
+                ((linear0 * bits / 8) as u64, (n * bits).div_ceil(8) as u8)
+            })
+            .collect()
     }
 
     /// Checks the structural invariants the paper documents and panics on

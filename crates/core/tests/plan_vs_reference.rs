@@ -88,7 +88,7 @@ fn read_mem_elem(mem: &dyn ByteMemory, base: u64, linear: usize, ty: WmmaType) -
     match ty.bits() {
         4 => {
             let byte = mem.read_u8(base + (linear / 2) as u64);
-            if linear % 2 == 0 {
+            if linear.is_multiple_of(2) {
                 (byte & 0xF) as u32
             } else {
                 (byte >> 4) as u32
@@ -105,7 +105,7 @@ fn write_mem_elem(mem: &mut dyn ByteMemory, base: u64, linear: usize, ty: WmmaTy
         4 => {
             let addr = base + (linear / 2) as u64;
             let old = mem.read_u8(addr);
-            let new = if linear % 2 == 0 {
+            let new = if linear.is_multiple_of(2) {
                 (old & 0xF0) | (value as u8 & 0x0F)
             } else {
                 (old & 0x0F) | ((value as u8 & 0x0F) << 4)
@@ -195,9 +195,9 @@ fn reference_mma(
             layout,
         )
     };
-    let at = gather_tile(&model(arch), &map(FragmentKind::A, layouts.0), a, &*regs);
-    let bt = gather_tile(&model(arch), &map(FragmentKind::B, layouts.1), b, &*regs);
-    let ct = gather_tile(&model(arch), &map(FragmentKind::C, Layout::Row), c, &*regs);
+    let at = gather_tile(&map(FragmentKind::A, layouts.0), a, &*regs);
+    let bt = gather_tile(&map(FragmentKind::B, layouts.1), b, &*regs);
+    let ct = gather_tile(&map(FragmentKind::C, Layout::Row), c, &*regs);
     let at = match meta {
         Some(mreg) => expand_sparse_a(&at, &read_sparse_meta(&*regs, mreg)),
         None => at,
@@ -208,6 +208,20 @@ fn reference_mma(
 
 // --- the handler under test ----------------------------------------------
 
+/// What the caller's buffer holds before the handler appends to it.
+const EARLIER: MemAccess = MemAccess {
+    lane: 0xEE,
+    addr: 0xE0E0_E0E0,
+    bytes: 0xEE,
+};
+
+/// The accesses a handler call appended, having checked that it left
+/// what was in the buffer alone.
+fn appended(accesses: Vec<MemAccess>) -> Vec<MemAccess> {
+    assert_eq!(accesses[0], EARLIER, "the handler appends to the buffer");
+    accesses[1..].to_vec()
+}
+
 fn handler_load(
     arch: Arch,
     dir: &WmmaDirective,
@@ -217,7 +231,9 @@ fn handler_load(
     mem: &dyn ByteMemory,
     regs: &mut WarpRegFile,
 ) -> Vec<MemAccess> {
-    model(arch).wmma_load(dir, dst, base, stride, mem, regs)
+    let mut accesses = vec![EARLIER];
+    model(arch).wmma_load(dir, dst, base, stride, mem, regs, &mut accesses);
+    appended(accesses)
 }
 
 fn handler_store(
@@ -229,7 +245,9 @@ fn handler_store(
     mem: &mut dyn ByteMemory,
     regs: &WarpRegFile,
 ) -> Vec<MemAccess> {
-    model(arch).wmma_store(dir, src, base, stride, mem, regs)
+    let mut accesses = vec![EARLIER];
+    model(arch).wmma_store(dir, src, base, stride, mem, regs, &mut accesses);
+    appended(accesses)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -251,6 +269,33 @@ fn handler_mma(
 
 // --- mma -----------------------------------------------------------------
 
+/// Turns every NaN among the `ty` elements packed in registers
+/// `base..base + 8` into the infinity of its sign, so that the only NaNs
+/// an `mma` then meets are the ones it makes itself (`0 × ∞`, `∞ − ∞`).
+fn infinities_for_nans(regs: &mut WarpRegFile, base: Reg, ty: WmmaType) {
+    // (exponent, mantissa) masks of one element, replicated across the word.
+    let (exp, man) = match ty {
+        WmmaType::F16 => (0x7C00_7C00u32, 0x03FF_03FFu32),
+        WmmaType::BF16 => (0x7F80_7F80, 0x007F_007F),
+        WmmaType::F32 | WmmaType::TF32 => (0x7F80_0000, 0x007F_FFFF),
+        _ => return,
+    };
+    let halves: &[u32] = if ty.bits() == 16 {
+        &[0x0000_FFFF, 0xFFFF_0000]
+    } else {
+        &[0xFFFF_FFFF]
+    };
+    for r in 0..8 {
+        for word in regs.row_mut(Reg(base.0 + r)).iter_mut() {
+            for &half in halves {
+                if *word & exp & half == exp & half {
+                    *word &= !(man & half);
+                }
+            }
+        }
+    }
+}
+
 /// Valid 2:4 kept-index pairs.
 const META_PAIRS: [(u8, u8); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
 
@@ -268,6 +313,14 @@ fn mma_matches_the_tile_reference_in_every_mode() {
                     let (a, b, c, m) = (Reg(0), Reg(16), Reg(32), Reg(60));
                     // Accumulating in place is what every GEMM does.
                     let d = if seed % 2 == 0 { Reg(48) } else { c };
+                    // Operands free of NaNs take the vectorised FEDP loops,
+                    // operands with NaNs the scalar chain: half the seeds
+                    // each.
+                    if seed % 4 >= 2 {
+                        infinities_for_nans(&mut regs, a, mode.ab);
+                        infinities_for_nans(&mut regs, b, mode.ab);
+                        infinities_for_nans(&mut regs, c, mode.c);
+                    }
                     let meta = mode.sparse.then_some(m);
                     if mode.sparse && seed % 2 == 0 {
                         // Half the seeds carry well-formed metadata that
@@ -418,12 +471,15 @@ fn tile_extent(rows: usize, cols: usize, layout: Layout, stride: usize, ty: Wmma
     (((lines - 1) * stride + len) * ty.bits()).div_ceil(8)
 }
 
-fn strides(rows: usize, cols: usize, layout: Layout) -> [usize; 3] {
+/// Packed, padded and far-apart lines, and lines that overlap (no
+/// kernel means that, but what it does is defined: for a store, the
+/// element-by-element write order decides which bytes survive).
+fn strides(rows: usize, cols: usize, layout: Layout) -> [usize; 4] {
     let width = match layout {
         Layout::Row => cols,
         Layout::Col => rows,
     };
-    [width, width + 8, 0x100]
+    [width, width + 8, 0x100, width / 2]
 }
 
 /// Fills `[base - 32, base + extent + 32)` with random bytes.

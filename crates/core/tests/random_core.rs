@@ -153,6 +153,7 @@ fn load_store_roundtrip_preserves_matrix() {
             16,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
         model.wmma_store(
             &WmmaDirective::Store {
@@ -165,6 +166,7 @@ fn load_store_roundtrip_preserves_matrix() {
             16,
             &mut mem,
             &regs,
+            &mut Vec::new(),
         );
         for r in 0..16usize {
             for c in 0..16usize {
@@ -213,8 +215,9 @@ fn volta_double_loaded_fragments_are_consistent() {
             16,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
-        let tile = gather_tile(&model, &map, Reg(0), &regs);
+        let tile = gather_tile(&map, Reg(0), &regs);
         for r in 0..16u8 {
             for c in 0..16u8 {
                 let owners = map.owners(r, c);

@@ -249,6 +249,35 @@ impl F16 {
         f32::from_bits(out)
     }
 
+    /// [`F16::to_f32`] without a branch, for loops over many halves (a
+    /// tensor-core operand tile), which it lets the compiler vectorise.
+    /// The same bits as `to_f32` for every pattern.
+    ///
+    /// `to_f32` itself keeps its case analysis: the warp executor's
+    /// half-precision lane loops are built on it, and vectorising those
+    /// lets the compiler commute their adds and multiplies, which changes
+    /// the payload that survives when both operands are NaN.
+    #[inline]
+    pub fn to_f32_branchless(self) -> f32 {
+        let sign = ((self.0 & SIGN_MASK) as u32) << 16;
+        // Exponent and mantissa moved to their binary32 positions: read as
+        // binary32 this is the half's magnitude scaled by 2^(15-127), a
+        // binary32 subnormal when the half is one.
+        let abs = ((self.0 & !SIGN_MASK) as u32) << 13;
+        // Zero, subnormals and normals: multiplying by 2^112 re-biases the
+        // exponent and normalises a subnormal. A power-of-two scaling of
+        // an 11-bit significand that stays in range is exact.
+        let finite = (f32::from_bits(abs) * f32::from_bits(0x7780_0000)).to_bits();
+        // Inf/NaN (half exponent all ones): all-ones binary32 exponent,
+        // payload kept.
+        let magnitude = if abs >= 0x0F80_0000 {
+            abs | 0x7F80_0000
+        } else {
+            finite
+        };
+        f32::from_bits(sign | magnitude)
+    }
+
     /// Converts to binary64. This conversion is exact.
     pub fn to_f64(self) -> f64 {
         self.to_f32() as f64
@@ -497,6 +526,18 @@ mod tests {
         assert_eq!(F16::MIN_POSITIVE.to_f32(), 2.0f32.powi(-14));
         assert_eq!(F16::MIN_POSITIVE_SUBNORMAL.to_f32(), 2.0f32.powi(-24));
         assert_eq!(F16::EPSILON.to_f32(), 2.0f32.powi(-10));
+    }
+
+    #[test]
+    fn branchless_to_f32_agrees_with_to_f32_on_every_bit_pattern() {
+        for bits in 0u16..=u16::MAX {
+            let h = F16::from_bits(bits);
+            assert_eq!(
+                h.to_f32_branchless().to_bits(),
+                h.to_f32().to_bits(),
+                "bits {bits:#06x}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::instr::{AtomOp, CmpOp, Instr, Op, Operand, Reg, ShflMode, UnitClass};
 use crate::kernel::Kernel;
-use crate::traits::{ByteMemory, Row, WarpRegFile, WarpRegisters};
+use crate::traits::{ByteMemory, Row, WarpRegFile};
 use crate::types::{DataType, Dim3, MemSpace, MemWidth, SpecialReg};
 use crate::wmma::{WmmaDirective, WARP_SIZE};
 use tcsim_f16::{F16x2, F16};
@@ -199,11 +199,18 @@ pub struct StepOutcome {
 
 /// Implements the warp-synchronous WMMA operations (supplied by
 /// `tcsim-core`'s Volta/Turing tensor-core models).
+///
+/// The handler works on the warp's concrete [`WarpRegFile`] — a
+/// fragment is a span of whole register rows — and appends the lane
+/// accesses of a load or store to the caller's buffer instead of
+/// returning a list of its own.
 pub trait WmmaHandler {
     /// Executes `wmma.load`, reading the operand matrix at `base` (byte
     /// address, space chosen by the caller) with leading-dimension `stride`
-    /// (in elements) into the fragment registers at `dst`. Returns the
-    /// per-lane memory accesses the operation decomposes into (§III-C).
+    /// (in elements) into the fragment registers at `dst`. Appends the
+    /// per-lane memory accesses the operation decomposes into (§III-C) to
+    /// `accesses`, lane-major.
+    #[allow(clippy::too_many_arguments)]
     fn wmma_load(
         &self,
         dir: &WmmaDirective,
@@ -211,19 +218,12 @@ pub trait WmmaHandler {
         base: u64,
         stride: usize,
         mem: &dyn ByteMemory,
-        regs: &mut dyn WarpRegisters,
-    ) -> Vec<MemAccess>;
+        regs: &mut WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    );
 
     /// Executes `wmma.mma` on register fragments.
-    fn wmma_mma(
-        &self,
-        dir: &WmmaDirective,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-        c: Reg,
-        regs: &mut dyn WarpRegisters,
-    );
+    fn wmma_mma(&self, dir: &WmmaDirective, d: Reg, a: Reg, b: Reg, c: Reg, regs: &mut WarpRegFile);
 
     /// Executes an Ampere per-instruction `mma.sync` on register
     /// fragments. `meta` is the 2:4 sparsity metadata register (one u32
@@ -238,11 +238,12 @@ pub trait WmmaHandler {
         b: Reg,
         c: Reg,
         meta: Option<Reg>,
-        regs: &mut dyn WarpRegisters,
+        regs: &mut WarpRegFile,
     );
 
-    /// Executes `wmma.store`, writing the D fragment to memory. Returns the
-    /// per-lane accesses.
+    /// Executes `wmma.store`, writing the D fragment to memory. Appends
+    /// the per-lane accesses to `accesses`, lane-major.
+    #[allow(clippy::too_many_arguments)]
     fn wmma_store(
         &self,
         dir: &WmmaDirective,
@@ -250,8 +251,9 @@ pub trait WmmaHandler {
         base: u64,
         stride: usize,
         mem: &mut dyn ByteMemory,
-        regs: &dyn WarpRegisters,
-    ) -> Vec<MemAccess>;
+        regs: &WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    );
 }
 
 /// A [`WmmaHandler`] that panics; for kernels known to be WMMA-free.
@@ -266,8 +268,9 @@ impl WmmaHandler for NoWmma {
         _base: u64,
         _stride: usize,
         _mem: &dyn ByteMemory,
-        _regs: &mut dyn WarpRegisters,
-    ) -> Vec<MemAccess> {
+        _regs: &mut WarpRegFile,
+        _accesses: &mut Vec<MemAccess>,
+    ) {
         panic!("kernel executed a wmma instruction but no tensor-core model is attached")
     }
 
@@ -278,7 +281,7 @@ impl WmmaHandler for NoWmma {
         _a: Reg,
         _b: Reg,
         _c: Reg,
-        _regs: &mut dyn WarpRegisters,
+        _regs: &mut WarpRegFile,
     ) {
         panic!("kernel executed a wmma instruction but no tensor-core model is attached")
     }
@@ -291,7 +294,7 @@ impl WmmaHandler for NoWmma {
         _b: Reg,
         _c: Reg,
         _meta: Option<Reg>,
-        _regs: &mut dyn WarpRegisters,
+        _regs: &mut WarpRegFile,
     ) {
         panic!("kernel executed a wmma instruction but no tensor-core model is attached")
     }
@@ -303,8 +306,9 @@ impl WmmaHandler for NoWmma {
         _base: u64,
         _stride: usize,
         _mem: &mut dyn ByteMemory,
-        _regs: &dyn WarpRegisters,
-    ) -> Vec<MemAccess> {
+        _regs: &WarpRegFile,
+        _accesses: &mut Vec<MemAccess>,
+    ) {
         panic!("kernel executed a wmma instruction but no tensor-core model is attached")
     }
 }
@@ -1026,11 +1030,8 @@ fn exec_wmma(
             let stride = uniform(warp, instr.srcs[1]) as usize;
             let shared = matches!(instr.srcs[2], Operand::Imm(1));
             let dst = instr.dst.expect("wmma.load dst");
-            *accesses = if shared {
-                wmma.wmma_load(dir, dst, base, stride, env.shared, &mut warp.regs)
-            } else {
-                wmma.wmma_load(dir, dst, base, stride, env.global, &mut warp.regs)
-            };
+            let mem: &dyn ByteMemory = if shared { &*env.shared } else { &*env.global };
+            wmma.wmma_load(dir, dst, base, stride, mem, &mut warp.regs, accesses);
             Some(MemOp {
                 space: if shared {
                     MemSpace::Shared
@@ -1075,11 +1076,12 @@ fn exec_wmma(
                 panic!("wmma.store data operand")
             };
             let shared = matches!(instr.srcs[3], Operand::Imm(1));
-            *accesses = if shared {
-                wmma.wmma_store(dir, d, base, stride, env.shared, &warp.regs)
+            let mem: &mut dyn ByteMemory = if shared {
+                &mut *env.shared
             } else {
-                wmma.wmma_store(dir, d, base, stride, env.global, &warp.regs)
+                &mut *env.global
             };
+            wmma.wmma_store(dir, d, base, stride, mem, &warp.regs, accesses);
             Some(MemOp {
                 space: if shared {
                     MemSpace::Shared
@@ -1122,7 +1124,7 @@ mod tests {
     use super::*;
     use crate::instr::CmpOp;
     use crate::kernel::KernelBuilder;
-    use crate::traits::VecMemory;
+    use crate::traits::{VecMemory, WarpRegisters};
 
     fn env<'a>(
         global: &'a mut VecMemory,
@@ -1405,7 +1407,7 @@ mod op_semantics_tests {
 
     use super::*;
     use crate::kernel::KernelBuilder;
-    use crate::traits::VecMemory;
+    use crate::traits::{VecMemory, WarpRegisters};
 
     fn run_unop_env(build: impl FnOnce(&mut KernelBuilder, Reg, Reg)) -> u32 {
         let mut b = KernelBuilder::new("op");

@@ -53,6 +53,24 @@ pub trait ByteMemory {
         self.write_u32(addr, value as u32);
         self.write_u32(addr + 4, (value >> 32) as u32);
     }
+
+    /// Reads `out.len()` consecutive bytes starting at `addr`: the bulk
+    /// form of [`ByteMemory::read_u8`], with the same result for every
+    /// byte. Memories with contiguous backing override it with a copy.
+    fn read_bytes(&self, addr: u64, out: &mut [u8]) {
+        for (i, byte) in out.iter_mut().enumerate() {
+            *byte = self.read_u8(addr + i as u64);
+        }
+    }
+
+    /// Writes `data` to consecutive bytes starting at `addr`: the bulk
+    /// form of [`ByteMemory::write_u8`], with the same effect (growth and
+    /// page materialisation included) as writing each byte in turn.
+    fn write_bytes(&mut self, addr: u64, data: &[u8]) {
+        for (i, &byte) in data.iter().enumerate() {
+            self.write_u8(addr + i as u64, byte);
+        }
+    }
 }
 
 /// A simple growable `Vec<u8>`-backed memory, used for parameter buffers
@@ -224,6 +242,19 @@ mod tests {
         assert_eq!(m.read_u32(4), 0xDEAD_BEEF);
         assert_eq!(m.read_u64(8), 0x0123_4567_89AB_CDEF);
         assert_eq!(m.len(), 16);
+    }
+
+    #[test]
+    fn bulk_accessors_agree_with_the_byte_accessors() {
+        let mut m = VecMemory::new();
+        m.write_bytes(3, &[1, 2, 3, 4, 5]);
+        assert_eq!(m.len(), 8, "grows exactly as five write_u8 calls would");
+        assert_eq!(m.read_u32(3), 0x0403_0201);
+        // A read running past the end sees zeros there.
+        let mut out = [0xFFu8; 4];
+        m.read_bytes(6, &mut out);
+        assert_eq!(out, [4, 5, 0, 0]);
+        assert_eq!(m.len(), 8, "reads never grow the memory");
     }
 
     #[test]

@@ -72,17 +72,7 @@ impl DeviceMemory {
     /// Pages never written read as zeros and stay unmaterialized.
     pub fn copy_to_host(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        let mut at = addr;
-        let mut rest = out.as_mut_slice();
-        while !rest.is_empty() {
-            let off = (at as usize) & (PAGE_BYTES - 1);
-            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_BYTES - off));
-            if let Some(page) = self.page(at) {
-                chunk.copy_from_slice(&page[off..off + chunk.len()]);
-            }
-            at += chunk.len() as u64;
-            rest = tail;
-        }
+        self.read_bytes(addr, &mut out);
         out
     }
 }
@@ -181,6 +171,27 @@ impl ByteMemory for DeviceMemory {
                 self.write_u8(addr + i as u64, byte);
             }
         }
+    }
+
+    // One page-table lookup per page touched. Pages never written read as
+    // zeros and stay unmaterialized.
+    fn read_bytes(&self, addr: u64, out: &mut [u8]) {
+        let mut at = addr;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let off = (at as usize) & (PAGE_BYTES - 1);
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_BYTES - off));
+            match self.page(at) {
+                Some(page) => chunk.copy_from_slice(&page[off..off + chunk.len()]),
+                None => chunk.fill(0),
+            }
+            at += chunk.len() as u64;
+            rest = tail;
+        }
+    }
+
+    fn write_bytes(&mut self, addr: u64, data: &[u8]) {
+        self.copy_from_host(addr, data);
     }
 }
 

@@ -78,6 +78,33 @@ impl ByteMemory for SharedMemory {
             }
         }
     }
+
+    // One slice copy per `wmma.load`/`wmma.store` tile line when it lies
+    // inside the scratchpad; the byte loop keeps zero-fill and growth
+    // past the end.
+    fn read_bytes(&self, addr: u64, out: &mut [u8]) {
+        let i = addr as usize;
+        match self.bytes.get(i..i + out.len()) {
+            Some(src) => out.copy_from_slice(src),
+            None => {
+                for (j, byte) in out.iter_mut().enumerate() {
+                    *byte = self.read_u8(addr + j as u64);
+                }
+            }
+        }
+    }
+
+    fn write_bytes(&mut self, addr: u64, data: &[u8]) {
+        let i = addr as usize;
+        match self.bytes.get_mut(i..i + data.len()) {
+            Some(dst) => dst.copy_from_slice(data),
+            None => {
+                for (j, &byte) in data.iter().enumerate() {
+                    self.write_u8(addr + j as u64, byte);
+                }
+            }
+        }
+    }
 }
 
 /// Bank-conflict analysis of one warp shared-memory instruction: the
@@ -156,6 +183,21 @@ mod tests {
         s.write_u32(100, 0xCAFEBABE);
         assert_eq!(s.read_u32(100), 0xCAFEBABE);
         assert_eq!(s.size(), 1024);
+    }
+
+    #[test]
+    fn bulk_accessors_agree_with_the_byte_accessors_across_the_end() {
+        let mut s = SharedMemory::new(16);
+        s.write_bytes(4, &[1, 2, 3, 4]);
+        assert_eq!(s.read_u32(4), 0x0403_0201);
+        assert_eq!(s.size(), 16);
+        // Straddling the end: grows exactly as the byte writes would.
+        s.write_bytes(14, &[5, 6, 7]);
+        assert_eq!(s.size(), 17);
+        let mut out = [0xFFu8; 6];
+        s.read_bytes(13, &mut out);
+        assert_eq!(out, [0, 5, 6, 7, 0, 0]);
+        assert_eq!(s.size(), 17, "reads never grow the scratchpad");
     }
 
     #[test]

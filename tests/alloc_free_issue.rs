@@ -1,38 +1,37 @@
 //! Allocation regression gate for the issue path: once a launch is set
 //! up, issuing an instruction must not touch the heap.
 //!
-//! Two untraced SGEMM launches on the same grid, one with four times the
+//! Two untraced GEMM launches on the same grid, one with four times the
 //! reduction depth of the other, execute very different numbers of warp
 //! instructions (and of shared/global memory instructions, barriers and
 //! cache misses) but set up exactly the same CTAs, warps and buffers. If
 //! both launches perform the *same number* of heap allocations, none of
 //! them is paid per issued instruction — so a `Vec` per memory
-//! instruction, a clone per barrier release or a map insert per miss
-//! cannot creep back unnoticed.
+//! instruction, a clone per barrier release, a map insert per miss or a
+//! tile per `wmma.mma` cannot creep back unnoticed. An FFMA SGEMM covers
+//! the SIMT issue path, a shared-memory WMMA GEMM the tensor-core one.
 //!
 //! The counting allocator is test-only; every library crate keeps
 //! `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use tcsim::cutlass::{f32_matrix_bytes, sgemm};
+use tcsim::cutlass::{f16_matrix_bytes, f32_matrix_bytes, sgemm, wmma_shared_gemm};
+use tcsim::isa::UnitClass;
 use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
+use tcsim::sm::unit_index;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Set on the measuring thread only, so the test harness's own
-    /// threads do not pollute the count.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// `Some(n)` on a thread that is measuring, `n` allocations so far:
+    /// per thread, so the harness's own threads and the other test do
+    /// not pollute the count.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count() {
-    if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
 }
 
 // SAFETY: defers every request unchanged to `System`, which upholds the
@@ -68,12 +67,36 @@ static GLOBAL: Counting = Counting;
 const M: usize = 64;
 const N: usize = 64;
 
-/// Uploads the operands of an `M×N×k` SGEMM to a fresh GPU, then counts
+/// Which `M×N×k` GEMM to launch.
+#[derive(Clone, Copy)]
+enum Gemm {
+    /// FFMA SGEMM: the SIMT issue path.
+    Simt,
+    /// Shared-memory WMMA GEMM: `wmma.load`/`mma`/`store` from shared
+    /// and global memory.
+    Wmma,
+}
+
+/// Uploads the operands of an `M×N×k` GEMM to a fresh GPU, then counts
 /// the heap allocations made inside `LaunchBuilder::launch` alone.
-fn launch_allocations(k: usize) -> (u64, LaunchStats) {
+fn launch_allocations(gemm: Gemm, k: usize) -> (u64, LaunchStats) {
     let mut gpu = Gpu::new(GpuConfig::titan_v());
-    let a = f32_matrix_bytes(0xA, M, k);
-    let b = f32_matrix_bytes(0xB, k, N);
+    let (a, b, builder) = match gemm {
+        Gemm::Simt => (
+            f32_matrix_bytes(0xA, M, k),
+            f32_matrix_bytes(0xB, k, N),
+            LaunchBuilder::new(sgemm())
+                .grid(((N / 16) as u32, (M / 16) as u32))
+                .block((16u32, 16u32)),
+        ),
+        Gemm::Wmma => (
+            f16_matrix_bytes(0xA, M, k),
+            f16_matrix_bytes(0xB, k, N),
+            LaunchBuilder::new(wmma_shared_gemm(false))
+                .grid(((N / 32) as u32, (M / 32) as u32))
+                .block(128u32),
+        ),
+    };
     let c = f32_matrix_bytes(0xC, M, N);
     let pa = gpu.alloc(a.len() as u64);
     let pb = gpu.alloc(b.len() as u64);
@@ -82,9 +105,7 @@ fn launch_allocations(k: usize) -> (u64, LaunchStats) {
     gpu.memcpy_h2d(pa, &a);
     gpu.memcpy_h2d(pb, &b);
     gpu.memcpy_h2d(pc, &c);
-    let builder = LaunchBuilder::new(sgemm())
-        .grid(((N / 16) as u32, (M / 16) as u32))
-        .block((16u32, 16u32))
+    let builder = builder
         .param_u64(pa)
         .param_u64(pb)
         .param_u64(pc)
@@ -92,29 +113,29 @@ fn launch_allocations(k: usize) -> (u64, LaunchStats) {
         .param_u32(N as u32)
         .param_u32(k as u32);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTED.set(true);
+    ALLOCATIONS.set(Some(0));
     let stats = builder.launch(&mut gpu);
-    COUNTED.set(false);
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, stats)
+    let allocations = ALLOCATIONS.replace(None).expect("still measuring");
+    (allocations, stats)
 }
 
-#[test]
-fn issuing_instructions_allocates_nothing() {
-    let (shallow, shallow_stats) = launch_allocations(16);
-    let (deep, deep_stats) = launch_allocations(64);
+/// Launches `gemm` at a shallow and a four times deeper reduction on one
+/// grid and requires the same number of heap allocations from both.
+fn assert_depth_costs_no_allocations(gemm: Gemm) -> (LaunchStats, LaunchStats) {
+    // What the process builds once on first use (the fragment plans) is
+    // not a per-instruction cost: let a first launch pay for it.
+    launch_allocations(gemm, 16);
+    let (shallow, shallow_stats) = launch_allocations(gemm, 16);
+    let (deep, deep_stats) = launch_allocations(gemm, 64);
 
-    // The comparison only means something if the deep launch really did
-    // issue several times the work, memory instructions and barriers
-    // included, and the counter really counts.
+    // The comparison only means something if the counter really counts
+    // and the deep launch really did issue more work (the callers say
+    // how much more, and of what).
     assert!(
         shallow > 0,
         "the launch set-up allocates; the counter is dead"
     );
-    assert!(deep_stats.instructions > 3 * shallow_stats.instructions);
-    assert!(deep_stats.sm.global_txns > 2 * shallow_stats.sm.global_txns);
-    assert!(deep_stats.sm.barriers > 2 * shallow_stats.sm.barriers);
-
+    assert!(deep_stats.instructions > shallow_stats.instructions);
     assert_eq!(
         deep,
         shallow,
@@ -122,4 +143,25 @@ fn issuing_instructions_allocates_nothing() {
         deep_stats.instructions - shallow_stats.instructions,
         deep as i64 - shallow as i64
     );
+    (shallow_stats, deep_stats)
+}
+
+#[test]
+fn issuing_instructions_allocates_nothing() {
+    // Memory instructions and barriers included.
+    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::Simt);
+    assert!(deep.instructions > 3 * shallow.instructions);
+    assert!(deep.sm.global_txns > 2 * shallow.sm.global_txns);
+    assert!(deep.sm.barriers > 2 * shallow.sm.barriers);
+}
+
+#[test]
+fn executing_wmma_instructions_allocates_nothing() {
+    // Four times the `wmma.mma`s and the operand `wmma.load`s: a tile, a
+    // fragment map or an access list on the heap per instruction would
+    // show.
+    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::Wmma);
+    let tensor = |s: &LaunchStats| s.sm.issued_by_unit[unit_index(UnitClass::Tensor)];
+    assert_eq!(tensor(&deep), 4 * tensor(&shallow));
+    assert!(deep.sm.barriers > 2 * shallow.sm.barriers);
 }

@@ -111,6 +111,7 @@ fn exercise(
         stride(FragmentKind::A, al),
         &mem,
         &mut regs,
+        &mut Vec::new(),
     );
     model.wmma_load(
         &WmmaDirective::Load {
@@ -124,6 +125,7 @@ fn exercise(
         stride(FragmentKind::B, bl),
         &mem,
         &mut regs,
+        &mut Vec::new(),
     );
     model.wmma_load(
         &WmmaDirective::Load {
@@ -137,6 +139,7 @@ fn exercise(
         stride(FragmentKind::C, Layout::Row),
         &mem,
         &mut regs,
+        &mut Vec::new(),
     );
     model.wmma_mma(
         &WmmaDirective::Mma {
@@ -154,7 +157,7 @@ fn exercise(
         &mut regs,
     );
     let dmap = FragmentMap::for_arch(volta, FragmentKind::D, shape, dty, Layout::Row);
-    let got = gather_tile(&model, &dmap, rd, &regs);
+    let got = gather_tile(&dmap, rd, &regs);
     let want = mma_reference(&a, &b, &c, dty);
     assert_eq!(
         got, want,
@@ -298,6 +301,7 @@ fn exercise_mma_sync(mode: WmmaMode) {
             stride,
             &mem,
             &mut regs,
+            &mut Vec::new(),
         );
     }
     let meta = if mode.sparse {
@@ -321,7 +325,7 @@ fn exercise_mma_sync(mode: WmmaMode) {
     );
 
     let dmap = FragmentMap::for_arch(false, FragmentKind::D, mode.shape, mode.d, Layout::Row);
-    let got = gather_tile(&model, &dmap, rd, &regs);
+    let got = gather_tile(&dmap, rd, &regs);
     let want = if mode.sparse {
         let meta_rows: Vec<u16> = (0..16).map(row_meta).collect();
         mma_reference(&expand_sparse_a(&a, &meta_rows), &b, &c, mode.d)
