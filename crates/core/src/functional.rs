@@ -378,9 +378,7 @@ impl WmmaHandler for TensorCoreModel {
         else {
             panic!("wmma_load requires a Load directive")
         };
-        let plan = plan(self.volta, frag, shape, ty, layout);
-        plan.push_accesses(base, stride, accesses);
-        plan.load(dst, base, stride, mem, regs);
+        plan(self.volta, frag, shape, ty, layout).load(dst, base, stride, mem, regs, accesses);
     }
 
     fn wmma_mma(
@@ -466,9 +464,8 @@ impl WmmaHandler for TensorCoreModel {
         let WmmaDirective::Store { shape, layout, ty } = *dir else {
             panic!("wmma_store requires a Store directive")
         };
-        let plan = plan(self.volta, FragmentKind::D, shape, ty, layout);
-        plan.push_accesses(base, stride, accesses);
-        plan.store(src, base, stride, mem, regs);
+        plan(self.volta, FragmentKind::D, shape, ty, layout)
+            .store(src, base, stride, mem, regs, accesses);
     }
 }
 

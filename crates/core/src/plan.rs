@@ -171,41 +171,35 @@ impl FragPlan {
     /// Gathers the tile from the fragment registers at `base` into
     /// `tile`, row-major raw element bits.
     pub fn gather(&self, regs: &WarpRegFile, base: Reg, tile: &mut TileBits) {
-        match self.bits {
-            4 => self.gather_bits::<4>(regs, base, tile),
-            8 => self.gather_bits::<8>(regs, base, tile),
-            16 => self.gather_bits::<16>(regs, base, tile),
-            _ => self.gather_bits::<32>(regs, base, tile),
-        }
+        self.unpack(&self.tile_of_slot, regs, base, tile);
     }
 
-    fn gather_bits<const BITS: usize>(&self, regs: &WarpRegFile, base: Reg, tile: &mut TileBits) {
-        let per_word = 32 / BITS;
-        let mask = u32::MAX >> (32 - BITS);
-        let words = self.tile_of_slot.chunks_exact(WARP_SIZE * per_word);
-        for (w, at) in words.enumerate() {
-            let row = regs.row(Reg(base.0 + w as u16));
-            for (&word, at) in row.iter().zip(at.chunks_exact(per_word)) {
-                for (e, &i) in at.iter().enumerate() {
-                    tile[i as usize] = (word >> (e * BITS)) & mask;
-                }
-            }
-        }
-    }
-
-    /// Scatters `tile` (row-major raw element bits, already confined to
-    /// the element width) into the fragment registers at `base`.
+    /// Scatters `tile` (row-major raw element bits, confined to the
+    /// element width) into the fragment registers at `base`. For D
+    /// fragments, whose elements have one holder each.
     pub fn scatter(&self, tile: &TileBits, base: Reg, regs: &mut WarpRegFile) {
-        let per_word = 32 / self.bits;
-        let words = self.tile_of_slot.chunks_exact(WARP_SIZE * per_word);
-        for (w, at) in words.enumerate() {
-            let row = regs.row_mut(Reg(base.0 + w as u16));
-            for (word, at) in row.iter_mut().zip(at.chunks_exact(per_word)) {
-                *word = 0;
-                for (e, &i) in at.iter().enumerate() {
-                    *word |= tile[i as usize] << (e * self.bits);
-                }
-            }
+        self.pack(&self.tile_of_slot, tile, base, regs);
+    }
+
+    /// `elems[table[slot]] = slot` for every slot of the fragment at
+    /// `base`, a register row at a time.
+    fn unpack(&self, table: &[u16], regs: &WarpRegFile, base: Reg, elems: &mut TileBits) {
+        match self.bits {
+            4 => unpack_rows::<4>(table, regs, base, elems),
+            8 => unpack_rows::<8>(table, regs, base, elems),
+            16 => unpack_rows::<16>(table, regs, base, elems),
+            _ => unpack_rows::<32>(table, regs, base, elems),
+        }
+    }
+
+    /// `slot = elems[table[slot]]` for every slot of the fragment at
+    /// `base`, a register row at a time.
+    fn pack(&self, table: &[u16], elems: &TileBits, base: Reg, regs: &mut WarpRegFile) {
+        match self.bits {
+            4 => pack_rows::<4>(table, elems, base, regs),
+            8 => pack_rows::<8>(table, elems, base, regs),
+            16 => pack_rows::<16>(table, elems, base, regs),
+            _ => pack_rows::<32>(table, elems, base, regs),
         }
     }
 
@@ -214,8 +208,10 @@ impl FragPlan {
         (line * stride * self.bits / 8) as u64
     }
 
-    fn line_bytes(&self) -> usize {
-        self.line_elems * self.bits / 8
+    /// Bytes of the tile's memory image and of one line of it.
+    fn image_bytes(&self) -> (usize, usize) {
+        let line = self.line_elems * self.bits / 8;
+        (self.lines * line, line)
     }
 
     /// Whether tile lines overlap in memory at this stride: not a tile
@@ -226,12 +222,7 @@ impl FragPlan {
 
     /// Appends the lane accesses of a load or store of the tile at `base`
     /// with leading dimension `stride`, lane-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a sub-byte tile's lines do not start on byte
-    /// boundaries.
-    pub fn push_accesses(&self, base: u64, stride: usize, out: &mut Vec<MemAccess>) {
+    fn push_accesses(&self, base: u64, stride: usize, out: &mut Vec<MemAccess>) {
         if self.lines_overlap(stride) {
             // The runs may merge differently here: ask the mapping.
             for lane in 0..WARP_SIZE {
@@ -256,9 +247,15 @@ impl FragPlan {
         }));
     }
 
-    /// `wmma.load`'s data movement: the tile at `base` into the fragment
-    /// registers at `dst`, a tile line of memory and a register row at a
-    /// time.
+    /// `wmma.load`: the tile at `base` (leading dimension `stride`
+    /// elements) into the fragment registers at `dst`, a tile line of
+    /// memory and a register row at a time; the lane accesses appended
+    /// to `accesses`, lane-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a sub-byte tile's lines do not start on byte
+    /// boundaries.
     pub fn load(
         &self,
         dst: Reg,
@@ -266,54 +263,26 @@ impl FragPlan {
         stride: usize,
         mem: &dyn ByteMemory,
         regs: &mut WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
     ) {
-        let mut image = [0u8; MAX_TILE_BYTES];
-        let lines = image.chunks_exact_mut(self.line_bytes());
-        for (line, bytes) in lines.take(self.lines).enumerate() {
-            mem.read_bytes(base + self.line_offset(line, stride), bytes);
+        self.push_accesses(base, stride, accesses);
+        let mut bytes = [0u8; MAX_TILE_BYTES];
+        let (image, line) = self.image_bytes();
+        for (l, line) in bytes[..image].chunks_exact_mut(line).enumerate() {
+            mem.read_bytes(base + self.line_offset(l, stride), line);
         }
-        match self.bits {
-            4 => self.regs_from_image::<4>(&image, dst, regs),
-            8 => self.regs_from_image::<8>(&image, dst, regs),
-            16 => self.regs_from_image::<16>(&image, dst, regs),
-            _ => self.regs_from_image::<32>(&image, dst, regs),
-        }
+        let mut elems = [0u32; MAX_TILE + 1];
+        elems_from_bytes(self.bits, &bytes[..image], &mut elems);
+        self.pack(&self.image_of_slot, &elems, dst, regs);
     }
 
-    fn regs_from_image<const BITS: usize>(
-        &self,
-        image: &[u8; MAX_TILE_BYTES],
-        dst: Reg,
-        regs: &mut WarpRegFile,
-    ) {
-        let per_word = 32 / BITS;
-        let words = self.image_of_slot.chunks_exact(WARP_SIZE * per_word);
-        for (w, at) in words.enumerate() {
-            let row = regs.row_mut(Reg(dst.0 + w as u16));
-            for (word, at) in row.iter_mut().zip(at.chunks_exact(per_word)) {
-                *word = 0;
-                for (e, &i) in at.iter().enumerate() {
-                    let i = i as usize;
-                    let elem = match BITS {
-                        4 => u32::from(image[i / 2] >> (4 * (i % 2))) & 0xF,
-                        8 => u32::from(image[i]),
-                        16 => u32::from(u16::from_le_bytes([image[2 * i], image[2 * i + 1]])),
-                        _ => u32::from_le_bytes([
-                            image[4 * i],
-                            image[4 * i + 1],
-                            image[4 * i + 2],
-                            image[4 * i + 3],
-                        ]),
-                    };
-                    *word |= elem << (e * BITS);
-                }
-            }
-        }
-    }
-
-    /// `wmma.store`'s data movement: the fragment registers at `src` to
-    /// the tile at `base`, a register row and a tile line of memory at a
-    /// time.
+    /// `wmma.store`: the fragment registers at `src` to the tile at
+    /// `base`, a register row and a tile line of memory at a time; the
+    /// lane accesses appended to `accesses`, lane-major.
+    ///
+    /// # Panics
+    ///
+    /// As [`FragPlan::load`].
     pub fn store(
         &self,
         src: Reg,
@@ -321,48 +290,19 @@ impl FragPlan {
         stride: usize,
         mem: &mut dyn ByteMemory,
         regs: &WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
     ) {
+        self.push_accesses(base, stride, accesses);
         if self.lines_overlap(stride) {
             return self.store_overlapping(src, base, stride, mem, regs);
         }
-        let mut image = [0u8; MAX_TILE_BYTES];
-        match self.bits {
-            4 => self.image_from_regs::<4>(&mut image, src, regs),
-            8 => self.image_from_regs::<8>(&mut image, src, regs),
-            16 => self.image_from_regs::<16>(&mut image, src, regs),
-            _ => self.image_from_regs::<32>(&mut image, src, regs),
-        }
-        let lines = image.chunks_exact(self.line_bytes());
-        for (line, bytes) in lines.take(self.lines).enumerate() {
-            mem.write_bytes(base + self.line_offset(line, stride), bytes);
-        }
-    }
-
-    fn image_from_regs<const BITS: usize>(
-        &self,
-        image: &mut [u8; MAX_TILE_BYTES],
-        src: Reg,
-        regs: &WarpRegFile,
-    ) {
-        let per_word = 32 / BITS;
-        let mask = u32::MAX >> (32 - BITS);
-        let words = self.image_of_slot.chunks_exact(WARP_SIZE * per_word);
-        for (w, at) in words.enumerate() {
-            let row = regs.row(Reg(src.0 + w as u16));
-            for (&word, at) in row.iter().zip(at.chunks_exact(per_word)) {
-                for (e, &i) in at.iter().enumerate() {
-                    let i = i as usize;
-                    let elem = (word >> (e * BITS)) & mask;
-                    match BITS {
-                        // The image starts zeroed and a stored (D) element
-                        // has one holder, so each nibble is set once.
-                        4 => image[i / 2] |= (elem as u8) << (4 * (i % 2)),
-                        8 => image[i] = elem as u8,
-                        16 => image[2 * i..2 * i + 2].copy_from_slice(&(elem as u16).to_le_bytes()),
-                        _ => image[4 * i..4 * i + 4].copy_from_slice(&elem.to_le_bytes()),
-                    }
-                }
-            }
+        let mut elems = [0u32; MAX_TILE + 1];
+        self.unpack(&self.image_of_slot, regs, src, &mut elems);
+        let mut bytes = [0u8; MAX_TILE_BYTES];
+        let (image, line) = self.image_bytes();
+        bytes_from_elems(self.bits, &elems, &mut bytes[..image]);
+        for (l, line) in bytes[..image].chunks_exact(line).enumerate() {
+            mem.write_bytes(base + self.line_offset(l, stride), line);
         }
     }
 
@@ -384,6 +324,90 @@ impl FragPlan {
                 let elem = read_frag_elem(regs, lane, src, slot, self.bits);
                 let at = self.map.element_byte_offset(r, c, stride);
                 mem.write_bytes(base + at, &elem.to_le_bytes()[..bytes]);
+            }
+        }
+    }
+}
+
+fn unpack_rows<const BITS: usize>(
+    table: &[u16],
+    regs: &WarpRegFile,
+    base: Reg,
+    elems: &mut TileBits,
+) {
+    let per_word = 32 / BITS;
+    let mask = u32::MAX >> (32 - BITS);
+    for (w, at) in table.chunks_exact(WARP_SIZE * per_word).enumerate() {
+        let row = regs.row(Reg(base.0 + w as u16));
+        for (&word, at) in row.iter().zip(at.chunks_exact(per_word)) {
+            for (e, &i) in at.iter().enumerate() {
+                elems[i as usize] = (word >> (e * BITS)) & mask;
+            }
+        }
+    }
+}
+
+fn pack_rows<const BITS: usize>(
+    table: &[u16],
+    elems: &TileBits,
+    base: Reg,
+    regs: &mut WarpRegFile,
+) {
+    let per_word = 32 / BITS;
+    for (w, at) in table.chunks_exact(WARP_SIZE * per_word).enumerate() {
+        let row = regs.row_mut(Reg(base.0 + w as u16));
+        for (word, at) in row.iter_mut().zip(at.chunks_exact(per_word)) {
+            *word = 0;
+            for (e, &i) in at.iter().enumerate() {
+                *word |= elems[i as usize] << (e * BITS);
+            }
+        }
+    }
+}
+
+/// Splits a little-endian memory image into its elements, in order.
+fn elems_from_bytes(bits: usize, bytes: &[u8], elems: &mut [u32]) {
+    match bits {
+        4 => {
+            for (pair, &b) in elems.chunks_exact_mut(2).zip(bytes) {
+                pair[0] = u32::from(b & 0xF);
+                pair[1] = u32::from(b >> 4);
+            }
+        }
+        8 => elems
+            .iter_mut()
+            .zip(bytes)
+            .for_each(|(e, &b)| *e = u32::from(b)),
+        16 => {
+            for (e, b) in elems.iter_mut().zip(bytes.chunks_exact(2)) {
+                *e = u32::from(u16::from_le_bytes([b[0], b[1]]));
+            }
+        }
+        _ => {
+            for (e, b) in elems.iter_mut().zip(bytes.chunks_exact(4)) {
+                *e = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            }
+        }
+    }
+}
+
+/// Joins elements (confined to `bits`) into a little-endian memory image.
+fn bytes_from_elems(bits: usize, elems: &[u32], bytes: &mut [u8]) {
+    match bits {
+        4 => {
+            for (b, pair) in bytes.iter_mut().zip(elems.chunks_exact(2)) {
+                *b = (pair[0] | pair[1] << 4) as u8;
+            }
+        }
+        8 => bytes.iter_mut().zip(elems).for_each(|(b, &e)| *b = e as u8),
+        16 => {
+            for (b, &e) in bytes.chunks_exact_mut(2).zip(elems) {
+                b.copy_from_slice(&(e as u16).to_le_bytes());
+            }
+        }
+        _ => {
+            for (b, &e) in bytes.chunks_exact_mut(4).zip(elems) {
+                b.copy_from_slice(&e.to_le_bytes());
             }
         }
     }

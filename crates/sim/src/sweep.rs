@@ -18,8 +18,8 @@
 //! * results are written into an index-addressed slot vector, so output
 //!   order is submission order, never completion order;
 //! * the simulator itself is single-threaded per job and uses no global
-//!   mutable state (the fragment-map caches in `tcsim-core` are
-//!   `thread_local!` memoizations of pure functions).
+//!   mutable state (the fragment plans in `tcsim-core` are a process-wide
+//!   table of write-once `OnceLock`s, each a pure function of its index).
 //!
 //! # Example
 //!

@@ -18,6 +18,13 @@ echo "== tier-1: executor under the release profile =="
 cargo test -q --release --offline -p tcsim-isa
 cargo test -q --release --offline --test exec_golden --test alloc_free_issue
 
+echo "== tier-1: tensor-core functional path under the release profile =="
+# plan_vs_reference holds wmma.load/mma/store to the element-at-a-time
+# reference over every mode; its full 64 seeds per mode need optimised
+# code (the debug run above covers 4), and its NaN-free half exercises
+# FEDP loops that are vectorised only here.
+cargo test -q --release --offline -p tcsim-core
+
 echo "== perf: benchmark contract (five workloads, --smoke) =="
 # Every workload of BENCHMARK.json must run, verify its outputs and
 # print every declared metric; --smoke keeps it to seconds.
