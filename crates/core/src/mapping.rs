@@ -452,15 +452,8 @@ impl FragmentMap {
             .into_iter()
             .map(|(slot, n)| {
                 let (r, c) = self.elems[lane][slot];
-                let linear0 = match self.layout {
-                    Layout::Row => r as usize * stride + c as usize,
-                    Layout::Col => c as usize * stride + r as usize,
-                };
-                assert!(
-                    (linear0 * bits).is_multiple_of(8),
-                    "fragment run not byte aligned (sub-byte layout violation)"
-                );
-                ((linear0 * bits / 8) as u64, (n * bits).div_ceil(8) as u8)
+                let bytes = (n * bits).div_ceil(8) as u8;
+                (self.element_byte_offset(r, c, stride), bytes)
             })
             .collect()
     }

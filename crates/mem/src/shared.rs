@@ -79,31 +79,25 @@ impl ByteMemory for SharedMemory {
         }
     }
 
-    // One slice copy per `wmma.load`/`wmma.store` tile line when it lies
-    // inside the scratchpad; the byte loop keeps zero-fill and growth
-    // past the end.
+    // One slice copy per `wmma.load`/`wmma.store` tile line, with the
+    // byte accessors' behaviour past the end: reads see zeros, writes
+    // grow the scratchpad.
     fn read_bytes(&self, addr: u64, out: &mut [u8]) {
-        let i = addr as usize;
-        match self.bytes.get(i..i + out.len()) {
-            Some(src) => out.copy_from_slice(src),
-            None => {
-                for (j, byte) in out.iter_mut().enumerate() {
-                    *byte = self.read_u8(addr + j as u64);
-                }
-            }
-        }
+        let stored = self.bytes.get(addr as usize..).unwrap_or(&[]);
+        let n = stored.len().min(out.len());
+        out[..n].copy_from_slice(&stored[..n]);
+        out[n..].fill(0);
     }
 
     fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        let i = addr as usize;
-        match self.bytes.get_mut(i..i + data.len()) {
-            Some(dst) => dst.copy_from_slice(data),
-            None => {
-                for (j, &byte) in data.iter().enumerate() {
-                    self.write_u8(addr + j as u64, byte);
-                }
-            }
+        if data.is_empty() {
+            return;
         }
+        let (start, end) = (addr as usize, addr as usize + data.len());
+        if self.bytes.len() < end {
+            self.bytes.resize(end, 0);
+        }
+        self.bytes[start..end].copy_from_slice(data);
     }
 }
 
