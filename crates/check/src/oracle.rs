@@ -23,7 +23,7 @@ use tcsim_core::{
     FragmentMap, TensorCoreModel, Tile,
 };
 use tcsim_f16::{Bf16, F16};
-use tcsim_isa::exec::{step, ExecEnv, MemAccess, StepAction, WarpExec, WmmaHandler};
+use tcsim_isa::exec::{step, ExecEnv, MemAccess, StepAction, TileFootprint, WarpExec, WmmaHandler};
 use tcsim_isa::{mma_sync_a_shape, FragmentKind, Layout, WmmaDirective, WmmaType};
 use tcsim_isa::{ByteMemory, Dim3, Kernel, Op, Reg, VecMemory, WarpRegFile};
 use tcsim_nn::gemm_tolerance;
@@ -414,7 +414,7 @@ impl WmmaHandler for MutantWmma {
         mem: &dyn ByteMemory,
         regs: &mut WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    ) {
+    ) -> Option<TileFootprint> {
         self.inner
             .wmma_load(dir, dst, base, stride, mem, regs, accesses)
     }
@@ -525,9 +525,18 @@ impl WmmaHandler for MutantWmma {
         mem: &mut dyn ByteMemory,
         regs: &WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    ) {
+    ) -> Option<TileFootprint> {
         self.inner
             .wmma_store(dir, src, base, stride, mem, regs, accesses)
+    }
+
+    fn tile_accesses(
+        &self,
+        dir: &WmmaDirective,
+        tile: &TileFootprint,
+        accesses: &mut Vec<MemAccess>,
+    ) {
+        self.inner.tile_accesses(dir, tile, accesses)
     }
 }
 

@@ -26,7 +26,7 @@ use crate::mapping::FragmentMap;
 use crate::plan::{plan, FragPlan, TileBits, MAX_TILE};
 use crate::tile::Tile;
 use tcsim_f16::{Bf16, Tf32, F16};
-use tcsim_isa::exec::{MemAccess, WmmaHandler};
+use tcsim_isa::exec::{MemAccess, TileFootprint, WmmaHandler};
 use tcsim_isa::{
     mma_sync_a_shape, ByteMemory, FragmentKind, Layout, Reg, WarpRegFile, WarpRegisters,
     WmmaDirective, WmmaShape, WmmaType, WARP_SIZE,
@@ -365,7 +365,7 @@ impl WmmaHandler for TensorCoreModel {
         mem: &dyn ByteMemory,
         regs: &mut WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    ) {
+    ) -> Option<TileFootprint> {
         let WmmaDirective::Load {
             frag,
             shape,
@@ -375,7 +375,7 @@ impl WmmaHandler for TensorCoreModel {
         else {
             panic!("wmma_load requires a Load directive")
         };
-        plan(self.volta, frag, shape, ty, layout).load(dst, base, stride, mem, regs, accesses);
+        plan(self.volta, frag, shape, ty, layout).load(dst, base, stride, mem, regs, accesses)
     }
 
     fn wmma_mma(
@@ -457,12 +457,31 @@ impl WmmaHandler for TensorCoreModel {
         mem: &mut dyn ByteMemory,
         regs: &WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    ) {
+    ) -> Option<TileFootprint> {
         let WmmaDirective::Store { shape, layout, ty } = *dir else {
             panic!("wmma_store requires a Store directive")
         };
         plan(self.volta, FragmentKind::D, shape, ty, layout)
-            .store(src, base, stride, mem, regs, accesses);
+            .store(src, base, stride, mem, regs, accesses)
+    }
+
+    fn tile_accesses(
+        &self,
+        dir: &WmmaDirective,
+        tile: &TileFootprint,
+        accesses: &mut Vec<MemAccess>,
+    ) {
+        let (frag, shape, ty, layout) = match *dir {
+            WmmaDirective::Load {
+                frag,
+                shape,
+                layout,
+                ty,
+            } => (frag, shape, ty, layout),
+            WmmaDirective::Store { shape, layout, ty } => (FragmentKind::D, shape, ty, layout),
+            _ => panic!("tile_accesses requires a Load or Store directive"),
+        };
+        plan(self.volta, frag, shape, ty, layout).tile_accesses(tile, accesses);
     }
 }
 
@@ -505,8 +524,18 @@ mod tests {
                 seed_f16_matrix(&mut mem, 64, 16, 16, layout);
                 let mut regs = WarpRegFile::new(16);
                 let mut acc = Vec::new();
-                model.wmma_load(&dir, Reg(0), 64, 16, &mem, &mut regs, &mut acc);
-                assert!(!acc.is_empty());
+                let tile = model.wmma_load(&dir, Reg(0), 64, 16, &mem, &mut regs, &mut acc);
+                // Packed lines: reported as a footprint, no lane accesses.
+                assert_eq!(
+                    tile,
+                    Some(TileFootprint {
+                        base: 64,
+                        pitch_bytes: 32,
+                        line_bytes: 32,
+                        lines: 16
+                    })
+                );
+                assert!(acc.is_empty());
                 let map = FragmentMap::for_arch(
                     volta,
                     FragmentKind::A,
@@ -534,58 +563,31 @@ mod tests {
         let mut mem = VecMemory::new();
         seed_f16_matrix(&mut mem, 0, 16, 16, Layout::Row);
         let mut regs = WarpRegFile::new(16);
-        // Row-major A: 2 × LD.E.128 per thread = 64 accesses.
-        let mut acc = Vec::new();
-        model.wmma_load(
-            &WmmaDirective::Load {
-                frag: FragmentKind::A,
+        // The lane accesses behind the footprint a load reports.
+        let mut load = |frag, layout, ty, dst| {
+            let dir = WmmaDirective::Load {
+                frag,
                 shape: WmmaShape::M16N16K16,
-                layout: Layout::Row,
-                ty: WmmaType::F16,
-            },
-            Reg(0),
-            0,
-            16,
-            &mem,
-            &mut regs,
-            &mut acc,
-        );
+                layout,
+                ty,
+            };
+            let mut acc = Vec::new();
+            let tile = model
+                .wmma_load(&dir, dst, 0, 16, &mem, &mut regs, &mut acc)
+                .expect("packed lines do not overlap");
+            model.tile_accesses(&dir, &tile, &mut acc);
+            acc
+        };
+        // Row-major A: 2 × LD.E.128 per thread = 64 accesses.
+        let acc = load(FragmentKind::A, Layout::Row, WmmaType::F16, Reg(0));
         assert_eq!(acc.len(), 64);
         assert!(acc.iter().all(|a| a.bytes == 16));
         // Column-major A: 4 × LD.E.64 per thread = 128 accesses.
-        let mut acc = Vec::new();
-        model.wmma_load(
-            &WmmaDirective::Load {
-                frag: FragmentKind::A,
-                shape: WmmaShape::M16N16K16,
-                layout: Layout::Col,
-                ty: WmmaType::F16,
-            },
-            Reg(0),
-            0,
-            16,
-            &mem,
-            &mut regs,
-            &mut acc,
-        );
+        let acc = load(FragmentKind::A, Layout::Col, WmmaType::F16, Reg(0));
         assert_eq!(acc.len(), 128);
         assert!(acc.iter().all(|a| a.bytes == 8));
         // C in FP32: 8 × 32-bit per thread = 256 accesses.
-        let mut acc = Vec::new();
-        model.wmma_load(
-            &WmmaDirective::Load {
-                frag: FragmentKind::C,
-                shape: WmmaShape::M16N16K16,
-                layout: Layout::Row,
-                ty: WmmaType::F32,
-            },
-            Reg(8),
-            0,
-            16,
-            &mem,
-            &mut regs,
-            &mut acc,
-        );
+        let acc = load(FragmentKind::C, Layout::Row, WmmaType::F32, Reg(8));
         assert_eq!(acc.len(), 256);
         assert!(acc.iter().all(|a| a.bytes == 4));
     }

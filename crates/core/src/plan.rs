@@ -12,7 +12,11 @@
 //!   fragment moves a whole register row ([`WarpRegFile::row`]) at a time;
 //! * **lane-major access runs** — the SASS-level accesses of §III-C as
 //!   `(lane, line, offset in line, bytes)`, so the lane-access list of a
-//!   load or store is one multiply-add per run whatever the stride.
+//!   load or store is one multiply-add per run whatever the stride. The
+//!   runs of all lanes together cover exactly the tile's lines (asserted
+//!   at build), which is why a load or store reports the lines — a
+//!   [`TileFootprint`] — to the timing model and the runs only to callers
+//!   that ask for lane accesses.
 //!
 //! Plans live in a process-wide table of [`OnceLock`]s indexed by
 //! arithmetic on the qualifier discriminants: no hashing, no interior
@@ -21,7 +25,7 @@
 use crate::functional::read_frag_elem;
 use crate::mapping::FragmentMap;
 use std::sync::OnceLock;
-use tcsim_isa::exec::MemAccess;
+use tcsim_isa::exec::{MemAccess, TileFootprint};
 use tcsim_isa::{
     ByteMemory, FragmentKind, Layout, Reg, WarpRegFile, WmmaShape, WmmaType, WARP_SIZE,
 };
@@ -129,7 +133,7 @@ impl FragPlan {
         let mut runs = Vec::new();
         for lane in 0..WARP_SIZE {
             let generic = map.lane_runs(lane, GENERIC_STRIDE);
-            // `push_accesses` uses these runs for every stride from the
+            // `tile_accesses` uses these runs for every stride from the
             // line length up. Only at exactly the line length could a
             // lane's consecutive slots wrap from the end of one line onto
             // the start of the next and merge; no mapping does that.
@@ -152,6 +156,24 @@ impl FragPlan {
                 });
             }
         }
+        // The timing model derives sectors and bank conflicts from the
+        // tile lines alone: the runs must touch every byte of every line
+        // and nothing else.
+        let line_bytes = line_elems * bits / 8;
+        let mut covered = vec![0u128; lines];
+        for run in &runs {
+            assert!(
+                run.offset as usize + run.bytes as usize <= line_bytes,
+                "{map:?}: access run leaves its tile line"
+            );
+            covered[run.line as usize] |= (u128::MAX >> (128 - run.bytes as u32)) << run.offset;
+        }
+        assert!(
+            covered
+                .iter()
+                .all(|&line| line == u128::MAX >> (128 - line_bytes)),
+            "{map:?}: access runs do not cover the tile lines"
+        );
         FragPlan {
             map,
             bits,
@@ -220,9 +242,10 @@ impl FragPlan {
         stride < self.line_elems
     }
 
-    /// Appends the lane accesses of a load or store of the tile at `base`
-    /// with leading dimension `stride`, lane-major.
-    fn push_accesses(&self, base: u64, stride: usize, out: &mut Vec<MemAccess>) {
+    /// What a load or store of the tile at `base` with leading dimension
+    /// `stride` reports to its caller: the footprint, or — lines
+    /// overlapping — `None` and the lane accesses appended to `out`.
+    fn report(&self, base: u64, stride: usize, out: &mut Vec<MemAccess>) -> Option<TileFootprint> {
         if self.lines_overlap(stride) {
             // The runs may merge differently here: ask the mapping.
             for lane in 0..WARP_SIZE {
@@ -233,24 +256,34 @@ impl FragPlan {
                     bytes,
                 }));
             }
-            return;
+            return None;
         }
         assert!(
             (stride * self.bits).is_multiple_of(8),
             "fragment run not byte aligned (sub-byte layout violation)"
         );
-        let line_pitch = self.line_offset(1, stride);
+        Some(TileFootprint {
+            base,
+            pitch_bytes: self.line_offset(1, stride),
+            line_bytes: self.image_bytes().1 as u32,
+            lines: self.lines as u32,
+        })
+    }
+
+    /// Appends the lane accesses of the load or store that reported
+    /// `tile`, lane-major.
+    pub fn tile_accesses(&self, tile: &TileFootprint, out: &mut Vec<MemAccess>) {
         out.extend(self.runs.iter().map(|run| MemAccess {
             lane: run.lane,
-            addr: base + run.line as u64 * line_pitch + run.offset as u64,
+            addr: tile.base + run.line as u64 * tile.pitch_bytes + run.offset as u64,
             bytes: run.bytes,
         }));
     }
 
     /// `wmma.load`: the tile at `base` (leading dimension `stride`
     /// elements) into the fragment registers at `dst`, a tile line of
-    /// memory and a register row at a time; the lane accesses appended
-    /// to `accesses`, lane-major.
+    /// memory and a register row at a time. Returns the footprint, or
+    /// `None` with the lane accesses appended to `accesses`, lane-major.
     ///
     /// # Panics
     ///
@@ -264,8 +297,8 @@ impl FragPlan {
         mem: &dyn ByteMemory,
         regs: &mut WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    ) {
-        self.push_accesses(base, stride, accesses);
+    ) -> Option<TileFootprint> {
+        let tile = self.report(base, stride, accesses);
         let mut bytes = [0u8; MAX_TILE_BYTES];
         let (image, line) = self.image_bytes();
         for (l, line) in bytes[..image].chunks_exact_mut(line).enumerate() {
@@ -274,11 +307,13 @@ impl FragPlan {
         let mut elems = [0u32; MAX_TILE + 1];
         elems_from_bytes(self.bits, &bytes[..image], &mut elems);
         self.pack(&self.image_of_slot, &elems, dst, regs);
+        tile
     }
 
     /// `wmma.store`: the fragment registers at `src` to the tile at
-    /// `base`, a register row and a tile line of memory at a time; the
-    /// lane accesses appended to `accesses`, lane-major.
+    /// `base`, a register row and a tile line of memory at a time.
+    /// Returns the footprint, or `None` with the lane accesses appended
+    /// to `accesses`, lane-major.
     ///
     /// # Panics
     ///
@@ -291,10 +326,11 @@ impl FragPlan {
         mem: &mut dyn ByteMemory,
         regs: &WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    ) {
-        self.push_accesses(base, stride, accesses);
-        if self.lines_overlap(stride) {
-            return self.store_overlapping(src, base, stride, mem, regs);
+    ) -> Option<TileFootprint> {
+        let tile = self.report(base, stride, accesses);
+        if tile.is_none() {
+            self.store_overlapping(src, base, stride, mem, regs);
+            return None;
         }
         let mut elems = [0u32; MAX_TILE + 1];
         self.unpack(&self.image_of_slot, regs, src, &mut elems);
@@ -304,6 +340,7 @@ impl FragPlan {
         for (l, line) in bytes[..image].chunks_exact(line).enumerate() {
             mem.write_bytes(base + self.line_offset(l, stride), line);
         }
+        tile
     }
 
     /// With overlapping lines the bytes that survive depend on the order

@@ -7,8 +7,9 @@
 //! `wmma.mma` / `mma.sync` must leave every register row equal to
 //! `gather_tile` → `mma_reference` → `scatter_tile`, and its
 //! `wmma.load` / `wmma.store` must leave every register row, every
-//! memory byte and the lane-access list (elements and order) equal to
-//! the per-element loops below.
+//! memory byte and the lane-access list (elements and order; expanded
+//! from the footprint where the handler reports one) equal to the
+//! per-element loops below.
 //!
 //! Register and memory contents are raw random bits, so NaN payloads,
 //! infinities, subnormals and *disagreeing* copies of Volta's
@@ -19,30 +20,23 @@ use tcsim_check::rng::XorShift64Star as Rng;
 use tcsim_core::functional::{read_frag_elem, write_frag_elem};
 use tcsim_core::{
     expand_sparse_a, gather_tile, mma_reference, pack_sparse_row_meta, read_sparse_meta,
-    scatter_tile, FragmentMap, TensorCoreModel,
+    scatter_tile, FragmentMap,
 };
-use tcsim_isa::exec::{MemAccess, WmmaHandler};
+use tcsim_isa::exec::{MemAccess, TileFootprint, WmmaHandler};
 use tcsim_isa::{
-    ByteMemory, FragmentKind, Layout, Reg, VecMemory, WarpRegFile, WmmaDirective, WmmaShape,
-    WmmaType, WARP_SIZE,
+    ByteMemory, FragmentKind, Layout, Reg, VecMemory, WarpRegFile, WmmaDirective, WmmaType,
+    WARP_SIZE,
 };
 use tcsim_mem::{DeviceMemory, SharedMemory};
+
+mod common;
+use common::{load_configs, model, reference_accesses, store_configs, ARCHES, LAYOUTS};
 
 /// Seeds per configuration. The full count is too slow without
 /// optimisation; `scripts/ci.sh` runs this file in release.
 const SEEDS: u64 = if cfg!(debug_assertions) { 4 } else { 64 };
 
-const ARCHES: [Arch; 3] = [Arch::Volta, Arch::Turing, Arch::Ampere];
-const LAYOUTS: [Layout; 2] = [Layout::Row, Layout::Col];
 const NUM_REGS: usize = 64;
-
-fn model(arch: Arch) -> TensorCoreModel {
-    match arch {
-        Arch::Volta => TensorCoreModel::volta(),
-        Arch::Turing => TensorCoreModel::turing(),
-        Arch::Ampere => TensorCoreModel::ampere(),
-    }
-}
 
 fn random_regs(rng: &mut Rng) -> WarpRegFile {
     let mut regs = WarpRegFile::new(NUM_REGS);
@@ -116,20 +110,6 @@ fn write_mem_elem(mem: &mut dyn ByteMemory, base: u64, linear: usize, ty: WmmaTy
         16 => mem.write_u16(base + (linear * 2) as u64, value as u16),
         _ => mem.write_u32(base + (linear * 4) as u64, value),
     }
-}
-
-fn reference_accesses(map: &FragmentMap, base: u64, stride: usize) -> Vec<MemAccess> {
-    (0..WARP_SIZE)
-        .flat_map(|lane| {
-            map.lane_accesses(lane, stride)
-                .into_iter()
-                .map(move |(off, bytes)| MemAccess {
-                    lane: lane as u8,
-                    addr: base + off,
-                    bytes,
-                })
-        })
-        .collect()
 }
 
 /// `wmma.load` an element at a time: lane-major, slot order.
@@ -215,10 +195,20 @@ const EARLIER: MemAccess = MemAccess {
     bytes: 0xEE,
 };
 
-/// The accesses a handler call appended, having checked that it left
-/// what was in the buffer alone.
-fn appended(accesses: Vec<MemAccess>) -> Vec<MemAccess> {
+/// The lane accesses of a handler call — what it appended or, where it
+/// reported a footprint instead, the footprint's expansion — having
+/// checked that it left what was in the buffer alone.
+fn lane_accesses(
+    arch: Arch,
+    dir: &WmmaDirective,
+    tile: Option<TileFootprint>,
+    mut accesses: Vec<MemAccess>,
+) -> Vec<MemAccess> {
     assert_eq!(accesses[0], EARLIER, "the handler appends to the buffer");
+    if let Some(tile) = tile {
+        assert_eq!(accesses.len(), 1, "a footprint replaces the lane accesses");
+        model(arch).tile_accesses(dir, &tile, &mut accesses);
+    }
     accesses[1..].to_vec()
 }
 
@@ -232,8 +222,8 @@ fn handler_load(
     regs: &mut WarpRegFile,
 ) -> Vec<MemAccess> {
     let mut accesses = vec![EARLIER];
-    model(arch).wmma_load(dir, dst, base, stride, mem, regs, &mut accesses);
-    appended(accesses)
+    let tile = model(arch).wmma_load(dir, dst, base, stride, mem, regs, &mut accesses);
+    lane_accesses(arch, dir, tile, accesses)
 }
 
 fn handler_store(
@@ -246,8 +236,8 @@ fn handler_store(
     regs: &WarpRegFile,
 ) -> Vec<MemAccess> {
     let mut accesses = vec![EARLIER];
-    model(arch).wmma_store(dir, src, base, stride, mem, regs, &mut accesses);
-    appended(accesses)
+    let tile = model(arch).wmma_store(dir, src, base, stride, mem, regs, &mut accesses);
+    lane_accesses(arch, dir, tile, accesses)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -350,46 +340,6 @@ fn mma_matches_the_tile_reference_in_every_mode() {
 }
 
 // --- load / store --------------------------------------------------------
-
-/// Every distinct fragment load an arch-valid mode performs.
-fn load_configs(arch: Arch) -> Vec<(FragmentKind, WmmaShape, WmmaType, Layout)> {
-    let mut out = Vec::new();
-    for mode in wmma_modes(arch) {
-        let ab_layouts: &[Layout] = if mode.ab.bits() == 4 { &[] } else { &LAYOUTS };
-        let mut push = |frag, layout| {
-            let cfg = (frag, mode.frag_shape(frag), mode.frag_type(frag), layout);
-            if !out.contains(&cfg) {
-                out.push(cfg);
-            }
-        };
-        for &layout in ab_layouts {
-            push(FragmentKind::A, layout);
-            push(FragmentKind::B, layout);
-        }
-        if mode.ab.bits() == 4 {
-            push(FragmentKind::A, Layout::Row);
-            push(FragmentKind::B, Layout::Col);
-        }
-        for layout in LAYOUTS {
-            push(FragmentKind::C, layout);
-        }
-    }
-    out
-}
-
-/// Every distinct D store an arch-valid mode performs.
-fn store_configs(arch: Arch) -> Vec<(WmmaShape, WmmaType, Layout)> {
-    let mut out = Vec::new();
-    for mode in wmma_modes(arch) {
-        for layout in LAYOUTS {
-            let cfg = (mode.shape, mode.d, layout);
-            if !out.contains(&cfg) {
-                out.push(cfg);
-            }
-        }
-    }
-    out
-}
 
 /// The memories a tile is placed in, with the tile's base address.
 #[derive(Clone, Copy, Debug)]

@@ -162,6 +162,25 @@ pub struct MemAccess {
     pub bytes: u8,
 }
 
+/// The memory a `wmma.load`/`wmma.store` touches, when the lines of its
+/// tile do not overlap: `lines` runs of `line_bytes` bytes, the first at
+/// `base`, each `pitch_bytes` after the one before. Together the lanes'
+/// accesses cover exactly these bytes, so the sectors and the
+/// shared-memory words of the instruction follow from the footprint
+/// alone; the lane accesses themselves are [`WmmaHandler::tile_accesses`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TileFootprint {
+    /// Byte address of the first line.
+    pub base: u64,
+    /// Bytes from the start of one line to the start of the next (the
+    /// leading dimension in bytes), at least `line_bytes`.
+    pub pitch_bytes: u64,
+    /// Bytes per line.
+    pub line_bytes: u32,
+    /// Number of lines.
+    pub lines: u32,
+}
+
 /// The memory traffic of one executed instruction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemTrace {
@@ -201,15 +220,17 @@ pub struct StepOutcome {
 /// `tcsim-core`'s Volta/Turing tensor-core models).
 ///
 /// The handler works on the warp's concrete [`WarpRegFile`] — a
-/// fragment is a span of whole register rows — and appends the lane
-/// accesses of a load or store to the caller's buffer instead of
-/// returning a list of its own.
+/// fragment is a span of whole register rows. A load or store reports the
+/// memory it touched as a [`TileFootprint`]; only where the tile's lines
+/// overlap (a `stride` below the line length) does it return `None` and
+/// append the per-lane accesses to the caller's buffer instead.
 pub trait WmmaHandler {
     /// Executes `wmma.load`, reading the operand matrix at `base` (byte
     /// address, space chosen by the caller) with leading-dimension `stride`
-    /// (in elements) into the fragment registers at `dst`. Appends the
-    /// per-lane memory accesses the operation decomposes into (§III-C) to
-    /// `accesses`, lane-major.
+    /// (in elements) into the fragment registers at `dst`. Returns the
+    /// tile's footprint, or `None` having appended the per-lane memory
+    /// accesses the operation decomposes into (§III-C) to `accesses`,
+    /// lane-major.
     #[allow(clippy::too_many_arguments)]
     fn wmma_load(
         &self,
@@ -220,7 +241,7 @@ pub trait WmmaHandler {
         mem: &dyn ByteMemory,
         regs: &mut WarpRegFile,
         accesses: &mut Vec<MemAccess>,
-    );
+    ) -> Option<TileFootprint>;
 
     /// Executes `wmma.mma` on register fragments.
     fn wmma_mma(&self, dir: &WmmaDirective, d: Reg, a: Reg, b: Reg, c: Reg, regs: &mut WarpRegFile);
@@ -241,8 +262,9 @@ pub trait WmmaHandler {
         regs: &mut WarpRegFile,
     );
 
-    /// Executes `wmma.store`, writing the D fragment to memory. Appends
-    /// the per-lane accesses to `accesses`, lane-major.
+    /// Executes `wmma.store`, writing the D fragment to memory. Returns
+    /// the tile's footprint, or `None` having appended the per-lane
+    /// accesses to `accesses`, lane-major.
     #[allow(clippy::too_many_arguments)]
     fn wmma_store(
         &self,
@@ -252,6 +274,15 @@ pub trait WmmaHandler {
         stride: usize,
         mem: &mut dyn ByteMemory,
         regs: &WarpRegFile,
+        accesses: &mut Vec<MemAccess>,
+    ) -> Option<TileFootprint>;
+
+    /// Appends to `accesses`, lane-major, the per-lane accesses of the
+    /// load or store `dir` that reported the footprint `tile`.
+    fn tile_accesses(
+        &self,
+        dir: &WmmaDirective,
+        tile: &TileFootprint,
         accesses: &mut Vec<MemAccess>,
     );
 }
@@ -270,7 +301,7 @@ impl WmmaHandler for NoWmma {
         _mem: &dyn ByteMemory,
         _regs: &mut WarpRegFile,
         _accesses: &mut Vec<MemAccess>,
-    ) {
+    ) -> Option<TileFootprint> {
         panic!("kernel executed a wmma instruction but no tensor-core model is attached")
     }
 
@@ -307,6 +338,15 @@ impl WmmaHandler for NoWmma {
         _stride: usize,
         _mem: &mut dyn ByteMemory,
         _regs: &WarpRegFile,
+        _accesses: &mut Vec<MemAccess>,
+    ) -> Option<TileFootprint> {
+        panic!("kernel executed a wmma instruction but no tensor-core model is attached")
+    }
+
+    fn tile_accesses(
+        &self,
+        _dir: &WmmaDirective,
+        _tile: &TileFootprint,
         _accesses: &mut Vec<MemAccess>,
     ) {
         panic!("kernel executed a wmma instruction but no tensor-core model is attached")
@@ -459,12 +499,16 @@ pub struct MemOp {
     pub space: MemSpace,
     /// Whether the accesses are stores.
     pub is_store: bool,
+    /// Set by a `wmma.load`/`wmma.store` that reported its footprint in
+    /// place of lane accesses (the access buffer is then empty).
+    pub tile: Option<TileFootprint>,
 }
 
 /// Executes the instruction at `warp.pc` and advances architectural state.
 ///
 /// Convenience form of [`step_into`] that returns the lane accesses in a
-/// freshly allocated [`MemTrace`].
+/// freshly allocated [`MemTrace`], a tile footprint expanded back into
+/// the accesses of its lanes.
 ///
 /// # Panics
 ///
@@ -477,6 +521,12 @@ pub fn step(
 ) -> StepOutcome {
     let mut accesses = Vec::new();
     let info = step_into(warp, kernel, env, wmma, &mut accesses);
+    if let Some(tile) = info.mem.and_then(|m| m.tile) {
+        let Op::Wmma(dir) = &kernel.instrs()[info.pc].op else {
+            unreachable!("only wmma.load/store report a footprint")
+        };
+        wmma.tile_accesses(dir, &tile, &mut accesses);
+    }
     StepOutcome {
         action: info.action,
         pc: info.pc,
@@ -491,9 +541,10 @@ pub fn step(
 
 /// Executes the instruction at `warp.pc` and advances architectural
 /// state, leaving the per-lane memory accesses it made in `accesses`
-/// (cleared first; empty for non-memory instructions). A caller that
-/// passes the same buffer every time — the SM does — allocates nothing
-/// per instruction.
+/// (cleared first; empty for non-memory instructions and for a
+/// `wmma.load`/`wmma.store` that reports a [`TileFootprint`] in
+/// [`MemOp::tile`] instead). A caller that passes the same buffer every
+/// time — the SM does — allocates nothing per instruction.
 ///
 /// Every opcode works a warp at a time: each source operand is resolved
 /// once into a 32-lane row, the result row is computed by a straight
@@ -602,6 +653,7 @@ pub fn step_into(
             outcome.mem = Some(MemOp {
                 space: *space,
                 is_store: false,
+                tile: None,
             });
         }
         Op::St { space, width } => {
@@ -609,6 +661,7 @@ pub fn step_into(
             outcome.mem = Some(MemOp {
                 space: *space,
                 is_store: true,
+                tile: None,
             });
         }
         Op::Atom { space, op } => {
@@ -619,6 +672,7 @@ pub fn step_into(
             outcome.mem = Some(MemOp {
                 space: *space,
                 is_store: true,
+                tile: None,
             });
         }
         Op::Wmma(dir) => {
@@ -1031,7 +1085,7 @@ fn exec_wmma(
             let shared = matches!(instr.srcs[2], Operand::Imm(1));
             let dst = instr.dst.expect("wmma.load dst");
             let mem: &dyn ByteMemory = if shared { &*env.shared } else { &*env.global };
-            wmma.wmma_load(dir, dst, base, stride, mem, &mut warp.regs, accesses);
+            let tile = wmma.wmma_load(dir, dst, base, stride, mem, &mut warp.regs, accesses);
             Some(MemOp {
                 space: if shared {
                     MemSpace::Shared
@@ -1039,6 +1093,7 @@ fn exec_wmma(
                     MemSpace::Global
                 },
                 is_store: false,
+                tile,
             })
         }
         WmmaDirective::Mma { .. } => {
@@ -1081,7 +1136,7 @@ fn exec_wmma(
             } else {
                 &mut *env.global
             };
-            wmma.wmma_store(dir, d, base, stride, mem, &warp.regs, accesses);
+            let tile = wmma.wmma_store(dir, d, base, stride, mem, &warp.regs, accesses);
             Some(MemOp {
                 space: if shared {
                     MemSpace::Shared
@@ -1089,6 +1144,7 @@ fn exec_wmma(
                     MemSpace::Global
                 },
                 is_store: true,
+                tile,
             })
         }
     }

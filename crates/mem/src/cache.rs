@@ -95,6 +95,41 @@ impl CacheStats {
     }
 }
 
+/// Division by a number fixed when the cache or memory system is built
+/// (a set or partition count, rarely a power of two) without a hardware
+/// divide per access: for `2 <= d <= 2^16` and `n < 2^48`,
+/// `n / d == (n * ceil(2^64 / d)) >> 64` exactly — the product is off
+/// from `n * 2^64 / d` by less than `n * d <= 2^64`. Anything outside
+/// that range divides the slow way.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Divisor {
+    d: u64,
+    /// `ceil(2^64 / d)`, or 0 when `d` is outside the fast range.
+    magic: u64,
+}
+
+impl Divisor {
+    pub(crate) fn new(d: u64) -> Divisor {
+        assert!(d > 0, "division by zero");
+        let magic = if (2..=1 << 16).contains(&d) {
+            u64::MAX / d + 1
+        } else {
+            0
+        };
+        Divisor { d, magic }
+    }
+
+    /// `(n / d, n % d)`.
+    pub(crate) fn div_rem(&self, n: u64) -> (u64, u64) {
+        let q = if self.magic != 0 && n < 1 << 48 {
+            ((n as u128 * self.magic as u128) >> 64) as u64
+        } else {
+            n / self.d
+        };
+        (q, n - q * self.d)
+    }
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
@@ -122,10 +157,39 @@ pub enum Lookup {
     },
 }
 
+/// Where a line lives in its set, or would be installed: what one scan
+/// of the set finds out. [`Cache::lookup_at`] and [`Cache::fill_at`] take
+/// it, so a miss is not scanned for again by its fill and the (up to
+/// four) sectors of a line share one scan. It stays good while nothing
+/// but lookups and fills of this very line touch the cache.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LineSlot {
+    /// Line number (`addr / line_bytes`).
+    tag: u64,
+    /// Index into `Cache::lines`: the way holding the line when
+    /// `present`, else the victim (an invalid way first, else the LRU).
+    index: usize,
+    present: bool,
+}
+
+impl LineSlot {
+    /// No line: every address relocates.
+    pub(crate) const NONE: LineSlot = LineSlot {
+        tag: u64::MAX,
+        index: 0,
+        present: false,
+    };
+}
+
 /// A sectored, LRU, write-back (or write-through) cache.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `log2` of the line and sector sizes, and the set count as a
+    /// divisor: no address arithmetic on the access path divides.
+    line_shift: u32,
+    sector_shift: u32,
+    sets: Divisor,
     /// Every line in one allocation: set `s` is `lines[s * ways..][..ways]`.
     lines: Vec<Line>,
     mshrs: HashMap<u64, u64>, // sector addr → fill completion cycle
@@ -137,9 +201,25 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless line and sector sizes are powers of two with at most
+    /// eight sectors to the line.
     pub fn new(cfg: CacheConfig) -> Cache {
+        assert!(
+            cfg.line_bytes.is_power_of_two()
+                && cfg.sector_bytes.is_power_of_two()
+                && cfg.sector_bytes <= cfg.line_bytes
+                && cfg.line_bytes / cfg.sector_bytes <= 8,
+            "{cfg:?}: line and sector sizes must be powers of two, at most 8 sectors per line"
+        );
+        assert!(cfg.ways > 0, "{cfg:?}: non-zero associativity");
         Cache {
             cfg,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            sector_shift: cfg.sector_bytes.trailing_zeros(),
+            sets: Divisor::new(cfg.sets as u64),
             lines: vec![Line::default(); cfg.sets * cfg.ways],
             mshrs: HashMap::new(),
             stats: CacheStats::default(),
@@ -163,18 +243,47 @@ impl Cache {
     }
 
     fn set_index(&self, addr: u64) -> usize {
-        let line = addr / self.cfg.line_bytes;
+        let line = addr >> self.line_shift;
         // Simple XOR-fold index hash to spread power-of-two strides.
-        ((line ^ (line / self.cfg.sets as u64)) % self.cfg.sets as u64) as usize
-    }
-
-    fn set_mut(&mut self, set: usize) -> &mut [Line] {
-        &mut self.lines[set * self.cfg.ways..][..self.cfg.ways]
+        let (fold, _) = self.sets.div_rem(line);
+        self.sets.div_rem(line ^ fold).1 as usize
     }
 
     fn sector_bit(&self, addr: u64) -> u8 {
-        let within = (addr % self.cfg.line_bytes) / self.cfg.sector_bytes;
+        let within = (addr & (self.cfg.line_bytes - 1)) >> self.sector_shift;
         1u8 << within
+    }
+
+    fn sector_addr(&self, addr: u64) -> u64 {
+        addr & !(self.cfg.sector_bytes - 1)
+    }
+
+    /// Makes `slot` the slot of the line containing `addr`: kept if it
+    /// already is that line's, else found by one scan of the set.
+    pub(crate) fn locate(&self, slot: &mut LineSlot, addr: u64) {
+        let tag = addr >> self.line_shift;
+        if slot.tag == tag {
+            return;
+        }
+        let first = self.set_index(addr) * self.cfg.ways;
+        *slot = LineSlot {
+            tag,
+            index: first,
+            present: false,
+        };
+        // Victim: invalid way first, else LRU; the first of equals.
+        let mut least = (true, u64::MAX);
+        for (way, line) in self.lines[first..][..self.cfg.ways].iter().enumerate() {
+            if line.valid && line.tag == tag {
+                slot.index = first + way;
+                slot.present = true;
+                return;
+            }
+            if way == 0 || (line.valid, line.last_use) < least {
+                least = (line.valid, line.last_use);
+                slot.index = first + way;
+            }
+        }
     }
 
     /// Probes the cache for the sector containing `addr` at cycle `now`.
@@ -182,23 +291,33 @@ impl Cache {
     /// On `Miss` the caller must fetch from the next level and call
     /// [`Cache::fill`] with the completion time.
     pub fn lookup(&mut self, addr: u64, is_store: bool, now: u64) -> Lookup {
-        let tag = addr / self.cfg.line_bytes;
+        let mut slot = LineSlot::NONE;
+        self.locate(&mut slot, addr);
+        self.lookup_at(&slot, addr, is_store, now)
+    }
+
+    /// [`Cache::lookup`] of a sector of the line `slot` was located for.
+    pub(crate) fn lookup_at(
+        &mut self,
+        slot: &LineSlot,
+        addr: u64,
+        is_store: bool,
+        now: u64,
+    ) -> Lookup {
+        debug_assert_eq!(slot.tag, addr >> self.line_shift);
         let sector = self.sector_bit(addr);
-        let set = self.set_index(addr);
-        // A store hit in a write-through no-allocate cache updates data
-        // (functional state lives elsewhere) and dirties nothing.
-        let dirties = is_store && self.cfg.write_allocate;
-        for line in self.set_mut(set) {
-            if line.valid && line.tag == tag && line.sectors_valid & sector != 0 {
-                line.last_use = now;
-                if dirties {
-                    line.sectors_dirty |= sector;
-                }
-                self.stats.hits += 1;
-                return Lookup::Hit {
-                    ready_at: now + self.cfg.hit_latency,
-                };
+        let line = &mut self.lines[slot.index];
+        if slot.present && line.sectors_valid & sector != 0 {
+            line.last_use = now;
+            // A store hit in a write-through no-allocate cache updates
+            // data (functional state lives elsewhere) and dirties nothing.
+            if is_store && self.cfg.write_allocate {
+                line.sectors_dirty |= sector;
             }
+            self.stats.hits += 1;
+            return Lookup::Hit {
+                ready_at: now + self.cfg.hit_latency,
+            };
         }
         if is_store && !self.cfg.write_allocate {
             // Write-through no-allocate store miss: forwarded below without
@@ -206,12 +325,15 @@ impl Cache {
             self.stats.misses += 1;
             return Lookup::Miss;
         }
-        let sector_addr = addr / self.cfg.sector_bytes * self.cfg.sector_bytes;
-        if let Some(&fill) = self.mshrs.get(&sector_addr) {
-            self.stats.mshr_merges += 1;
-            return Lookup::MshrHit {
-                ready_at: fill.max(now) + 1,
-            };
+        // The shipped hierarchy fills in the same call that missed and
+        // never registers the fill, so the table is empty there.
+        if !self.mshrs.is_empty() {
+            if let Some(&fill) = self.mshrs.get(&self.sector_addr(addr)) {
+                self.stats.mshr_merges += 1;
+                return Lookup::MshrHit {
+                    ready_at: fill.max(now) + 1,
+                };
+            }
         }
         self.stats.misses += 1;
         Lookup::Miss
@@ -220,49 +342,52 @@ impl Cache {
     /// Registers an outstanding fill for the sector containing `addr`,
     /// completing at `fill_at`.
     pub fn start_fill(&mut self, addr: u64, fill_at: u64) {
-        let sector_addr = addr / self.cfg.sector_bytes * self.cfg.sector_bytes;
-        self.mshrs.insert(sector_addr, fill_at);
+        self.mshrs.insert(self.sector_addr(addr), fill_at);
         self.touched = true;
     }
 
     /// Completes a fill: installs the sector, evicting an LRU victim if
     /// needed. Returns `true` if a dirty line was written back.
     pub fn fill(&mut self, addr: u64, now: u64, mark_dirty: bool) -> bool {
-        // The shipped hierarchy fills in the same call that missed and
-        // never registers the fill, so the table is empty there.
+        let mut slot = LineSlot::NONE;
+        self.locate(&mut slot, addr);
+        self.fill_at(&mut slot, addr, now, mark_dirty)
+    }
+
+    /// [`Cache::fill`] of a sector of the line `slot` was located for;
+    /// `slot` then says where the line now is.
+    pub(crate) fn fill_at(
+        &mut self,
+        slot: &mut LineSlot,
+        addr: u64,
+        now: u64,
+        mark_dirty: bool,
+    ) -> bool {
+        debug_assert_eq!(slot.tag, addr >> self.line_shift);
         if !self.mshrs.is_empty() {
-            let sector_addr = addr / self.cfg.sector_bytes * self.cfg.sector_bytes;
-            self.mshrs.remove(&sector_addr);
+            self.mshrs.remove(&self.sector_addr(addr));
         }
         self.touched = true;
-        let tag = addr / self.cfg.line_bytes;
         let sector = self.sector_bit(addr);
-        let set = self.set_index(addr);
-        let lines = self.set_mut(set);
-        // Existing line: add the sector.
-        for line in lines.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.sectors_valid |= sector;
-                if mark_dirty {
-                    line.sectors_dirty |= sector;
-                }
-                line.last_use = now;
-                return false;
+        let line = &mut self.lines[slot.index];
+        if slot.present {
+            // Existing line: add the sector.
+            line.sectors_valid |= sector;
+            if mark_dirty {
+                line.sectors_dirty |= sector;
             }
+            line.last_use = now;
+            return false;
         }
-        // Victim: invalid way first, else LRU.
-        let victim = lines
-            .iter_mut()
-            .min_by_key(|l| (l.valid, l.last_use))
-            .expect("non-zero associativity");
-        let evicted_dirty = victim.valid && victim.sectors_dirty != 0;
-        *victim = Line {
-            tag,
+        let evicted_dirty = line.valid && line.sectors_dirty != 0;
+        *line = Line {
+            tag: slot.tag,
             sectors_valid: sector,
             sectors_dirty: if mark_dirty { sector } else { 0 },
             last_use: now,
             valid: true,
         };
+        slot.present = true;
         if evicted_dirty {
             self.stats.writebacks += 1;
         }
@@ -439,6 +564,75 @@ mod tests {
         assert_eq!(c.mshr_count(), 1);
         c.fill(0x200, 50, false);
         assert_eq!(c.mshr_count(), 0);
+    }
+
+    #[test]
+    fn divisor_agrees_with_hardware_division() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let edges = [0, 1, 2, (1 << 48) - 1, 1 << 48, u64::MAX - 1, u64::MAX];
+        for d in [
+            1,
+            2,
+            3,
+            24,
+            96,
+            255,
+            256,
+            1000,
+            65_535,
+            65_536,
+            65_537,
+            1 << 40,
+        ] {
+            let div = Divisor::new(d);
+            // Multiples of `d` and their neighbours are where a rounded
+            // reciprocal goes wrong first.
+            let near = (0..2000).flat_map(|_| {
+                let m = next() % (1 << 48) / d * d;
+                [m.saturating_sub(1), m, m + 1, next() >> (next() % 64)]
+            });
+            for n in edges.into_iter().chain(near) {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_located_slot_serves_every_sector_of_its_line() {
+        // One scan for four sectors and their fills, against a twin
+        // driven through `lookup` / `fill`.
+        let (mut slotted, mut plain) = (small(), small());
+        let mut now = 0;
+        for line in [0x1000u64, 0x3000, 0x1000, 0x5000, 0x7000, 0x1000] {
+            let mut slot = LineSlot::NONE;
+            for addr in (0..4).map(|s| line + 32 * s + 8) {
+                now += 3;
+                slotted.locate(&mut slot, addr);
+                let got = slotted.lookup_at(&slot, addr, addr % 64 < 32, now);
+                assert_eq!(got, plain.lookup(addr, addr % 64 < 32, now));
+                if got == Lookup::Miss {
+                    let wrote_back = slotted.fill_at(&mut slot, addr, now + 40, true);
+                    assert_eq!(wrote_back, plain.fill(addr, now + 40, true));
+                }
+            }
+        }
+        assert_eq!(slotted.stats(), plain.stats());
+        assert!(plain.stats().hits > 0 && plain.stats().writebacks > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn odd_sector_sizes_are_rejected() {
+        Cache::new(CacheConfig {
+            sector_bytes: 24,
+            ..*small().config()
+        });
     }
 
     #[test]

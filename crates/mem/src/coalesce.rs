@@ -8,7 +8,7 @@
 //! Titan V" for the wmma loads/stores (§V-A); this module is where that
 //! count comes from in our reproduction.
 
-use tcsim_isa::exec::MemAccess;
+use tcsim_isa::exec::{MemAccess, TileFootprint};
 
 /// Bytes per cache-line sector (transaction granularity).
 pub const SECTOR_BYTES: u64 = 32;
@@ -46,7 +46,7 @@ pub fn coalesce(accesses: &[MemAccess]) -> Vec<Transaction> {
 /// that keeps `txns` (the SM does) never allocates.
 pub fn coalesce_into(accesses: &[MemAccess], txns: &mut Vec<Transaction>) {
     txns.clear();
-    for a in accesses {
+    for a in accesses.iter().filter(|a| a.bytes > 0) {
         let first = a.addr / SECTOR_BYTES;
         let last = (a.addr + a.bytes as u64 - 1) / SECTOR_BYTES;
         for s in first..=last {
@@ -71,6 +71,28 @@ pub fn coalesce_into(accesses: &[MemAccess], txns: &mut Vec<Transaction>) {
                 ),
             }
         }
+    }
+}
+
+/// The sector addresses [`coalesce`] would find for the `wmma.load` /
+/// `wmma.store` that reported `tile`, into a caller-owned list (cleared
+/// first): the lanes' accesses touch exactly the tile's lines, and lines
+/// ascend in memory, so the sectors of one line after another — less
+/// those the line before already touched — are the sectors of the
+/// instruction, in order.
+pub fn tile_sectors_into(tile: &TileFootprint, sectors: &mut Vec<u64>) {
+    sectors.clear();
+    if tile.line_bytes == 0 {
+        return;
+    }
+    // First sector not listed yet.
+    let mut next = 0;
+    for l in 0..tile.lines as u64 {
+        let start = tile.base + l * tile.pitch_bytes;
+        let first = (start / SECTOR_BYTES).max(next);
+        let last = (start + tile.line_bytes as u64 - 1) / SECTOR_BYTES;
+        sectors.extend((first..=last).map(|s| s * SECTOR_BYTES));
+        next = last + 1;
     }
 }
 
@@ -158,6 +180,53 @@ mod tests {
             txns.iter().map(|t| t.lane_mask).fold(0, |m, x| m | x),
             u32::MAX
         );
+    }
+
+    #[test]
+    fn empty_access_requests_nothing() {
+        // A zero-byte access has no last byte: `addr + bytes - 1` would
+        // underflow at address 0.
+        assert!(coalesce(&[acc(0, 0, 0)]).is_empty());
+        let txns = coalesce(&[acc(0, 0x40, 0), acc(1, 0x80, 4)]);
+        assert_eq!(txns.len(), 1);
+        assert_eq!((txns[0].addr, txns[0].lane_mask), (0x80, 0b10));
+    }
+
+    fn tile_sectors(base: u64, pitch_bytes: u64, line_bytes: u32, lines: u32) -> Vec<u64> {
+        let mut sectors = vec![0xDEAD]; // cleared first
+        let tile = TileFootprint {
+            base,
+            pitch_bytes,
+            line_bytes,
+            lines,
+        };
+        tile_sectors_into(&tile, &mut sectors);
+        sectors
+    }
+
+    #[test]
+    fn tile_sectors_are_the_sectors_of_its_lines() {
+        // 16 packed 32-byte lines from a sector boundary: 16 sectors.
+        let packed = tile_sectors(0x1000, 32, 32, 16);
+        assert_eq!(packed, (0..16).map(|s| 0x1000 + 32 * s).collect::<Vec<_>>());
+        // Two 16-byte lines to the sector: listed once.
+        assert_eq!(
+            tile_sectors(0x1000, 16, 16, 8),
+            [0x1000, 0x1020, 0x1040, 0x1060]
+        );
+        // Off a sector boundary every line straddles two sectors, the
+        // second of which is the next line's first.
+        assert_eq!(
+            tile_sectors(0x1008, 32, 32, 3),
+            [0x1000, 0x1020, 0x1040, 0x1060]
+        );
+        // Padded to a 272-byte pitch the lines share nothing.
+        assert_eq!(
+            tile_sectors(0x2000, 272, 32, 3),
+            [0x2000, 0x2100, 0x2120, 0x2220]
+        );
+        assert!(tile_sectors(0x2000, 64, 0, 4).is_empty());
+        assert!(tile_sectors(0x2000, 64, 32, 0).is_empty());
     }
 
     #[test]

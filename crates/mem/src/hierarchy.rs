@@ -1,10 +1,10 @@
 //! Composition of the memory hierarchy: per-SM L1 paths over a shared
 //! banked L2 + DRAM memory system.
 
-use crate::cache::{Cache, CacheConfig, CacheStats, Lookup};
-use crate::coalesce::Transaction;
+use crate::cache::{Cache, CacheConfig, CacheStats, Divisor, LineSlot, Lookup};
+use crate::coalesce::{Transaction, LINE_BYTES};
 use crate::dram::DramChannel;
-use tcsim_trace::{emit, CacheLevel, EventKind, TraceEvent, Tracer};
+use tcsim_trace::{CacheLevel, EventKind, TraceEvent, Tracer};
 
 /// Configuration of the GPU-wide memory system.
 #[derive(Clone, Copy, Debug)]
@@ -36,10 +36,73 @@ impl MemSystemConfig {
     }
 }
 
+/// Where one warp instruction's memory events go: the tracer, asked
+/// once whether it wants them.
+struct Events<'a> {
+    tracer: &'a mut dyn Tracer,
+    enabled: bool,
+    sm: u16,
+}
+
+impl<'a> Events<'a> {
+    fn new(tracer: &'a mut dyn Tracer, sm: u16) -> Events<'a> {
+        let enabled = tracer.enabled();
+        Events {
+            tracer,
+            enabled,
+            sm,
+        }
+    }
+
+    fn cache_access(&mut self, cycle: u64, level: CacheLevel, lookup: Lookup, store: bool) {
+        if self.enabled {
+            self.tracer.record(TraceEvent {
+                cycle,
+                sm: self.sm,
+                kind: EventKind::CacheAccess {
+                    level,
+                    hit: !matches!(lookup, Lookup::Miss),
+                    store,
+                },
+            });
+        }
+    }
+
+    fn dram_txn(&mut self, cycle: u64, channel: usize) {
+        if self.enabled {
+            self.tracer.record(TraceEvent {
+                cycle,
+                sm: self.sm,
+                kind: EventKind::DramTxn {
+                    channel: channel as u16,
+                },
+            });
+        }
+    }
+}
+
+/// The partition and L2 slot of the 128-byte line a run of sector
+/// requests is on, found for its first sector and kept for the rest.
+struct L2Line {
+    /// `addr / 128`; `u64::MAX` before the first request.
+    line: u64,
+    partition: usize,
+    slot: LineSlot,
+}
+
+impl L2Line {
+    const NONE: L2Line = L2Line {
+        line: u64::MAX,
+        partition: 0,
+        slot: LineSlot::NONE,
+    };
+}
+
 /// The shared memory-side of the GPU: L2 slices and DRAM channels.
 #[derive(Debug)]
 pub struct MemSystem {
     cfg: MemSystemConfig,
+    partitions: Divisor,
     l2: Vec<Cache>,
     dram: Vec<DramChannel>,
 }
@@ -49,6 +112,7 @@ impl MemSystem {
     pub fn new(cfg: MemSystemConfig) -> MemSystem {
         MemSystem {
             cfg,
+            partitions: Divisor::new(cfg.partitions as u64),
             l2: (0..cfg.partitions)
                 .map(|_| Cache::new(CacheConfig::l2_slice(cfg.l2_slice_kib)))
                 .collect(),
@@ -60,8 +124,8 @@ impl MemSystem {
 
     fn partition_of(&self, addr: u64) -> usize {
         // Line-interleaved with an xor fold, like real address hashing.
-        let line = addr / 128;
-        ((line ^ (line >> 7)) % self.cfg.partitions as u64) as usize
+        let line = addr / LINE_BYTES;
+        self.partitions.div_rem(line ^ (line >> 7)).1 as usize
     }
 
     /// One sector request arriving from `sm` at `now`; returns the cycle
@@ -76,35 +140,45 @@ impl MemSystem {
         sm: u16,
         tracer: &mut dyn Tracer,
     ) -> u64 {
-        let p = self.partition_of(addr);
+        let mut at = L2Line::NONE;
+        self.access_on(&mut at, addr, is_store, now, &mut Events::new(tracer, sm))
+    }
+
+    /// [`MemSystem::access`] within a run of requests: `at` carries the
+    /// partition and L2 slot from one sector of a line to the next.
+    fn access_on(
+        &mut self,
+        at: &mut L2Line,
+        addr: u64,
+        is_store: bool,
+        now: u64,
+        events: &mut Events<'_>,
+    ) -> u64 {
+        if at.line != addr / LINE_BYTES {
+            *at = L2Line {
+                line: addr / LINE_BYTES,
+                partition: self.partition_of(addr),
+                slot: LineSlot::NONE,
+            };
+        }
+        let p = at.partition;
+        let l2 = &mut self.l2[p];
+        l2.locate(&mut at.slot, addr);
         let arrive = now + self.cfg.noc_latency;
-        let lookup = self.l2[p].lookup(addr, is_store, arrive);
-        emit(tracer, || TraceEvent {
-            cycle: arrive,
-            sm,
-            kind: EventKind::CacheAccess {
-                level: CacheLevel::L2,
-                hit: !matches!(lookup, Lookup::Miss),
-                store: is_store,
-            },
-        });
+        let lookup = l2.lookup_at(&at.slot, addr, is_store, arrive);
+        events.cache_access(arrive, CacheLevel::L2, lookup, is_store);
         let done_at_l2 = match lookup {
             Lookup::Hit { ready_at } => ready_at,
             Lookup::MshrHit { ready_at } => ready_at,
             Lookup::Miss => {
                 let fill = self.dram[p].access(arrive);
-                emit(tracer, || TraceEvent {
-                    cycle: arrive,
-                    sm,
-                    kind: EventKind::DramTxn { channel: p as u16 },
-                });
+                events.dram_txn(arrive, p);
+                // Write-allocate: line fetched then dirtied; the store
+                // itself completes on arrival at L2.
+                l2.fill_at(&mut at.slot, addr, fill, is_store);
                 if is_store {
-                    // Write-allocate: line fetched then dirtied; the store
-                    // itself completes on arrival at L2.
-                    self.l2[p].fill(addr, fill, true);
-                    arrive + self.l2[p].config().hit_latency
+                    arrive + l2.config().hit_latency
                 } else {
-                    self.l2[p].fill(addr, fill, false);
                     fill
                 }
             }
@@ -169,38 +243,60 @@ impl L1Path {
         sm: u16,
         tracer: &mut dyn Tracer,
     ) -> u64 {
-        let lookup = self.l1.lookup(txn.addr, is_store, now);
-        emit(tracer, || TraceEvent {
-            cycle: now,
-            sm,
-            kind: EventKind::CacheAccess {
-                level: CacheLevel::L1,
-                hit: !matches!(lookup, Lookup::Miss),
-                store: is_store,
-            },
-        });
-        match lookup {
-            Lookup::Hit { ready_at } => {
-                if is_store {
-                    // Write-through: also send to L2 (bandwidth effects),
-                    // but the warp does not wait for it.
-                    let _ = sys.access(txn.addr, true, now, sm, tracer);
+        self.access_sectors(&[txn.addr], is_store, now, 0, sys, sm, tracer)
+    }
+
+    /// Services the sector requests of one warp instruction — `sectors`,
+    /// ascending, the `i`-th entering the L1 at `start + i * spacing` —
+    /// exactly as one [`L1Path::access`] per sector would, and returns
+    /// the latest of their completion cycles (0 for no sectors). The set
+    /// scan, tag and partition of a 128-byte line are worked out for its
+    /// first sector and reused by the others, at either level.
+    #[allow(clippy::too_many_arguments)]
+    pub fn access_sectors(
+        &mut self,
+        sectors: &[u64],
+        is_store: bool,
+        start: u64,
+        spacing: u64,
+        sys: &mut MemSystem,
+        sm: u16,
+        tracer: &mut dyn Tracer,
+    ) -> u64 {
+        let mut events = Events::new(tracer, sm);
+        let mut l1_slot = LineSlot::NONE;
+        let mut l2_line = L2Line::NONE;
+        let mut now = start;
+        let mut done = 0;
+        for &addr in sectors {
+            self.l1.locate(&mut l1_slot, addr);
+            let lookup = self.l1.lookup_at(&l1_slot, addr, is_store, now);
+            events.cache_access(now, CacheLevel::L1, lookup, is_store);
+            let ready = match lookup {
+                Lookup::Hit { ready_at } => {
+                    if is_store {
+                        // Write-through: also send to L2 (bandwidth effects),
+                        // but the warp does not wait for it.
+                        sys.access_on(&mut l2_line, addr, true, now, &mut events);
+                    }
+                    ready_at
                 }
-                ready_at
-            }
-            Lookup::MshrHit { ready_at } => ready_at,
-            Lookup::Miss => {
-                if is_store {
+                Lookup::MshrHit { ready_at } => ready_at,
+                Lookup::Miss if is_store => {
                     // Write-through no-allocate: forward, complete quickly.
-                    let _ = sys.access(txn.addr, true, now, sm, tracer);
+                    sys.access_on(&mut l2_line, addr, true, now, &mut events);
                     now + self.l1.config().hit_latency
-                } else {
-                    let fill = sys.access(txn.addr, false, now + 1, sm, tracer);
-                    self.l1.fill(txn.addr, fill, false);
+                }
+                Lookup::Miss => {
+                    let fill = sys.access_on(&mut l2_line, addr, false, now + 1, &mut events);
+                    self.l1.fill_at(&mut l1_slot, addr, fill, false);
                     fill + 1
                 }
-            }
+            };
+            done = done.max(ready);
+            now += spacing;
         }
+        done
     }
 
     /// L1 statistics.

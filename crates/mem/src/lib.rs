@@ -41,8 +41,12 @@ mod hierarchy;
 mod shared;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Lookup};
-pub use coalesce::{coalesce, coalesce_into, Transaction, LINE_BYTES, SECTOR_BYTES};
+pub use coalesce::{
+    coalesce, coalesce_into, tile_sectors_into, Transaction, LINE_BYTES, SECTOR_BYTES,
+};
 pub use device::DeviceMemory;
 pub use dram::DramChannel;
 pub use hierarchy::{L1Path, MemSystem, MemSystemConfig};
-pub use shared::{conflict_passes, conflict_passes_in, SharedMemory, BANK_BYTES, NUM_BANKS};
+pub use shared::{
+    conflict_passes, conflict_passes_in, tile_conflict_passes, SharedMemory, BANK_BYTES, NUM_BANKS,
+};

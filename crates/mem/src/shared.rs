@@ -7,7 +7,7 @@
 //! tiles in shared memory to cut `wmma.load` latency by over 100× at
 //! large matrix sizes (Fig 16) — the latency advantage this module models.
 
-use tcsim_isa::exec::MemAccess;
+use tcsim_isa::exec::{MemAccess, TileFootprint};
 use tcsim_isa::ByteMemory;
 
 /// Number of shared-memory banks.
@@ -109,48 +109,128 @@ pub fn conflict_passes(accesses: &[MemAccess]) -> u32 {
     conflict_passes_in(accesses, &mut Vec::new())
 }
 
-/// Calls `f` with the id of every 4-byte word `accesses` touch, in
-/// order, until it returns `false`; whether it never did.
-fn all_words(accesses: &[MemAccess], mut f: impl FnMut(u64) -> bool) -> bool {
-    for a in accesses {
-        let last = (a.addr + a.bytes as u64 - 1) / BANK_BYTES;
-        let mut w = a.addr / BANK_BYTES;
-        while w <= last {
-            if !f(w) {
-                return false;
-            }
-            w += 1;
-        }
-    }
-    true
+/// [`conflict_passes`] with caller-owned scratch for the far-apart case,
+/// so a caller that keeps `words` (the SM does) never allocates.
+pub fn conflict_passes_in(accesses: &[MemAccess], words: &mut Vec<u64>) -> u32 {
+    let spans = accesses
+        .iter()
+        .filter(|a| a.bytes > 0)
+        .map(|a| (a.addr, a.addr + a.bytes as u64 - 1));
+    passes_over(spans, words)
 }
 
-/// [`conflict_passes`] with caller-owned scratch for the conflicting
-/// case, so a caller that keeps `words` (the SM does) never allocates.
-pub fn conflict_passes_in(accesses: &[MemAccess], words: &mut Vec<u64>) -> u32 {
-    // The common case in one pass: while every bank is asked for a single
-    // word (any number of lanes may share it — a broadcast), the
-    // instruction is conflict-free. Word ids are below 2^62, so u64::MAX
-    // marks a bank nobody has touched yet.
-    let mut wanted = [u64::MAX; NUM_BANKS];
-    let conflict_free = all_words(accesses, |w| {
-        let slot = &mut wanted[w as usize % NUM_BANKS];
-        if *slot == u64::MAX {
-            *slot = w;
-        }
-        *slot == w
-    });
-    if conflict_free {
+/// [`conflict_passes_in`] of the `wmma.load`/`wmma.store` that reported
+/// `tile`: the lanes' accesses touch exactly the tile's lines, so the
+/// words wanted are the words of the lines.
+pub fn tile_conflict_passes(tile: &TileFootprint, words: &mut Vec<u64>) -> u32 {
+    let lines = if tile.line_bytes == 0 { 0 } else { tile.lines };
+    let spans = (0..lines as u64)
+        .map(|l| tile.base + l * tile.pitch_bytes)
+        .map(|start| (start, start + tile.line_bytes as u64 - 1));
+    passes_over(spans, words)
+}
+
+/// Bytes in a row of bank words.
+const ROW_BYTES: u64 = NUM_BANKS as u64 * BANK_BYTES;
+
+/// Rows the closed form below counts over: it serves whatever touches no
+/// more than this many consecutive rows (8 KiB).
+const ROW_WINDOW: usize = 64;
+
+/// Banks `0..=i` and banks `i..32` as bit sets, by `i` (a table, because
+/// a shift by a variable costs more than the rest of a span's work).
+const UP_TO: [u32; NUM_BANKS] = {
+    let mut sets = [0; NUM_BANKS];
+    let mut i = 0;
+    while i < NUM_BANKS {
+        sets[i] = u32::MAX >> (NUM_BANKS - 1 - i);
+        i += 1;
+    }
+    sets
+};
+const FROM: [u32; NUM_BANKS] = {
+    let mut sets = [0; NUM_BANKS];
+    let mut i = 0;
+    while i < NUM_BANKS {
+        sets[i] = u32::MAX << i;
+        i += 1;
+    }
+    sets
+};
+
+/// The most distinct words any one bank is asked for by an instruction
+/// touching the bytes of `spans` (`(first, last)` byte address, in any
+/// order, overlapping or not), at least 1.
+fn passes_over(spans: impl Iterator<Item = (u64, u64)> + Clone, words: &mut Vec<u64>) -> u32 {
+    // Byte `b` is in row `b / 128`, in bank `b / 4 % 32` of that row.
+    let (mut lowest, mut highest) = (u64::MAX, 0);
+    for (first, last) in spans.clone() {
+        lowest = lowest.min(first / ROW_BYTES);
+        highest = highest.max(last / ROW_BYTES);
+    }
+    if lowest >= highest {
+        // One row, where a bank has one word to give; or nothing touched.
         return 1;
     }
+    if highest - lowest >= ROW_WINDOW as u64 {
+        return sorted_passes(spans, words);
+    }
 
-    // Some bank serializes: sort the touched words and count the distinct
-    // ones per bank.
+    // A span is a run of consecutive banks in each row it crosses:
+    // `wanted[r]` gathers the banks wanted in row `lowest + r` — a word
+    // wanted twice is one bit set twice — so the work is per span and
+    // row, not per word.
+    let mut wanted = [0u32; ROW_WINDOW];
+    let mut want = |row: u64, from: u64, to: u64| {
+        wanted[row as usize] |= UP_TO[to as usize] & FROM[from as usize];
+    };
+    let banks = NUM_BANKS as u64;
+    for (first, last) in spans {
+        let (first_row, last_row) = (first / ROW_BYTES - lowest, last / ROW_BYTES - lowest);
+        let (first_bank, last_bank) = (first / BANK_BYTES % banks, last / BANK_BYTES % banks);
+        if first_row == last_row {
+            want(first_row, first_bank, last_bank);
+        } else {
+            want(first_row, first_bank, banks - 1);
+            for row in first_row + 1..last_row {
+                want(row, 0, banks - 1);
+            }
+            want(last_row, 0, last_bank);
+        }
+    }
+
+    // Count, for all 32 banks at once, the rows that want each: counter
+    // bit `i` of every bank in `count[i]`, a row added by ripple carry.
+    let mut count = [0u32; 1 + ROW_WINDOW.ilog2() as usize];
+    for &row in &wanted[..=(highest - lowest) as usize] {
+        let mut carry = row;
+        for bit in &mut count {
+            if carry == 0 {
+                break;
+            }
+            (*bit, carry) = (*bit ^ carry, *bit & carry);
+        }
+    }
+    // The largest counter: from the top bit down, keep to the banks that
+    // have the bit set whenever some bank still in the running has.
+    let (mut passes, mut running) = (0, u32::MAX);
+    for (i, bit) in count.iter().enumerate().rev() {
+        if running & bit != 0 {
+            running &= bit;
+            passes |= 1 << i;
+        }
+    }
+    passes
+}
+
+/// [`passes_over`] for words too far apart for its window: sort the
+/// touched words and count the distinct ones per bank.
+#[cold]
+fn sorted_passes(spans: impl Iterator<Item = (u64, u64)>, words: &mut Vec<u64>) -> u32 {
     words.clear();
-    all_words(accesses, |w| {
-        words.push(w);
-        true
-    });
+    for (first, last) in spans {
+        words.extend(first / BANK_BYTES..=last / BANK_BYTES);
+    }
     words.sort_unstable();
     let mut counts = [0u32; NUM_BANKS];
     let mut prev = u64::MAX;
@@ -288,5 +368,45 @@ mod tests {
     #[test]
     fn empty_access_is_one_pass() {
         assert_eq!(conflict_passes(&[]), 1);
+        // A zero-byte access touches no word (and has no last byte to
+        // take the address of).
+        assert_eq!(conflict_passes(&[acc(0, 0, 0)]), 1);
+        assert_eq!(conflict_passes(&[acc(0, 0, 0), acc(1, 128, 0)]), 1);
+    }
+
+    #[test]
+    fn words_more_than_64_rows_apart_are_still_counted_exactly() {
+        // Rows 0 and 64 share a slot of the window; row 65 of bank 1
+        // does not collide with anything.
+        let far = [acc(0, 0, 4), acc(1, 64 * 128, 4), acc(2, 65 * 128 + 4, 4)];
+        assert_eq!(conflict_passes(&far), 2);
+        // Just inside the window: exact without the fallback.
+        assert_eq!(conflict_passes(&[acc(0, 0, 4), acc(1, 63 * 128, 4)]), 2);
+    }
+
+    #[test]
+    fn tile_conflicts_are_those_of_its_lines() {
+        let passes = |base, pitch_bytes, line_bytes, lines| {
+            let tile = TileFootprint {
+                base,
+                pitch_bytes,
+                line_bytes,
+                lines,
+            };
+            tile_conflict_passes(&tile, &mut Vec::new())
+        };
+        // 16 packed 32-byte lines = 128 consecutive words: 4 per bank.
+        assert_eq!(passes(0, 32, 32, 16), 4);
+        // A 128-byte pitch puts every line in banks 0..8: 16 deep.
+        assert_eq!(passes(0, 128, 32, 16), 16);
+        // Padding the pitch to 144 bytes rotates each line by four
+        // banks: eight words over 32 banks, 4 deep again.
+        assert_eq!(passes(0, 144, 32, 16), 4);
+        // Misaligned lines touch nine words each; neighbours share one.
+        assert_eq!(passes(2, 32, 32, 4), 2);
+        assert_eq!(passes(0, 32, 32, 0), 1);
+        assert_eq!(passes(0, 32, 0, 16), 1);
+        // 16 lines at a 1 KiB pitch span 120 rows: the sorted fallback.
+        assert_eq!(passes(0, 1024, 32, 16), 16);
     }
 }

@@ -322,6 +322,10 @@ impl Gpu {
         let mut next_cta: u64 = 0;
         let mut cycle: u64 = 0;
         let mut wake: Vec<u64> = vec![0; self.sms.len()];
+        // Indices of the SMs with resident CTAs, ascending: the stepping
+        // order of the reference loop without its visit to every idle SM
+        // on every visited cycle.
+        let mut resident: Vec<usize> = Vec::with_capacity(self.sms.len());
 
         loop {
             if next_cta < total_ctas {
@@ -335,17 +339,19 @@ impl Gpu {
                         next_cta += 1;
                         // New warps are issuable immediately.
                         wake[i] = cycle;
+                        if let Err(at) = resident.binary_search(&i) {
+                            resident.insert(at, i);
+                        }
                     }
                 }
             }
 
-            let mut all_idle = true;
             let mut next = u64::MAX;
-            for (i, sm) in self.sms.iter_mut().enumerate() {
+            resident.retain(|&i| {
+                let sm = &mut self.sms[i];
                 if sm.idle() {
-                    continue;
+                    return false;
                 }
-                all_idle = false;
                 if wake[i] <= cycle {
                     wake[i] = match sm.step_event(
                         cycle,
@@ -359,9 +365,10 @@ impl Gpu {
                     };
                 }
                 next = next.min(wake[i]);
-            }
+                true
+            });
 
-            if all_idle && next_cta >= total_ctas {
+            if resident.is_empty() && next_cta >= total_ctas {
                 break;
             }
 

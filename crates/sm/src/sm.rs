@@ -21,7 +21,8 @@ use tcsim_isa::{
     Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, Operand, UnitClass, WmmaDirective, WARP_SIZE,
 };
 use tcsim_mem::{
-    coalesce_into, conflict_passes_in, DeviceMemory, L1Path, MemSystem, SharedMemory, Transaction,
+    coalesce_into, conflict_passes_in, tile_conflict_passes, tile_sectors_into, DeviceMemory,
+    L1Path, MemSystem, SharedMemory, Transaction,
 };
 use tcsim_trace::{emit, EventKind, StallReason, TraceEvent, TraceUnit, Tracer};
 
@@ -105,10 +106,13 @@ struct SubCore {
 /// thousands of small buffers on a full GPU.
 #[derive(Default)]
 struct Scratch {
-    /// Lane accesses of the instruction being issued.
+    /// Lane accesses of the instruction being issued (none when it
+    /// reported a tile footprint instead).
     accesses: Vec<MemAccess>,
-    /// Its coalesced global transactions.
+    /// Its coalesced global transactions, when it has lane accesses.
     txns: Vec<Transaction>,
+    /// The global sectors it requests, ascending.
+    sectors: Vec<u64>,
     /// Shared-memory words, when the bank-conflict count has to sort.
     words: Vec<u64>,
 }
@@ -1128,9 +1132,10 @@ impl Sm {
         IssueResult::Issued
     }
 
-    /// Timing of a memory-unit instruction whose lane accesses
-    /// [`step_into`] left in the scratch buffer: the cycle its result (or
-    /// its issue slot, for plain stores) is ready.
+    /// Timing of a memory-unit instruction whose tile footprint
+    /// [`step_into`] reported in `mem`, or whose lane accesses it left in
+    /// the scratch buffer: the cycle its result (or its issue slot, for
+    /// plain stores) is ready.
     fn account_memory(
         &mut self,
         class: MemClass,
@@ -1151,24 +1156,47 @@ impl Sm {
         };
         let ready = match mem.space {
             MemSpace::Shared => {
-                let passes =
-                    conflict_passes_in(&self.scratch.accesses, &mut self.scratch.words) as u64;
+                let Scratch {
+                    accesses, words, ..
+                } = &mut self.scratch;
+                let passes = match &mem.tile {
+                    Some(tile) => tile_conflict_passes(tile, words),
+                    None => conflict_passes_in(accesses, words),
+                } as u64;
                 self.stats.shared_conflict_passes += passes - 1;
                 self.mio_free = now + passes * self.cfg.mio_cycles_per_txn;
                 now + collect + self.cfg.shared_latency + 2 * (passes - 1)
             }
             MemSpace::Param => now + collect + self.cfg.alu_latency,
             MemSpace::Global | MemSpace::Local => {
-                coalesce_into(&self.scratch.accesses, &mut self.scratch.txns);
-                let txns = &self.scratch.txns;
-                self.stats.global_txns += txns.len() as u64;
-                self.mio_free = now + txns.len() as u64 * self.cfg.mio_cycles_per_txn;
-                let mut done = now + collect + self.cfg.shared_latency;
-                for (i, t) in txns.iter().enumerate() {
-                    let start = now + collect + i as u64 * self.cfg.mio_cycles_per_txn;
-                    let r = self.l1.access(t, mem.is_store, start, sys, self.id, tracer);
-                    done = done.max(r);
+                // One sector enters the L1 per MIO slot, from `start` on.
+                let (start, spacing) = (now + collect, self.cfg.mio_cycles_per_txn);
+                let Scratch {
+                    accesses,
+                    txns,
+                    sectors,
+                    ..
+                } = &mut self.scratch;
+                match &mem.tile {
+                    Some(tile) => tile_sectors_into(tile, sectors),
+                    None => {
+                        coalesce_into(accesses, txns);
+                        sectors.clear();
+                        sectors.extend(txns.iter().map(|t| t.addr));
+                    }
                 }
+                self.stats.global_txns += sectors.len() as u64;
+                self.mio_free = now + sectors.len() as u64 * spacing;
+                let last = self.l1.access_sectors(
+                    sectors,
+                    mem.is_store,
+                    start,
+                    spacing,
+                    sys,
+                    self.id,
+                    tracer,
+                );
+                let done = last.max(now + collect + self.cfg.shared_latency);
                 if mem.is_store {
                     if class.has_dst {
                         // Atomics return the old value: the destination is

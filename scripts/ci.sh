@@ -22,8 +22,17 @@ echo "== tier-1: tensor-core functional path under the release profile =="
 # plan_vs_reference holds wmma.load/mma/store to the element-at-a-time
 # reference over every mode; its full 64 seeds per mode need optimised
 # code (the debug run above covers 4), and its NaN-free half exercises
-# FEDP loops that are vectorised only here.
+# FEDP loops that are vectorised only here. footprint_vs_lanes holds the
+# sector list and bank-conflict count derived from a tile footprint to
+# those of the lane accesses; every base residue modulo 128 needs
+# optimised code too (the debug run covers 32).
 cargo test -q --release --offline -p tcsim-core
+
+echo "== tier-1: memory timing under the release profile =="
+# The reciprocal set/partition index, the one-pass conflict counter's
+# wrapping shifts and the sector walk are arithmetic that debug and
+# release builds compile differently (overflow checks, debug_assert).
+cargo test -q --release --offline -p tcsim-mem
 
 echo "== perf: benchmark contract (five workloads, --smoke) =="
 # Every workload of BENCHMARK.json must run, verify its outputs and

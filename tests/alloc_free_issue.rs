@@ -9,14 +9,18 @@
 //! them is paid per issued instruction — so a `Vec` per memory
 //! instruction, a clone per barrier release, a map insert per miss or a
 //! tile per `wmma.mma` cannot creep back unnoticed. An FFMA SGEMM covers
-//! the SIMT issue path, a shared-memory WMMA GEMM the tensor-core one.
+//! the SIMT issue path, a shared-memory WMMA GEMM the tensor-core one
+//! with its operand tiles bank-checked, a global-operand WMMA GEMM the
+//! same with every tile's sectors walked through L1, L2 and DRAM.
 //!
 //! The counting allocator is test-only; every library crate keeps
 //! `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tcsim::cutlass::{f16_matrix_bytes, f32_matrix_bytes, sgemm, wmma_shared_gemm};
+use tcsim::cutlass::{
+    f16_matrix_bytes, f32_matrix_bytes, sgemm, wmma_shared_gemm, wmma_simple_gemm,
+};
 use tcsim::isa::UnitClass;
 use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
 use tcsim::sm::unit_index;
@@ -72,9 +76,14 @@ const N: usize = 64;
 enum Gemm {
     /// FFMA SGEMM: the SIMT issue path.
     Simt,
-    /// Shared-memory WMMA GEMM: `wmma.load`/`mma`/`store` from shared
-    /// and global memory.
-    Wmma,
+    /// Shared-memory WMMA GEMM: operand `wmma.load`s from shared memory
+    /// (tile footprints through the bank-conflict count), accumulator
+    /// load and store in global memory.
+    WmmaShared,
+    /// One warp per output tile, every `wmma.load`/`wmma.store` on
+    /// global memory: tile footprints through the sector list and the
+    /// cache walk.
+    WmmaGlobal,
 }
 
 /// Uploads the operands of an `M×N×k` GEMM to a fresh GPU, then counts
@@ -89,12 +98,19 @@ fn launch_allocations(gemm: Gemm, k: usize) -> (u64, LaunchStats) {
                 .grid(((N / 16) as u32, (M / 16) as u32))
                 .block((16u32, 16u32)),
         ),
-        Gemm::Wmma => (
+        Gemm::WmmaShared => (
             f16_matrix_bytes(0xA, M, k),
             f16_matrix_bytes(0xB, k, N),
             LaunchBuilder::new(wmma_shared_gemm(false))
                 .grid(((N / 32) as u32, (M / 32) as u32))
                 .block(128u32),
+        ),
+        Gemm::WmmaGlobal => (
+            f16_matrix_bytes(0xA, M, k),
+            f16_matrix_bytes(0xB, k, N),
+            LaunchBuilder::new(wmma_simple_gemm(false))
+                .grid(((N / 16) as u32, (M / 16) as u32))
+                .block(32u32),
         ),
     };
     let c = f32_matrix_bytes(0xC, M, N);
@@ -160,8 +176,17 @@ fn executing_wmma_instructions_allocates_nothing() {
     // Four times the `wmma.mma`s and the operand `wmma.load`s: a tile, a
     // fragment map or an access list on the heap per instruction would
     // show.
-    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::Wmma);
     let tensor = |s: &LaunchStats| s.sm.issued_by_unit[unit_index(UnitClass::Tensor)];
+    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::WmmaShared);
     assert_eq!(tensor(&deep), 4 * tensor(&shallow));
     assert!(deep.sm.barriers > 2 * shallow.sm.barriers);
+    assert!(deep.sm.shared_conflict_passes > 2 * shallow.sm.shared_conflict_passes);
+
+    // And with the operand tiles in global memory: a sector list per
+    // tile, a cache walk per sector.
+    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::WmmaGlobal);
+    assert_eq!(tensor(&deep), 4 * tensor(&shallow));
+    // (The accumulator load and the store do not grow with `k`.)
+    assert!(deep.sm.global_txns >= 2 * shallow.sm.global_txns);
+    assert!(deep.dram_sectors > shallow.dram_sectors);
 }
