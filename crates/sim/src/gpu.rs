@@ -347,11 +347,15 @@ impl Gpu {
             }
 
             let mut next = u64::MAX;
-            resident.retain(|&i| {
+            let mut live = 0;
+            for k in 0..resident.len() {
+                let i = resident[k];
                 let sm = &mut self.sms[i];
                 if sm.idle() {
-                    return false;
+                    continue;
                 }
+                resident[live] = i;
+                live += 1;
                 if wake[i] <= cycle {
                     wake[i] = match sm.step_event(
                         cycle,
@@ -365,8 +369,8 @@ impl Gpu {
                     };
                 }
                 next = next.min(wake[i]);
-                true
-            });
+            }
+            resident.truncate(live);
 
             if resident.is_empty() && next_cta >= total_ctas {
                 break;
