@@ -1,0 +1,108 @@
+//! The host reference GEMM against the element-at-a-time loops it
+//! replaced, bit for bit.
+//!
+//! `legacy_*` below are those loops, kept verbatim as the reference: one
+//! output element at a time, `kk` ascending, operands regenerated and
+//! re-quantised per multiply. Every comparison is on `to_bits`, with any
+//! NaN equal to any NaN (which payload survives an add of two NaNs depends
+//! on operand order the compiler is free to choose).
+
+use tcsim_cutlass::{operand_value, operand_value_i8, reference_gemm, GemmPrecision, GemmProblem};
+use tcsim_f16::F16;
+
+const PRECISIONS: [GemmPrecision; 4] = [
+    GemmPrecision::MixedF32,
+    GemmPrecision::Fp16,
+    GemmPrecision::Fp32,
+    GemmPrecision::Int8,
+];
+
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A dimension in `1..=48`: ragged against the 16-wide tiles and
+    /// against every vector width.
+    fn dim(&mut self) -> usize {
+        1 + (self.next() % 48) as usize
+    }
+}
+
+fn legacy_reference_gemm(problem: &GemmProblem, seed_a: u32, seed_b: u32, seed_c: u32) -> Vec<f32> {
+    let (m, n, k) = (problem.m, problem.n, problem.k);
+    if problem.precision == GemmPrecision::Int8 {
+        let mut d = vec![0f32; m * n];
+        for r in 0..m {
+            for c in 0..n {
+                let mut acc = operand_value_i8(seed_c, r * n + c) as i64;
+                for kk in 0..k {
+                    let a = operand_value_i8(seed_a, r * k + kk) as i64;
+                    let b = operand_value_i8(seed_b, kk * n + c) as i64;
+                    acc += a * b;
+                }
+                d[r * n + c] = acc as f32;
+            }
+        }
+        return d;
+    }
+    let quant = |v: f32| -> f32 {
+        match problem.precision {
+            GemmPrecision::Fp32 => v,
+            _ => F16::from_f32(v).to_f32(),
+        }
+    };
+    let quant_c = |v: f32| -> f32 {
+        match problem.precision {
+            GemmPrecision::Fp16 => F16::from_f32(v).to_f32(),
+            _ => v,
+        }
+    };
+    let mut d = vec![0f32; m * n];
+    for r in 0..m {
+        for c in 0..n {
+            let mut acc = quant_c(operand_value(seed_c, r * n + c));
+            for kk in 0..k {
+                let a = quant(operand_value(seed_a, r * k + kk));
+                let b = quant(operand_value(seed_b, kk * n + c));
+                acc += a * b;
+            }
+            d[r * n + c] = acc;
+        }
+    }
+    d
+}
+
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}: element {i} is {g:e} ({:#010x}), the element-at-a-time loop gives {w:e} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+#[test]
+fn reference_gemm_matches_the_element_at_a_time_loop() {
+    let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+    for case in 0..40 {
+        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
+        let seeds = [rng.next() as u32, rng.next() as u32, rng.next() as u32];
+        for precision in PRECISIONS {
+            let p = GemmProblem { m, n, k, precision };
+            assert_same_bits(
+                &reference_gemm(&p, seeds[0], seeds[1], seeds[2]),
+                &legacy_reference_gemm(&p, seeds[0], seeds[1], seeds[2]),
+                &format!("case {case}: {m}x{n}x{k} {precision:?}"),
+            );
+        }
+    }
+}

@@ -483,3 +483,78 @@ pub(crate) fn exec_mlp(
     }
     (reports, Tensor::new(vec![rows, d], y))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcsim_sim::GpuConfig;
+
+    /// The element-at-a-time uploader `upload_f16` replaced, kept verbatim
+    /// as the staging reference: one `write_u16` per element, padding
+    /// never touched.
+    fn legacy_upload_f16(
+        gpu: &mut Gpu,
+        prow: usize,
+        pcol: usize,
+        rows: usize,
+        cols: usize,
+        get: impl Fn(usize, usize) -> f32,
+    ) -> u64 {
+        let p = gpu.alloc((prow * pcol * 2) as u64);
+        for r in 0..rows {
+            for c in 0..cols {
+                gpu.write_u16(
+                    p + ((r * pcol + c) * 2) as u64,
+                    F16::from_f32(get(r, c)).to_bits(),
+                );
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn uploaded_operand_equals_the_per_element_image_and_pages() {
+        // Ragged against the padding, dense, a single element, a
+        // transposed source, and two buffers crossing a 64 KiB page (one
+        // with a row straddling the boundary, one whose padding rows alone
+        // reach the next page).
+        let src: Vec<f32> = (0..200 * 400)
+            .map(|i| ((i * 37 % 1013) as f32 - 500.0) / 97.0)
+            .collect();
+        for (rows, cols, transposed) in [
+            (5, 37, false),
+            (16, 48, false),
+            (1, 1, false),
+            (33, 17, true),
+            (130, 300, false),
+            (60, 500, true),
+        ] {
+            let what = format!("{rows}x{cols} transposed={transposed}");
+            let get = |r: usize, c: usize| {
+                if transposed {
+                    src[c * rows + r]
+                } else {
+                    src[r * cols + c]
+                }
+            };
+            let (prow, pcol) = (pad16(rows), pad16(cols));
+            let (mut old, mut new) = (Gpu::new(GpuConfig::mini()), Gpu::new(GpuConfig::mini()));
+            // Off the page boundary a fresh allocator starts on.
+            assert_eq!(old.alloc(1000), new.alloc(1000));
+            let p_old = legacy_upload_f16(&mut old, prow, pcol, rows, cols, get);
+            let p_new = upload_f16(&mut new, prow, pcol, rows, cols, get);
+            assert_eq!(p_old, p_new, "{what}: address");
+            assert_eq!(old.alloc(1), new.alloc(1), "{what}: next allocation");
+            let len = prow * pcol * 2;
+            assert!(
+                old.memcpy_d2h(p_old, len) == new.memcpy_d2h(p_new, len),
+                "{what}: padded image"
+            );
+            assert_eq!(
+                old.device_mut().resident_pages(),
+                new.device_mut().resident_pages(),
+                "{what}: materialised pages"
+            );
+        }
+    }
+}

@@ -583,7 +583,187 @@ pub fn run_parallel(
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use crate::lower::{pad16, Tile};
     use crate::models;
+    use tcsim_cutlass::Epilogue;
+    use tcsim_f16::F16;
+
+    /// The element-at-a-time A packer `pack_a` replaced, kept verbatim as
+    /// the staging reference: one `write_u16` per element, padding never
+    /// touched.
+    fn legacy_pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
+        let pa = gpu.alloc((g.pm * g.pk * 2) as u64);
+        match &g.source {
+            GemmSource::Conv {
+                in_c,
+                kh,
+                kw,
+                h,
+                w,
+                oh,
+                ow,
+            } => {
+                for oy in 0..*oh {
+                    for ox in 0..*ow {
+                        let row = oy * ow + ox;
+                        for c in 0..*in_c {
+                            for dy in 0..*kh {
+                                for dx in 0..*kw {
+                                    let col = (c * kh + dy) * kw + dx;
+                                    let v = act.data()[(c * h + oy + dy) * w + ox + dx];
+                                    gpu.write_u16(
+                                        pa + ((row * g.pk + col) * 2) as u64,
+                                        F16::from_f32(v).to_bits(),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            GemmSource::Linear => {
+                for r in 0..g.m {
+                    for c in 0..g.k {
+                        gpu.write_u16(
+                            pa + ((r * g.pk + c) * 2) as u64,
+                            F16::from_f32(act.data()[r * g.k + c]).to_bits(),
+                        );
+                    }
+                }
+            }
+        }
+        pa
+    }
+
+    /// The element-at-a-time B packer `pack_b` replaced.
+    fn legacy_pack_b(gpu: &mut Gpu, g: &GemmOp) -> u64 {
+        let pb = gpu.alloc((g.pk * g.pn * 2) as u64);
+        for r in 0..g.k {
+            for c in 0..g.n {
+                gpu.write_u16(
+                    pb + ((r * g.pn + c) * 2) as u64,
+                    F16::from_f32(g.weight.data()[r * g.n + c]).to_bits(),
+                );
+            }
+        }
+        pb
+    }
+
+    /// Values that are not f16-exact, so the packed bits show the rounding.
+    fn ramp(shape: Vec<usize>) -> Tensor {
+        Tensor::from_fn(shape, |i| ((i * 37 % 1013) as f32 - 500.0) / 97.0)
+    }
+
+    fn gemm_op(source: GemmSource, m: usize, n: usize, k: usize) -> GemmOp {
+        let (pm, pn, pk) = (pad16(m), pad16(n), pad16(k));
+        GemmOp {
+            source,
+            m,
+            n,
+            k,
+            pm,
+            pn,
+            pk,
+            tile: Tile::select(pm, pn),
+            epilogue: Epilogue::None,
+            weight: ramp(vec![k, n]),
+            bias: None,
+        }
+    }
+
+    /// A ragged conv, a ragged linear, a linear whose A and B each cross
+    /// a 64 KiB device page with a row straddling the boundary, and one
+    /// whose written A rows end in one page while its padding rows reach
+    /// into the next.
+    fn staging_cases() -> Vec<(GemmOp, Tensor)> {
+        let conv = GemmSource::Conv {
+            in_c: 3,
+            kh: 2,
+            kw: 3,
+            h: 7,
+            w: 9,
+            oh: 6,
+            ow: 7,
+        };
+        vec![
+            (gemm_op(conv, 42, 5, 18), ramp(vec![3, 7, 9])),
+            (gemm_op(GemmSource::Linear, 5, 21, 37), ramp(vec![5, 37])),
+            (
+                gemm_op(GemmSource::Linear, 130, 150, 300),
+                ramp(vec![130, 300]),
+            ),
+            (gemm_op(GemmSource::Linear, 60, 3, 500), ramp(vec![60, 500])),
+        ]
+    }
+
+    #[test]
+    fn packed_operands_equal_the_per_element_image_and_pages() {
+        for (g, act) in staging_cases() {
+            let what = format!("{}x{}x{} {:?}", g.m, g.n, g.k, g.source);
+            let (mut old, mut new) = (Gpu::new(GpuConfig::mini()), Gpu::new(GpuConfig::mini()));
+            // Off the page boundary a fresh allocator starts on.
+            assert_eq!(old.alloc(1000), new.alloc(1000));
+            let (a_old, a_new) = (
+                legacy_pack_a(&mut old, &g, &act),
+                pack_a(&mut new, &g, &act),
+            );
+            let (b_old, b_new) = (legacy_pack_b(&mut old, &g), pack_b(&mut new, &g));
+            assert_eq!((a_old, b_old), (a_new, b_new), "{what}: addresses");
+            let (a_len, b_len) = (g.pm * g.pk * 2, g.pk * g.pn * 2);
+            assert!(
+                old.memcpy_d2h(a_old, a_len) == new.memcpy_d2h(a_new, a_len),
+                "{what}: padded A image"
+            );
+            assert!(
+                old.memcpy_d2h(b_old, b_len) == new.memcpy_d2h(b_new, b_len),
+                "{what}: padded B image"
+            );
+            assert_eq!(
+                old.device_mut().resident_pages(),
+                new.device_mut().resident_pages(),
+                "{what}: materialised pages"
+            );
+        }
+    }
+
+    #[test]
+    fn padding_rows_beyond_the_last_written_page_stay_unmaterialised() {
+        // 60 written rows of 1 KiB end 3 KiB short of the page the buffer
+        // starts in (it begins 1 KiB into it); rows 60..64 are padding.
+        let (g, act) = staging_cases().pop().expect("four cases");
+        let mut gpu = Gpu::new(GpuConfig::mini());
+        gpu.alloc(1000);
+        pack_a(&mut gpu, &g, &act);
+        assert_eq!(gpu.device_mut().resident_pages(), 1);
+    }
+
+    #[test]
+    fn gemm_readback_crops_and_transposes_like_the_per_element_loop() {
+        for (g, _) in staging_cases() {
+            let mut gpu = Gpu::new(GpuConfig::mini());
+            gpu.alloc(1000);
+            let pd = gpu.alloc((g.pm * g.pn * 4) as u64);
+            for i in 0..g.pm * g.pn {
+                gpu.write_u32(pd + (i * 4) as u64, (i as f32 * 0.37 - 11.0).to_bits());
+            }
+            let at = |row: usize, col: usize| {
+                f32::from_bits(gpu.read_u32(pd + ((row * g.pn + col) * 4) as u64))
+            };
+            let (shape, want) = match &g.source {
+                GemmSource::Conv { oh, ow, .. } => {
+                    let shape = vec![g.n, *oh, *ow];
+                    let want = Tensor::from_fn(shape.clone(), |i| at(i % (oh * ow), i / (oh * ow)));
+                    (shape, want)
+                }
+                GemmSource::Linear => {
+                    let shape = vec![g.m, g.n];
+                    let want = Tensor::from_fn(shape.clone(), |i| at(i / g.n, i % g.n));
+                    (shape, want)
+                }
+            };
+            assert_eq!(read_gemm(&gpu, &g, pd, &shape), want, "{:?}", g.source);
+        }
+    }
 
     fn tiny_net() -> (Graph, Tensor) {
         let g = models::tiny(7);

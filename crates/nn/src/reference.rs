@@ -48,7 +48,7 @@ pub fn softmax_row(row: &mut [f32], scale: f32) {
 
 /// Sequential f32 GEMM with f16-quantized operands (the device's numeric
 /// boundary): `out[m×n] = a[m×k] × b[k×n] (+ bias)`.
-pub(crate) fn ref_gemm(
+pub fn ref_gemm(
     m: usize,
     n: usize,
     k: usize,
