@@ -24,6 +24,6 @@ pub use kernels::{
     wmma_simple_gemm, wmma_simple_gemm_ep, CutlassConfig, Epilogue,
 };
 pub use problem::{
-    f16_matrix_bytes, f32_matrix_bytes, i32_matrix_bytes, i8_matrix_bytes, operand_value,
-    operand_value_i8, reference_gemm, verify, GemmPrecision, GemmProblem,
+    f16_matrix_bytes, f32_matrix_bytes, host_gemm, i32_matrix_bytes, i8_matrix_bytes,
+    operand_value, operand_value_i8, reference_gemm, verify, GemmPrecision, GemmProblem,
 };

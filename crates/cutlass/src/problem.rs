@@ -118,27 +118,67 @@ pub fn i32_matrix_bytes(seed: u32, rows: usize, cols: usize) -> Vec<u8> {
     out
 }
 
+/// The host GEMM every reference in the workspace accumulates with:
+/// `d[r][c] += a[r][kk] · b[kk][c]` over row-major `a: m×k`, `b: k×n`,
+/// `d: m×n`, with `d` holding the initial value (C, or zero) on entry.
+///
+/// Rows of `b` are streamed against one row of `d`, so the inner loop is
+/// unit-stride and vectorises across columns, while each output element
+/// still sees `kk = 0..k` in ascending order through a separate multiply
+/// and add — bit for bit the sum an element-at-a-time loop produces.
+/// Operands are taken as given: quantise them once, before the call.
+///
+/// # Panics
+///
+/// Panics if a slice's length does not match its dimensions.
+pub fn host_gemm<T>(m: usize, n: usize, k: usize, a: &[T], b: &[T], d: &mut [T])
+where
+    T: Copy + std::ops::Mul<Output = T> + std::ops::AddAssign,
+{
+    assert_eq!(a.len(), m * k, "A is not {m}x{k}");
+    assert_eq!(b.len(), k * n, "B is not {k}x{n}");
+    assert_eq!(d.len(), m * n, "D is not {m}x{n}");
+    if m * n * k == 0 {
+        return;
+    }
+    for (a_row, d_row) in a.chunks_exact(k).zip(d.chunks_exact_mut(n)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (dv, &bv) in d_row.iter_mut().zip(b_row) {
+                *dv += av * bv;
+            }
+        }
+    }
+}
+
 /// CPU reference GEMM over the generated operands: f16/f32/i8 inputs with
 /// f32 or exact i32 accumulation, returning `D = A×B + C` row-major (as
 /// f32 values; integer results are exactly representable for the operand
-/// ranges used).
+/// ranges used). Each operand matrix is generated and quantised once;
+/// [`host_gemm`] does the accumulation.
 pub fn reference_gemm(problem: &GemmProblem, seed_a: u32, seed_b: u32, seed_c: u32) -> Vec<f32> {
     let (m, n, k) = (problem.m, problem.n, problem.k);
     if problem.precision == GemmPrecision::Int8 {
-        let mut d = vec![0f32; m * n];
-        for r in 0..m {
-            for c in 0..n {
-                let mut acc = operand_value_i8(seed_c, r * n + c) as i64;
-                for kk in 0..k {
-                    let a = operand_value_i8(seed_a, r * k + kk) as i64;
-                    let b = operand_value_i8(seed_b, kk * n + c) as i64;
-                    acc += a * b;
-                }
+        let matrix = |seed: u32, len: usize| -> Vec<i64> {
+            (0..len)
+                .map(|i| i64::from(operand_value_i8(seed, i)))
+                .collect()
+        };
+        let mut d = matrix(seed_c, m * n);
+        host_gemm(
+            m,
+            n,
+            k,
+            &matrix(seed_a, m * k),
+            &matrix(seed_b, k * n),
+            &mut d,
+        );
+        return d
+            .into_iter()
+            .map(|acc| {
                 debug_assert!(acc.unsigned_abs() < 1 << 24, "exact in f32");
-                d[r * n + c] = acc as f32;
-            }
-        }
-        return d;
+                acc as f32
+            })
+            .collect();
     }
     let quant = |v: f32| -> f32 {
         match problem.precision {
@@ -146,18 +186,20 @@ pub fn reference_gemm(problem: &GemmProblem, seed_a: u32, seed_b: u32, seed_c: u
             _ => F16::from_f32(v).to_f32(),
         }
     };
-    let mut d = vec![0f32; m * n];
-    for r in 0..m {
-        for c in 0..n {
-            let mut acc = quant_c(problem, operand_value(seed_c, r * n + c));
-            for kk in 0..k {
-                let a = quant(operand_value(seed_a, r * k + kk));
-                let b = quant(operand_value(seed_b, kk * n + c));
-                acc += a * b;
-            }
-            d[r * n + c] = acc;
-        }
-    }
+    let matrix = |seed: u32, len: usize| -> Vec<f32> {
+        (0..len).map(|i| quant(operand_value(seed, i))).collect()
+    };
+    let mut d: Vec<f32> = (0..m * n)
+        .map(|i| quant_c(problem, operand_value(seed_c, i)))
+        .collect();
+    host_gemm(
+        m,
+        n,
+        k,
+        &matrix(seed_a, m * k),
+        &matrix(seed_b, k * n),
+        &mut d,
+    );
     d
 }
 

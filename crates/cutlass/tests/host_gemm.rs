@@ -7,7 +7,9 @@
 //! NaN equal to any NaN (which payload survives an add of two NaNs depends
 //! on operand order the compiler is free to choose).
 
-use tcsim_cutlass::{operand_value, operand_value_i8, reference_gemm, GemmPrecision, GemmProblem};
+use tcsim_cutlass::{
+    host_gemm, operand_value, operand_value_i8, reference_gemm, GemmPrecision, GemmProblem,
+};
 use tcsim_f16::F16;
 
 const PRECISIONS: [GemmPrecision; 4] = [
@@ -31,6 +33,38 @@ impl XorShift {
     /// against every vector width.
     fn dim(&mut self) -> usize {
         1 + (self.next() % 48) as usize
+    }
+
+    /// `raw`: any bit pattern — subnormals, infinities, NaNs and values
+    /// whose products overflow included. Otherwise a value in (-4, 4)
+    /// with a full 24-bit significand, so the order of the adds shows.
+    fn matrix(&mut self, len: usize, raw: bool) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let bits = self.next();
+                if raw {
+                    f32::from_bits(bits as u32)
+                } else {
+                    ((bits & 0xFF_FFFF) as f32 / (1 << 21) as f32) - 4.0
+                }
+            })
+            .collect()
+    }
+}
+
+/// `D = A×B + D`, one output element at a time, `kk` ascending.
+fn legacy_gemm<T>(m: usize, n: usize, k: usize, a: &[T], b: &[T], d: &mut [T])
+where
+    T: Copy + std::ops::Mul<Output = T> + std::ops::AddAssign,
+{
+    for r in 0..m {
+        for c in 0..n {
+            let mut acc = d[r * n + c];
+            for kk in 0..k {
+                acc += a[r * k + kk] * b[kk * n + c];
+            }
+            d[r * n + c] = acc;
+        }
     }
 }
 
@@ -105,4 +139,40 @@ fn reference_gemm_matches_the_element_at_a_time_loop() {
             );
         }
     }
+}
+
+#[test]
+fn host_gemm_matches_the_element_at_a_time_loop_on_raw_bits() {
+    let mut rng = XorShift(0xD1B5_4A32_D192_ED03);
+    for case in 0..120 {
+        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
+        let raw = case % 3 == 0;
+        let (a, b) = (rng.matrix(m * k, raw), rng.matrix(k * n, raw));
+        // With a C operand and from zero.
+        for c in [rng.matrix(m * n, raw), vec![0f32; m * n]] {
+            let (mut got, mut want) = (c.clone(), c);
+            host_gemm(m, n, k, &a, &b, &mut got);
+            legacy_gemm(m, n, k, &a, &b, &mut want);
+            assert_same_bits(&got, &want, &format!("case {case}: {m}x{n}x{k} raw={raw}"));
+        }
+    }
+}
+
+#[test]
+fn host_gemm_is_exact_over_integers_and_keeps_d_on_an_empty_reduction() {
+    let mut rng = XorShift(0x0123_4567_89AB_CDEF);
+    for _ in 0..20 {
+        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
+        let mut ints = |len: usize| -> Vec<i64> {
+            (0..len).map(|_| (rng.next() % 255) as i64 - 127).collect()
+        };
+        let (a, b, c) = (ints(m * k), ints(k * n), ints(m * n));
+        let (mut got, mut want) = (c.clone(), c);
+        host_gemm(m, n, k, &a, &b, &mut got);
+        legacy_gemm(m, n, k, &a, &b, &mut want);
+        assert_eq!(got, want, "{m}x{n}x{k}");
+    }
+    let mut d = [1.5f32, -2.0];
+    host_gemm(1, 2, 0, &[], &[], &mut d);
+    assert_eq!(d, [1.5, -2.0]);
 }

@@ -30,7 +30,7 @@ use crate::kernels::{add_kernel, elems_grid, gelu_kernel, rowred_grid, softmax_k
 use crate::layer::{Attention, Mlp};
 use crate::lower::{gemm_tolerance, pad16, softmax_tolerance, Tile};
 use crate::reference::{gelu_ref, ref_gemm, softmax_row};
-use crate::tensor::Tensor;
+use crate::tensor::{max_abs_err, Tensor};
 use tcsim_cutlass::Epilogue;
 use tcsim_f16::F16;
 use tcsim_sim::{Gpu, LaunchBuilder, LaunchStats};
@@ -96,16 +96,15 @@ fn stage_report(
     }
 }
 
-fn max_diff(got: &[f32], want: &[f32]) -> f32 {
-    got.iter()
-        .zip(want)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f32::max)
-}
+// Operand staging, shared with the graph executor. Every transfer is
+// assembled on the host and moved with one device copy per row (padded
+// operands) or per buffer; padding is never written, so the bytes stored,
+// the pages materialised and the addresses handed out are those of an
+// element-at-a-time loop.
 
 /// Uploads an `rows × cols` f16 operand zero-padded to `prow × pcol`
 /// (untouched device memory reads 0).
-fn upload_f16(
+pub(crate) fn upload_f16(
     gpu: &mut Gpu,
     prow: usize,
     pcol: usize,
@@ -114,23 +113,53 @@ fn upload_f16(
     get: impl Fn(usize, usize) -> f32,
 ) -> u64 {
     let p = gpu.alloc((prow * pcol * 2) as u64);
+    let mut row = Vec::with_capacity(cols * 2);
     for r in 0..rows {
+        row.clear();
         for c in 0..cols {
-            gpu.write_u16(
-                p + ((r * pcol + c) * 2) as u64,
-                F16::from_f32(get(r, c)).to_bits(),
-            );
+            row.extend_from_slice(&F16::from_f32(get(r, c)).to_bits().to_le_bytes());
         }
+        gpu.memcpy_h2d(p + (r * pcol * 2) as u64, &row);
     }
     p
 }
 
-fn upload_f32(gpu: &mut Gpu, data: &[f32]) -> u64 {
-    let p = gpu.alloc((data.len() * 4) as u64);
-    for (i, &v) in data.iter().enumerate() {
-        gpu.write_u32(p + (i * 4) as u64, v.to_bits());
+/// Stores `data` at `addr` as f32 words.
+fn write_f32(gpu: &mut Gpu, addr: u64, data: &[f32]) {
+    let mut bytes = Vec::with_capacity(data.len() * 4);
+    for v in data {
+        bytes.extend_from_slice(&v.to_le_bytes());
     }
+    gpu.memcpy_h2d(addr, &bytes);
+}
+
+/// Allocates a buffer for `data` and uploads it as f32 words.
+pub(crate) fn upload_f32(gpu: &mut Gpu, data: &[f32]) -> u64 {
+    let p = gpu.alloc((data.len() * 4) as u64);
+    write_f32(gpu, p, data);
     p
+}
+
+/// Allocates the C operand of a padded `pm × pn` GEMM: a length-`pn` f32
+/// bias vector when the epilogue carries one, else an (implicitly zero)
+/// `pm × pn` accumulator input.
+pub(crate) fn pack_c(gpu: &mut Gpu, pm: usize, pn: usize, bias: Option<&[f32]>) -> u64 {
+    match bias {
+        Some(bv) => {
+            let pc = gpu.alloc((pn * 4) as u64);
+            write_f32(gpu, pc, bv);
+            pc
+        }
+        None => gpu.alloc((pm * pn * 4) as u64),
+    }
+}
+
+/// Reads `len` f32 words back from `addr`.
+pub(crate) fn read_f32(gpu: &Gpu, addr: u64, len: usize) -> Vec<f32> {
+    gpu.memcpy_d2h(addr, len * 4)
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect()
 }
 
 /// Launches one `m×n×k` GEMM on the tile family the padded problem
@@ -148,16 +177,12 @@ fn launch_gemm(
     let gpu = exec.gpu();
     let pa = upload_f16(gpu, pm, pk, m, k, a);
     let pb = upload_f16(gpu, pk, pn, k, n, b);
-    let (ep, pc) = match bias {
-        Some(bv) => {
-            let pc = gpu.alloc((pn * 4) as u64);
-            for (i, &v) in bv.iter().enumerate() {
-                gpu.write_u32(pc + (i * 4) as u64, v.to_bits());
-            }
-            (Epilogue::Bias, pc)
-        }
-        None => (Epilogue::None, gpu.alloc((pm * pn * 4) as u64)),
+    let ep = if bias.is_some() {
+        Epilogue::Bias
+    } else {
+        Epilogue::None
     };
+    let pc = pack_c(gpu, pm, pn, bias);
     let pd = gpu.alloc((pm * pn * 4) as u64);
     let builder = LaunchBuilder::new(tile.kernel(ep))
         .grid(tile.grid(pm, pn))
@@ -169,12 +194,10 @@ fn launch_gemm(
         .param_u32(pn as u32)
         .param_u32(pk as u32);
     let stats = exec.run(builder);
-    let gpu = exec.gpu();
-    let mut out = vec![0f32; m * n];
-    for r in 0..m {
-        for c in 0..n {
-            out[r * n + c] = f32::from_bits(gpu.read_u32(pd + ((r * pn + c) * 4) as u64));
-        }
+    let d = read_f32(exec.gpu(), pd, pm * pn);
+    let mut out = Vec::with_capacity(m * n);
+    for row in d.chunks_exact(pn).take(m) {
+        out.extend_from_slice(&row[..n]);
     }
     (stats, out, tile)
 }
@@ -201,12 +224,9 @@ fn residual_stage(
         .param_u64(pb)
         .param_u64(pout);
     let stats = exec.run(builder);
-    let gpu = exec.gpu();
-    let out: Vec<f32> = (0..len)
-        .map(|i| f32::from_bits(gpu.read_u32(pout + (i * 4) as u64)))
-        .collect();
+    let out = read_f32(exec.gpu(), pout, len);
     let want: Vec<f32> = y.iter().zip(x).map(|(a, b)| a + b).collect();
-    let err = max_diff(&out, &want);
+    let err = max_abs_err(&out, &want);
     let rep = stage_report(name, kname, format!("add {len}"), &[stats], err, 0.0);
     (rep, out)
 }
@@ -244,7 +264,7 @@ pub(crate) fn exec_attention(
         |r, c| wqkv[r * 3 * d + c],
         None,
     );
-    let err = max_diff(&qkv, &want);
+    let err = max_abs_err(&qkv, &want);
     reports.push(stage_report(
         format!("{lname}/qkv"),
         tile.name().into(),
@@ -266,7 +286,7 @@ pub(crate) fn exec_attention(
             let k_at = |r: usize, c: usize| qkv[(bi * seq + c) * 3 * d + d + h * dh + r];
             let (stats, s_bh, tile) = launch_gemm(exec, (seq, seq, dh), &q_at, &k_at, None);
             let want = ref_gemm(seq, seq, dh, q_at, k_at, None);
-            err = err.max(max_diff(&s_bh, &want));
+            err = err.max(max_abs_err(&s_bh, &want));
             scores[((bi * a.heads + h) * seq) * seq..((bi * a.heads + h) * seq + seq) * seq]
                 .copy_from_slice(&s_bh);
             score_stats.push(stats);
@@ -296,15 +316,12 @@ pub(crate) fn exec_attention(
         .param_u64(pin)
         .param_u64(pout);
     let stats = exec.run(builder);
-    let gpu = exec.gpu();
-    let probs: Vec<f32> = (0..scores.len())
-        .map(|i| f32::from_bits(gpu.read_u32(pout + (i * 4) as u64)))
-        .collect();
+    let probs = read_f32(exec.gpu(), pout, scores.len());
     let mut want = scores.clone();
     for row in want.chunks_mut(seq) {
         softmax_row(row, scale);
     }
-    let err = max_diff(&probs, &want);
+    let err = max_abs_err(&probs, &want);
     reports.push(stage_report(
         format!("{lname}/softmax"),
         kname,
@@ -326,7 +343,7 @@ pub(crate) fn exec_attention(
             let v_at = |r: usize, c: usize| qkv[(bi * seq + r) * 3 * d + 2 * d + h * dh + c];
             let (stats, o_bh, tile) = launch_gemm(exec, (seq, dh, seq), &p_at, &v_at, None);
             let want = ref_gemm(seq, dh, seq, p_at, v_at, None);
-            err = err.max(max_diff(&o_bh, &want));
+            err = err.max(max_abs_err(&o_bh, &want));
             for r in 0..seq {
                 for c in 0..dh {
                     ctx[(bi * seq + r) * d + h * dh + c] = o_bh[r * dh + c];
@@ -362,7 +379,7 @@ pub(crate) fn exec_attention(
         |r, c| wo[r * d + c],
         None,
     );
-    let err = max_diff(&y, &want);
+    let err = max_abs_err(&y, &want);
     reports.push(stage_report(
         format!("{lname}/proj"),
         tile.name().into(),
@@ -411,7 +428,7 @@ pub(crate) fn exec_mlp(
         |r, c| w1[r * ff + c],
         Some(m.b1.data()),
     );
-    let err = max_diff(&h, &want);
+    let err = max_abs_err(&h, &want);
     reports.push(stage_report(
         format!("{lname}/fc1"),
         tile.name().into(),
@@ -433,12 +450,9 @@ pub(crate) fn exec_mlp(
         .param_u64(pin)
         .param_u64(pout);
     let stats = exec.run(builder);
-    let gpu = exec.gpu();
-    let g: Vec<f32> = (0..h.len())
-        .map(|i| f32::from_bits(gpu.read_u32(pout + (i * 4) as u64)))
-        .collect();
+    let g = read_f32(exec.gpu(), pout, h.len());
     let want: Vec<f32> = h.iter().map(|&v| gelu_ref(v)).collect();
-    let err = max_diff(&g, &want);
+    let err = max_abs_err(&g, &want);
     reports.push(stage_report(
         format!("{lname}/gelu"),
         kname,
@@ -465,7 +479,7 @@ pub(crate) fn exec_mlp(
         |r, c| w2[r * d + c],
         Some(m.b2.data()),
     );
-    let err = max_diff(&y, &want);
+    let err = max_abs_err(&y, &want);
     reports.push(stage_report(
         format!("{lname}/fc2"),
         tile.name().into(),

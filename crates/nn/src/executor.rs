@@ -18,7 +18,7 @@
 //! within [`gemm_tolerance`] of the quantized-f16/f32-accumulate oracle,
 //! elementwise layers bit-exact.
 
-use crate::block::{exec_attention, exec_mlp, ExecMode};
+use crate::block::{exec_attention, exec_mlp, pack_c, read_f32, upload_f16, upload_f32, ExecMode};
 use crate::graph::Graph;
 use crate::kernels::{
     bias_grid, bias_kernel, elems_grid, gelu_kernel, layernorm_kernel, maxpool_grid,
@@ -30,7 +30,7 @@ use crate::lower::{
 };
 use crate::reference::run_layer;
 use crate::tensor::Tensor;
-use tcsim_f16::F16;
+use std::fmt::Write as _;
 use tcsim_sim::{Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats, Session, Sweep};
 use tcsim_trace::RingTracer;
 
@@ -145,10 +145,32 @@ impl InferenceReport {
         w.field_str("mode", &self.mode);
         w.field_u64("total_cycles", self.total_cycles());
         w.field_f64("worst_rel_err", f64::from(self.worst_rel_err()));
-        let layers: Vec<String> = self.layers.iter().map(LayerReport::to_json).collect();
-        w.raw_field("layers", &format!("[{}]", layers.join(",")));
-        let out: Vec<String> = self.output.iter().map(|v| format!("{v:.6}")).collect();
-        w.raw_field("output", &format!("[{}]", out.join(",")));
+        // Both arrays are written into one scratch buffer, element by
+        // element: no string per layer list or per output value.
+        let mut array = String::from("[");
+        for (i, l) in self.layers.iter().enumerate() {
+            if i > 0 {
+                array.push(',');
+            }
+            array.push_str(&l.to_json());
+        }
+        array.push(']');
+        w.raw_field("layers", &array);
+        array.clear();
+        array.push('[');
+        for (i, v) in self.output.iter().enumerate() {
+            if i > 0 {
+                array.push(',');
+            }
+            // Like `JsonWriter::field_f64`: NaN and infinities are not JSON.
+            if v.is_finite() {
+                write!(array, "{v:.6}").expect("writing to a String cannot fail");
+            } else {
+                array.push_str("null");
+            }
+        }
+        array.push(']');
+        w.raw_field("output", &array);
         w.finish()
     }
 }
@@ -163,96 +185,36 @@ fn reference_span(graph: &Graph, span: &std::ops::Range<usize>, input: &Tensor) 
     act
 }
 
-fn upload_f32(gpu: &mut Gpu, data: &[f32]) -> u64 {
-    let p = gpu.alloc((data.len() * 4) as u64);
-    for (i, &v) in data.iter().enumerate() {
-        gpu.write_u32(p + (i * 4) as u64, v.to_bits());
-    }
-    p
-}
-
 /// Packs the A operand (padded `pm × pk`, f16): im2col for conv, the
 /// activation verbatim for linear. Padding rows/columns stay zero
 /// (untouched device memory reads 0).
 fn pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
-    let pa = gpu.alloc((g.pm * g.pk * 2) as u64);
+    let x = act.data();
     match &g.source {
         GemmSource::Conv {
-            in_c,
-            kh,
-            kw,
-            h,
-            w,
-            oh,
-            ow,
-        } => {
-            for oy in 0..*oh {
-                for ox in 0..*ow {
-                    let row = oy * ow + ox;
-                    for c in 0..*in_c {
-                        for dy in 0..*kh {
-                            for dx in 0..*kw {
-                                let col = (c * kh + dy) * kw + dx;
-                                let v = act.data()[(c * h + oy + dy) * w + ox + dx];
-                                gpu.write_u16(
-                                    pa + ((row * g.pk + col) * 2) as u64,
-                                    F16::from_f32(v).to_bits(),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        GemmSource::Linear => {
-            for r in 0..g.m {
-                for c in 0..g.k {
-                    gpu.write_u16(
-                        pa + ((r * g.pk + c) * 2) as u64,
-                        F16::from_f32(act.data()[r * g.k + c]).to_bits(),
-                    );
-                }
-            }
-        }
+            kh, kw, h, w, ow, ..
+        } => upload_f16(gpu, g.pm, g.pk, g.m, g.k, |row, col| {
+            // Row = output pixel, column = (channel, dy, dx) of its patch.
+            let (oy, ox) = (row / ow, row % ow);
+            let (c, dy, dx) = (col / (kh * kw), col / kw % kh, col % kw);
+            x[(c * h + oy + dy) * w + ox + dx]
+        }),
+        GemmSource::Linear => upload_f16(gpu, g.pm, g.pk, g.m, g.k, |r, c| x[r * g.k + c]),
     }
-    pa
 }
 
 /// Packs the B operand (padded `pk × pn`, f16) from the lowered `[k, n]`
 /// weight.
 fn pack_b(gpu: &mut Gpu, g: &GemmOp) -> u64 {
-    let pb = gpu.alloc((g.pk * g.pn * 2) as u64);
-    for r in 0..g.k {
-        for c in 0..g.n {
-            gpu.write_u16(
-                pb + ((r * g.pn + c) * 2) as u64,
-                F16::from_f32(g.weight.data()[r * g.n + c]).to_bits(),
-            );
-        }
-    }
-    pb
-}
-
-/// Packs the C operand: a length-`pn` f32 bias vector when the epilogue
-/// carries one, else an (implicitly zero) `pm × pn` accumulator input.
-fn pack_c(gpu: &mut Gpu, g: &GemmOp) -> u64 {
-    match &g.bias {
-        Some(bias) => {
-            let pc = gpu.alloc((g.pn * 4) as u64);
-            for (i, &v) in bias.data().iter().enumerate() {
-                gpu.write_u32(pc + (i * 4) as u64, v.to_bits());
-            }
-            pc
-        }
-        None => gpu.alloc((g.pm * g.pn * 4) as u64),
-    }
+    let wt = g.weight.data();
+    upload_f16(gpu, g.pk, g.pn, g.k, g.n, |r, c| wt[r * g.n + c])
 }
 
 /// Reads the padded `pm × pn` D matrix back, cropping the padding and
 /// transposing implicit-GEMM output (`[pixel][filter]`) to `[c, h, w]`.
 fn read_gemm(gpu: &Gpu, g: &GemmOp, pd: u64, shape: &[usize]) -> Tensor {
-    let at =
-        |row: usize, col: usize| f32::from_bits(gpu.read_u32(pd + ((row * g.pn + col) * 4) as u64));
+    let d = read_f32(gpu, pd, g.pm * g.pn);
+    let at = |row: usize, col: usize| d[row * g.pn + col];
     match &g.source {
         GemmSource::Conv { oh, ow, .. } => Tensor::from_fn(shape.to_vec(), |i| {
             let (f, rest) = (i / (oh * ow), i % (oh * ow));
@@ -273,7 +235,7 @@ fn prepare_launch(
         LoweredOp::Gemm(g) => {
             let pa = pack_a(gpu, g, act);
             let pb = pack_b(gpu, g);
-            let pc = pack_c(gpu, g);
+            let pc = pack_c(gpu, g.pm, g.pn, g.bias.as_ref().map(Tensor::data));
             let pd = gpu.alloc((g.pm * g.pn * 4) as u64);
             let kernel = g.tile.kernel(g.epilogue);
             let kname = kernel.name().to_string();
@@ -390,15 +352,7 @@ fn read_output(gpu: &Gpu, op: &LoweredOp, pout: u64, shape: &[usize]) -> Tensor 
     match op {
         LoweredOp::Gemm(g) => read_gemm(gpu, g, pout, shape),
         LoweredOp::Reshape => unreachable!("reshape never launches"),
-        _ => {
-            let n: usize = shape.iter().product();
-            Tensor::new(
-                shape.to_vec(),
-                (0..n)
-                    .map(|i| f32::from_bits(gpu.read_u32(pout + (i * 4) as u64)))
-                    .collect(),
-            )
-        }
+        _ => Tensor::new(shape.to_vec(), read_f32(gpu, pout, shape.iter().product())),
     }
 }
 
@@ -786,6 +740,52 @@ mod tests {
             assert!(l.hmma_occupancy.is_some(), "{} untraced", l.name);
         }
         tcsim_trace::validate_json(&report.to_json()).expect("valid JSON");
+    }
+
+    /// A one-layer report whose device output is `got` where the
+    /// reference says `want`, held to a tolerance of 1.
+    fn report_of(got: &[f32], want: &[f32]) -> InferenceReport {
+        InferenceReport {
+            network: "probe".into(),
+            mode: "chained".into(),
+            layers: vec![LayerReport {
+                name: "linear0".into(),
+                kernel: "wmma_simple".into(),
+                dims: "gemm 1x2x1".into(),
+                cycles: 100,
+                instructions: 10,
+                hmma_occupancy: None,
+                max_err: crate::tensor::max_abs_err(got, want),
+                tolerance: 1.0,
+            }],
+            output: got.to_vec(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_err inf exceeds tolerance 1")]
+    fn a_nan_where_the_reference_is_finite_fails_the_tolerance_check() {
+        report_of(&[0.5, f32::NAN], &[0.5, 0.25]).assert_within_tolerance();
+    }
+
+    #[test]
+    fn non_finite_outputs_serialise_as_null() {
+        let report = report_of(&[f32::NAN, f32::NEG_INFINITY, 0.5], &[0.0, 0.0, 0.5]);
+        let json = report.to_json();
+        tcsim_trace::validate_json(&json).expect("valid JSON");
+        assert!(
+            json.ends_with(r#""output":[null,null,0.500000]}"#),
+            "{json}"
+        );
+        assert!(json.contains(r#""max_err":null"#), "{json}");
+        // A finite report is what it always was.
+        let json = report_of(&[-1.0, 0.5], &[-1.0, 0.25]).to_json();
+        assert!(
+            json.ends_with(
+                r#""max_err":0.250000,"tolerance":1.000000}],"output":[-1.000000,0.500000]}"#
+            ),
+            "{json}"
+        );
     }
 
     #[test]

@@ -11,6 +11,8 @@
 use crate::kernels::{LOG2E, SQRT_2_OVER_PI};
 use crate::layer::Layer;
 use crate::tensor::Tensor;
+use tcsim_cutlass::host_gemm;
+use tcsim_f16::F16;
 
 /// Host mirror of the device GELU: the exact op sequence of
 /// [`crate::kernels::gelu_kernel`] in f32 (`mul_add` where the kernel
@@ -46,8 +48,25 @@ pub fn softmax_row(row: &mut [f32], scale: f32) {
     }
 }
 
-/// Sequential f32 GEMM with f16-quantized operands (the device's numeric
-/// boundary): `out[m×n] = a[m×k] × b[k×n] (+ bias)`.
+/// The `rows × cols` operand `at`, row-major, every element rounded
+/// through f16 and back.
+fn quantized(rows: usize, cols: usize, at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut q = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        q.extend((0..cols).map(|c| F16::from_f32(at(r, c)).to_f32()));
+    }
+    q
+}
+
+/// f32 GEMM with f16-quantized operands (the device's numeric boundary):
+/// `out[m×n] = a[m×k] × b[k×n] (+ bias)`. Sequential per output element:
+/// each one accumulates `k` ascending from zero and takes the bias last.
+/// Both operands are read and rounded through f16 once per element, into
+/// row-major matrices [`host_gemm`] then streams.
+///
+/// # Panics
+///
+/// Panics if `bias` is shorter than `n`.
 pub fn ref_gemm(
     m: usize,
     n: usize,
@@ -56,16 +75,13 @@ pub fn ref_gemm(
     b: impl Fn(usize, usize) -> f32,
     bias: Option<&[f32]>,
 ) -> Vec<f32> {
-    use tcsim_f16::F16;
-    let q = |v: f32| F16::from_f32(v).to_f32();
     let mut out = vec![0f32; m * n];
-    for r in 0..m {
-        for c in 0..n {
-            let mut acc = 0f32;
-            for i in 0..k {
-                acc += q(a(r, i)) * q(b(i, c));
+    host_gemm(m, n, k, &quantized(m, k, a), &quantized(k, n, b), &mut out);
+    if let Some(bias) = bias {
+        for row in out.chunks_exact_mut(n.max(1)) {
+            for (v, &bv) in row.iter_mut().zip(&bias[..n]) {
+                *v += bv;
             }
-            out[r * n + c] = acc + bias.map_or(0.0, |bv| bv[c]);
         }
     }
     out
@@ -113,15 +129,7 @@ pub fn run_layer(layer: &Layer, input: &Tensor) -> Tensor {
             let x = input.quantize_f16();
             let wt = l.weight.quantize_f16();
             let mut out = Tensor::zeros(out_shape);
-            for b in 0..batch {
-                for o in 0..l.out_f {
-                    let mut acc = 0f32;
-                    for i in 0..l.in_f {
-                        acc += x.data()[b * l.in_f + i] * wt.data()[i * l.out_f + o];
-                    }
-                    out.data_mut()[b * l.out_f + o] = acc;
-                }
-            }
+            host_gemm(batch, l.out_f, l.in_f, x.data(), wt.data(), out.data_mut());
             out
         }
         Layer::Bias(b) => {

@@ -6,6 +6,30 @@
 
 use tcsim_f16::F16;
 
+/// Largest element error of a device output against its reference — the
+/// number every differential check holds to a tolerance.
+///
+/// NaN-aware, because `f32::max` drops a NaN operand and would report a
+/// NaN output as error 0: an element that is NaN on exactly one side
+/// counts as `f32::INFINITY`, so it fails any tolerance; NaN on both sides
+/// (and equal infinities) count as 0; otherwise `|got − want|`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub(crate) fn max_abs_err(got: &[f32], want: &[f32]) -> f32 {
+    assert_eq!(got.len(), want.len(), "length mismatch");
+    got.iter()
+        .zip(want)
+        .map(|(&g, &w)| match (g.is_nan(), w.is_nan()) {
+            (true, true) => 0.0,
+            (false, false) if g == w => 0.0, // inf − inf would be NaN
+            (false, false) => (g - w).abs(),
+            _ => f32::INFINITY,
+        })
+        .fold(0.0, f32::max)
+}
+
 /// A row-major FP32 tensor of arbitrary rank.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
@@ -94,18 +118,16 @@ impl Tensor {
         }
     }
 
-    /// Largest absolute element difference against `other`.
+    /// Largest absolute element difference against `other`. An element
+    /// that is NaN on exactly one side counts as `f32::INFINITY`; NaN on
+    /// both sides counts as 0.
     ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
     pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
+        max_abs_err(&self.data, &other.data)
     }
 }
 
@@ -129,6 +151,23 @@ mod tests {
         let b = Tensor::new(vec![4], vec![0.0, 1.5, 2.0, 2.0]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
         assert_eq!(a.reshape(vec![2, 2]).shape(), &[2, 2]);
+    }
+
+    #[test]
+    fn max_abs_err_counts_a_one_sided_nan_as_infinite() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        // Both NaN: the reference overflowed the same way, no error.
+        assert_eq!(max_abs_err(&[nan, 1.0], &[nan, 1.5]), 0.5);
+        // Exactly one NaN, either side: fails any tolerance.
+        assert_eq!(max_abs_err(&[1.0, nan], &[1.0, 2.0]), inf);
+        assert_eq!(max_abs_err(&[1.0, 2.0], &[nan, 2.0]), inf);
+        // Neither: |got − want|, equal infinities included.
+        assert_eq!(max_abs_err(&[1.0, -3.0], &[1.25, -1.0]), 2.0);
+        assert_eq!(max_abs_err(&[inf, -inf], &[inf, -inf]), 0.0);
+        assert_eq!(max_abs_err(&[inf], &[-inf]), inf);
+        assert_eq!(max_abs_err(&[], &[]), 0.0);
+        let t = Tensor::new(vec![2], vec![0.0, nan]);
+        assert_eq!(t.max_abs_diff(&Tensor::zeros(vec![2])), inf);
     }
 
     #[test]

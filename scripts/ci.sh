@@ -34,6 +34,12 @@ echo "== tier-1: memory timing under the release profile =="
 # release builds compile differently (overflow checks, debug_assert).
 cargo test -q --release --offline -p tcsim-mem
 
+echo "== tier-1: host reference GEMM and operand staging under the release profile =="
+# host_gemm's column loop is vectorised only in optimised builds, and the
+# equivalence tests (new loops against the element-at-a-time ones, bit for
+# bit, raw random operands) must hold for the code the benchmark runs.
+cargo test -q --release --offline -p tcsim-nn -p tcsim-cutlass
+
 echo "== perf: benchmark contract (five workloads, --smoke) =="
 # Every workload of BENCHMARK.json must run, verify its outputs and
 # print every declared metric; --smoke keeps it to seconds.
