@@ -7,6 +7,7 @@
 //! NaN equal to any NaN (which payload survives an add of two NaNs depends
 //! on operand order the compiler is free to choose).
 
+use tcsim_check::rng::XorShift64Star as Rng;
 use tcsim_cutlass::{
     host_gemm, operand_value, operand_value_i8, reference_gemm, GemmPrecision, GemmProblem,
 };
@@ -19,37 +20,25 @@ const PRECISIONS: [GemmPrecision; 4] = [
     GemmPrecision::Int8,
 ];
 
-struct XorShift(u64);
+/// A dimension in `1..=48`: ragged against the 16-wide tiles and against
+/// every vector width.
+fn dim(rng: &mut Rng) -> usize {
+    1 + rng.below(48) as usize
+}
 
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    /// A dimension in `1..=48`: ragged against the 16-wide tiles and
-    /// against every vector width.
-    fn dim(&mut self) -> usize {
-        1 + (self.next() % 48) as usize
-    }
-
-    /// `raw`: any bit pattern — subnormals, infinities, NaNs and values
-    /// whose products overflow included. Otherwise a value in (-4, 4)
-    /// with a full 24-bit significand, so the order of the adds shows.
-    fn matrix(&mut self, len: usize, raw: bool) -> Vec<f32> {
-        (0..len)
-            .map(|_| {
-                let bits = self.next();
-                if raw {
-                    f32::from_bits(bits as u32)
-                } else {
-                    ((bits & 0xFF_FFFF) as f32 / (1 << 21) as f32) - 4.0
-                }
-            })
-            .collect()
-    }
+/// `raw`: any bit pattern — subnormals, infinities, NaNs and values whose
+/// products overflow included. Otherwise a value in [-4, 4) with a full
+/// 24-bit significand, so the order of the adds shows.
+fn matrix(rng: &mut Rng, len: usize, raw: bool) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if raw {
+                rng.next_f32_bits()
+            } else {
+                (rng.next_u32() >> 8) as f32 / (1 << 21) as f32 - 4.0
+            }
+        })
+        .collect()
 }
 
 /// `D = A×B + D`, one output element at a time, `kk` ascending.
@@ -126,10 +115,10 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
 
 #[test]
 fn reference_gemm_matches_the_element_at_a_time_loop() {
-    let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+    let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15);
     for case in 0..40 {
-        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
-        let seeds = [rng.next() as u32, rng.next() as u32, rng.next() as u32];
+        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+        let seeds = [rng.next_u32(), rng.next_u32(), rng.next_u32()];
         for precision in PRECISIONS {
             let p = GemmProblem { m, n, k, precision };
             assert_same_bits(
@@ -143,13 +132,13 @@ fn reference_gemm_matches_the_element_at_a_time_loop() {
 
 #[test]
 fn host_gemm_matches_the_element_at_a_time_loop_on_raw_bits() {
-    let mut rng = XorShift(0xD1B5_4A32_D192_ED03);
+    let mut rng = Rng::new(0xD1B5_4A32_D192_ED03);
     for case in 0..120 {
-        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
+        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
         let raw = case % 3 == 0;
-        let (a, b) = (rng.matrix(m * k, raw), rng.matrix(k * n, raw));
+        let (a, b) = (matrix(&mut rng, m * k, raw), matrix(&mut rng, k * n, raw));
         // With a C operand and from zero.
-        for c in [rng.matrix(m * n, raw), vec![0f32; m * n]] {
+        for c in [matrix(&mut rng, m * n, raw), vec![0f32; m * n]] {
             let (mut got, mut want) = (c.clone(), c);
             host_gemm(m, n, k, &a, &b, &mut got);
             legacy_gemm(m, n, k, &a, &b, &mut want);
@@ -160,12 +149,11 @@ fn host_gemm_matches_the_element_at_a_time_loop_on_raw_bits() {
 
 #[test]
 fn host_gemm_is_exact_over_integers_and_keeps_d_on_an_empty_reduction() {
-    let mut rng = XorShift(0x0123_4567_89AB_CDEF);
+    let mut rng = Rng::new(0x0123_4567_89AB_CDEF);
     for _ in 0..20 {
-        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
-        let mut ints = |len: usize| -> Vec<i64> {
-            (0..len).map(|_| (rng.next() % 255) as i64 - 127).collect()
-        };
+        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+        let mut ints =
+            |len: usize| -> Vec<i64> { (0..len).map(|_| rng.range_i64(-127, 128)).collect() };
         let (a, b, c) = (ints(m * k), ints(k * n), ints(m * n));
         let (mut got, mut want) = (c.clone(), c);
         host_gemm(m, n, k, &a, &b, &mut got);

@@ -11,54 +11,42 @@
 //! NaN equal to any NaN (which payload survives an add of two NaNs depends
 //! on operand order the compiler is free to choose).
 
+use tcsim_check::rng::XorShift64Star as Rng;
 use tcsim_f16::F16;
 use tcsim_nn::reference::{ref_gemm, run_layer};
 use tcsim_nn::{Layer, Linear, Tensor};
 
-struct XorShift(u64);
+/// A dimension in `1..=48`: ragged against the 16-wide tiles and against
+/// every vector width.
+fn dim(rng: &mut Rng) -> usize {
+    1 + rng.below(48) as usize
+}
 
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
+/// `raw`: any bit pattern. Otherwise a value in [-4, 4) with a full
+/// 24-bit significand (not f16-exact, so both the quantisation and the
+/// order of the f32 adds show), one in sixteen replaced by a special.
+fn value(rng: &mut Rng, raw: bool) -> f32 {
+    const SPECIALS: [f32; 8] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        65520.0, // rounds to +inf in f16
+        -1.0e30, // far beyond f16
+        1.0e-40, // f32 subnormal
+        6.0e-8,  // f16 subnormal
+    ];
+    if raw {
+        rng.next_f32_bits()
+    } else if rng.below(16) == 0 {
+        SPECIALS[rng.below(8) as usize]
+    } else {
+        (rng.next_u32() >> 8) as f32 / (1 << 21) as f32 - 4.0
     }
+}
 
-    /// A dimension in `1..=48`: ragged against the 16-wide tiles and
-    /// against every vector width.
-    fn dim(&mut self) -> usize {
-        1 + (self.next() % 48) as usize
-    }
-
-    /// `raw`: any bit pattern. Otherwise a value in (-4, 4) with a full
-    /// 24-bit significand (not f16-exact, so both the quantisation and
-    /// the order of the f32 adds show), one in sixteen replaced by a
-    /// special.
-    fn value(&mut self, raw: bool) -> f32 {
-        let bits = self.next();
-        if raw {
-            return f32::from_bits(bits as u32);
-        }
-        if bits >> 60 == 0 {
-            const SPECIALS: [f32; 8] = [
-                f32::NAN,
-                f32::INFINITY,
-                f32::NEG_INFINITY,
-                -0.0,
-                65520.0, // rounds to +inf in f16
-                -1.0e30, // far beyond f16
-                1.0e-40, // f32 subnormal
-                6.0e-8,  // f16 subnormal
-            ];
-            return SPECIALS[(bits >> 8) as usize % SPECIALS.len()];
-        }
-        ((bits & 0xFF_FFFF) as f32 / (1 << 21) as f32) - 4.0
-    }
-
-    fn matrix(&mut self, len: usize, raw: bool) -> Vec<f32> {
-        (0..len).map(|_| self.value(raw)).collect()
-    }
+fn matrix(rng: &mut Rng, len: usize, raw: bool) -> Vec<f32> {
+    (0..len).map(|_| value(rng, raw)).collect()
 }
 
 fn legacy_ref_gemm(
@@ -114,13 +102,13 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
 
 #[test]
 fn ref_gemm_matches_the_element_at_a_time_loop() {
-    let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+    let mut rng = Rng::new(0x2545_F491_4F6C_DD1D);
     for case in 0..120 {
-        let (m, n, k) = (rng.dim(), rng.dim(), rng.dim());
+        let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
         let raw = case % 3 == 0;
-        let a = rng.matrix(m * k, raw);
-        let b = rng.matrix(k * n, raw);
-        let bias = rng.matrix(n, raw);
+        let a = matrix(&mut rng, m * k, raw);
+        let b = matrix(&mut rng, k * n, raw);
+        let bias = matrix(&mut rng, n, raw);
         for bias in [None, Some(bias.as_slice())] {
             let at = |r: usize, c: usize| a[r * k + c];
             // Every other case reads B transposed, as the attention
@@ -143,16 +131,16 @@ fn ref_gemm_matches_the_element_at_a_time_loop() {
 
 #[test]
 fn linear_layer_matches_the_element_at_a_time_loop() {
-    let mut rng = XorShift(0x1234_5678_9ABC_DEF1);
+    let mut rng = Rng::new(0x1234_5678_9ABC_DEF1);
     for case in 0..60 {
-        let (batch, in_f, out_f) = (rng.dim(), rng.dim(), rng.dim());
+        let (batch, in_f, out_f) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
         let raw = case % 3 == 0;
         let l = Linear {
             in_f,
             out_f,
-            weight: Tensor::new(vec![in_f, out_f], rng.matrix(in_f * out_f, raw)),
+            weight: Tensor::new(vec![in_f, out_f], matrix(&mut rng, in_f * out_f, raw)),
         };
-        let x = Tensor::new(vec![batch, in_f], rng.matrix(batch * in_f, raw));
+        let x = Tensor::new(vec![batch, in_f], matrix(&mut rng, batch * in_f, raw));
         let want = legacy_linear(&l, &x);
         let got = run_layer(&Layer::Linear(l), &x);
         assert_eq!(got.shape(), &[batch, out_f]);
