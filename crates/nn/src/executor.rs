@@ -192,13 +192,29 @@ fn pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
     let x = act.data();
     match &g.source {
         GemmSource::Conv {
-            kh, kw, h, w, ow, ..
-        } => upload_f16(gpu, g.pm, g.pk, g.m, g.k, |row, col| {
-            // Row = output pixel, column = (channel, dy, dx) of its patch.
-            let (oy, ox) = (row / ow, row % ow);
-            let (c, dy, dx) = (col / (kh * kw), col / kw % kh, col % kw);
-            x[(c * h + oy + dy) * w + ox + dx]
-        }),
+            in_c,
+            kh,
+            kw,
+            h,
+            w,
+            oh,
+            ow,
+        } => {
+            // im2col is separable: row `oy·ow + ox` (an output pixel) and
+            // column `(c·kh + dy)·kw + dx` (a patch element) meet at
+            // `pixel_at[row] + patch_at[col]` of the `[c, h, w]` activation.
+            let pixel_at: Vec<usize> = (0..*oh)
+                .flat_map(|oy| (0..*ow).map(move |ox| oy * w + ox))
+                .collect();
+            let patch_at: Vec<usize> = (0..*in_c)
+                .flat_map(|c| {
+                    (0..*kh).flat_map(move |dy| (0..*kw).map(move |dx| (c * h + dy) * w + dx))
+                })
+                .collect();
+            upload_f16(gpu, g.pm, g.pk, g.m, g.k, |row, col| {
+                x[pixel_at[row] + patch_at[col]]
+            })
+        }
         GemmSource::Linear => upload_f16(gpu, g.pm, g.pk, g.m, g.k, |r, c| x[r * g.k + c]),
     }
 }

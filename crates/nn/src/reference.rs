@@ -7,6 +7,17 @@
 //! to the WMMA fragments) and then accumulate in f32, so the only
 //! device-vs-reference difference left is the FEDP accumulation order —
 //! bounded by [`crate::gemm_tolerance`].
+//!
+//! "Sequential" is a statement about each output element, not about the
+//! loop nest: every element starts from zero, adds its `k` products in
+//! ascending order through a separate f32 multiply and add, and takes the
+//! bias last. The operands are rounded through f16 once per element, not
+//! once per multiply, and the sums of one output row advance together
+//! while rows of B stream past ([`tcsim_cutlass::host_gemm`], the one
+//! host GEMM loop in the workspace) — the same bits as an
+//! element-at-a-time triple loop (`tests/reference_equiv.rs` keeps that
+//! loop and compares), at a fraction of the cost, which matters because
+//! every checked launch pays for its reference.
 
 use crate::kernels::{LOG2E, SQRT_2_OVER_PI};
 use crate::layer::Layer;
