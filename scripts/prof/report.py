@@ -14,7 +14,9 @@ kept:
   self, by inlined    the innermost inlined frame at that instruction: the
                       source function whose line was executing
   inclusive           every function anywhere on the stack, inlined frames
-                      included, once per sample
+                      included, once per sample; frames on every kept
+                      sample (`main`, the --include frame, ...) say nothing
+                      and are left out
 
 --include keeps only samples with a frame containing FRAME (substring of the
 demangled name), --exclude drops those with one; both may repeat. Addresses
@@ -114,9 +116,10 @@ def main():
 
     print(f"{kept} of {len(located)} samples kept"
           f" (include {args.include or 'all'}, exclude {args.exclude or 'none'})")
+    partial = collections.Counter({f: n for f, n in inclusive.items() if n < kept})
     for title, counts in [("self, by function", self_outer),
                           ("self, by innermost inlined frame", self_inner),
-                          ("inclusive", inclusive)]:
+                          ("inclusive", partial)]:
         print(f"\n== {title} ==")
         for name, n in counts.most_common(args.top):
             print(f"{100 * n / max(kept, 1):6.1f} %  {n:6d}  {name}")
