@@ -2,7 +2,8 @@
 //! every requested byte exactly once per sector, conflict analysis must
 //! bracket correctly and agree with the sort-based reference, caches must
 //! never forget outstanding fills, a whole instruction's sector walk must
-//! be indistinguishable from one access per sector, and DRAM service
+//! be indistinguishable from one access per sector (across flushes too),
+//! and DRAM service
 //! must respect bandwidth. Inputs come from a deterministic
 //! xorshift64* generator (no external crates).
 
@@ -231,6 +232,14 @@ fn sector_list_walk_equals_one_access_per_sector() {
             });
             assert_eq!(got, want, "case {case}: completion cycle of {sectors:x?}");
             now += rng.below(40);
+            if rng.below(40) == 0 {
+                // A launch boundary: both levels flushed, the clock restarts.
+                for h in [&mut walked, &mut stepped] {
+                    h.l1.flush();
+                    h.sys.flush();
+                }
+                now = 0;
+            }
         }
         assert_eq!(walked.state(), stepped.state(), "case {case}");
         assert!(walked.tracer.dropped() == 0 && !walked.tracer.snapshot().is_empty());
