@@ -22,8 +22,9 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Volta-style 128 KB L1 data cache (combined L1/shared carve-out):
-    /// 64 sets × 4 ways... sized by `kib`.
+    /// Volta-style L1 data cache (combined L1/shared carve-out) of `kib`
+    /// KiB: 4 ways of 128-byte lines, so `kib * 2` sets — 256 sets × 4
+    /// ways at the full 128 KiB.
     pub fn l1(kib: usize) -> CacheConfig {
         let lines = kib * 1024 / 128;
         CacheConfig {
@@ -130,14 +131,20 @@ impl Divisor {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    sectors_valid: u8,
-    sectors_dirty: u8,
-    last_use: u64,
-    valid: bool,
-}
+/// One way: `[TAG, LAST_USE, STATE]`. Plain words, so that a new cache
+/// is one zeroed allocation rather than a write per line.
+type Line = [u64; 3];
+/// Line number (`addr / line_bytes`) of the line the way holds or held.
+const TAG: usize = 0;
+/// Cycle of the last fill or hit.
+const LAST_USE: usize = 1;
+/// The generation the line was installed in (bits 32..64), its dirty
+/// sectors (8..16) and its valid sectors (0..8). Only a line of the
+/// cache's current generation is valid; the sector bits of any other
+/// read as none.
+const STATE: usize = 2;
+/// Where the dirty-sector bits start in `STATE`.
+const DIRTY_SHIFT: u32 = 8;
 
 /// The outcome of a cache lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,9 +201,10 @@ pub struct Cache {
     lines: Vec<Line>,
     mshrs: HashMap<u64, u64>, // sector addr → fill completion cycle
     stats: CacheStats,
-    /// A line was installed or a fill registered since the last flush;
-    /// while clear, [`Cache::flush`] has nothing to invalidate.
-    touched: bool,
+    /// The generation lines installed now belong to, `1..=u32::MAX`;
+    /// [`Cache::flush`] moves on to the next, which invalidates every
+    /// line at once. A zeroed line is of generation 0: never valid.
+    generation: u64,
 }
 
 impl Cache {
@@ -220,10 +228,10 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             sector_shift: cfg.sector_bytes.trailing_zeros(),
             sets: Divisor::new(cfg.sets as u64),
-            lines: vec![Line::default(); cfg.sets * cfg.ways],
+            lines: vec![[0; 3]; cfg.sets * cfg.ways],
             mshrs: HashMap::new(),
             stats: CacheStats::default(),
-            touched: false,
+            generation: 1,
         }
     }
 
@@ -249,9 +257,14 @@ impl Cache {
         self.sets.div_rem(line ^ fold).1 as usize
     }
 
-    fn sector_bit(&self, addr: u64) -> u8 {
+    fn sector_bit(&self, addr: u64) -> u64 {
         let within = (addr & (self.cfg.line_bytes - 1)) >> self.sector_shift;
-        1u8 << within
+        1 << within
+    }
+
+    /// Whether `line` belongs to the current generation, i.e. is valid.
+    fn is_current(&self, line: &Line) -> bool {
+        line[STATE] >> 32 == self.generation
     }
 
     fn sector_addr(&self, addr: u64) -> u64 {
@@ -271,16 +284,19 @@ impl Cache {
             index: first,
             present: false,
         };
-        // Victim: invalid way first, else LRU; the first of equals.
+        // Victim: an invalid way first, else the LRU; among either, the
+        // least `last_use` (an invalid way keeps the one it was last used
+        // at) and the first of equals.
         let mut least = (true, u64::MAX);
         for (way, line) in self.lines[first..][..self.cfg.ways].iter().enumerate() {
-            if line.valid && line.tag == tag {
+            let valid = self.is_current(line);
+            if valid && line[TAG] == tag {
                 slot.index = first + way;
                 slot.present = true;
                 return;
             }
-            if way == 0 || (line.valid, line.last_use) < least {
-                least = (line.valid, line.last_use);
+            if way == 0 || (valid, line[LAST_USE]) < least {
+                least = (valid, line[LAST_USE]);
                 slot.index = first + way;
             }
         }
@@ -307,12 +323,13 @@ impl Cache {
         debug_assert_eq!(slot.tag, addr >> self.line_shift);
         let sector = self.sector_bit(addr);
         let line = &mut self.lines[slot.index];
-        if slot.present && line.sectors_valid & sector != 0 {
-            line.last_use = now;
+        // `present` means current generation: the sector bits hold.
+        if slot.present && line[STATE] & sector != 0 {
+            line[LAST_USE] = now;
             // A store hit in a write-through no-allocate cache updates
             // data (functional state lives elsewhere) and dirties nothing.
             if is_store && self.cfg.write_allocate {
-                line.sectors_dirty |= sector;
+                line[STATE] |= sector << DIRTY_SHIFT;
             }
             self.stats.hits += 1;
             return Lookup::Hit {
@@ -343,7 +360,6 @@ impl Cache {
     /// completing at `fill_at`.
     pub fn start_fill(&mut self, addr: u64, fill_at: u64) {
         self.mshrs.insert(self.sector_addr(addr), fill_at);
-        self.touched = true;
     }
 
     /// Completes a fill: installs the sector, evicting an LRU victim if
@@ -367,26 +383,23 @@ impl Cache {
         if !self.mshrs.is_empty() {
             self.mshrs.remove(&self.sector_addr(addr));
         }
-        self.touched = true;
         let sector = self.sector_bit(addr);
+        let bits = if mark_dirty {
+            sector | sector << DIRTY_SHIFT
+        } else {
+            sector
+        };
+        let generation = self.generation;
         let line = &mut self.lines[slot.index];
         if slot.present {
             // Existing line: add the sector.
-            line.sectors_valid |= sector;
-            if mark_dirty {
-                line.sectors_dirty |= sector;
-            }
-            line.last_use = now;
+            line[STATE] |= bits;
+            line[LAST_USE] = now;
             return false;
         }
-        let evicted_dirty = line.valid && line.sectors_dirty != 0;
-        *line = Line {
-            tag: slot.tag,
-            sectors_valid: sector,
-            sectors_dirty: if mark_dirty { sector } else { 0 },
-            last_use: now,
-            valid: true,
-        };
+        let evicted_dirty =
+            line[STATE] >> 32 == generation && line[STATE] & (0xFF << DIRTY_SHIFT) != 0;
+        *line = [slot.tag, now, (generation << 32) | bits];
         slot.present = true;
         if evicted_dirty {
             self.stats.writebacks += 1;
@@ -394,21 +407,21 @@ impl Cache {
         evicted_dirty
     }
 
-    /// Invalidates everything (kernel-launch boundary). A cache nothing
-    /// was installed in since its last flush is already empty, so this
-    /// returns without walking the lines: a launch that used three SMs
-    /// does not pay for flushing the other seventy-seven.
+    /// Invalidates everything (kernel-launch boundary) in O(1): the next
+    /// generation begins, and every line installed before reads as
+    /// invalid, no sector valid or dirty. Tags and `last_use`s stay, so
+    /// the victim choice among invalid ways is what it always was. Only
+    /// when the generation would wrap onto lines installed 2^32 - 1
+    /// flushes ago are the lines walked, once.
     pub fn flush(&mut self) {
-        if !self.touched {
-            return;
-        }
-        for line in &mut self.lines {
-            line.valid = false;
-            line.sectors_valid = 0;
-            line.sectors_dirty = 0;
-        }
         self.mshrs.clear();
-        self.touched = false;
+        if self.generation == u32::MAX as u64 {
+            for line in &mut self.lines {
+                line[STATE] = 0;
+            }
+            self.generation = 0;
+        }
+        self.generation += 1;
     }
 }
 
@@ -542,17 +555,53 @@ mod tests {
     }
 
     #[test]
-    fn flush_of_an_untouched_cache_is_a_no_op_and_reflush_still_works() {
+    fn flushed_lines_are_clean_and_reflush_still_works() {
         let mut c = small();
-        c.flush(); // never touched
+        c.flush(); // nothing installed yet
         c.fill(0x100, 1, true);
         c.start_fill(0x200, 9);
         c.flush();
         assert_eq!(c.lookup(0x100, false, 2), Lookup::Miss);
         assert_eq!(c.mshr_count(), 0);
-        c.flush(); // untouched again: lookups alone install nothing
+        c.flush();
         c.fill(0x100, 3, false);
         assert!(matches!(c.lookup(0x100, false, 4), Lookup::Hit { .. }));
+        // The way still holding the first generation's dirty line is
+        // reused without a writeback.
+        let set = c.set_index(0x100);
+        let others: Vec<u64> = (3..)
+            .map(|l| l * 128)
+            .filter(|&a| c.set_index(a) == set)
+            .take(2)
+            .collect();
+        for addr in others {
+            c.fill(addr, 5, false);
+        }
+        assert_eq!(c.stats().writebacks, 0);
+    }
+
+    #[test]
+    fn lines_stay_invalid_across_the_generation_wrap() {
+        let mut c = small();
+        c.fill(0x100, 1, true); // generation 1
+                                // 2^32 - 2 flushes later: the last generation before the wrap.
+        c.generation = u32::MAX as u64;
+        assert_eq!(c.lookup(0x100, false, 2), Lookup::Miss);
+        c.fill(0x200, 3, true);
+        assert!(matches!(c.lookup(0x200, false, 4), Lookup::Hit { .. }));
+        c.flush(); // wraps round to generation 1
+        assert_eq!(c.generation, 1);
+        assert_eq!(
+            c.lookup(0x100, false, 5),
+            Lookup::Miss,
+            "generation 1 again"
+        );
+        assert_eq!(c.lookup(0x200, false, 6), Lookup::Miss);
+        c.fill(0x200, 7, false);
+        assert!(matches!(c.lookup(0x200, false, 8), Lookup::Hit { .. }));
+        assert_eq!(c.stats().writebacks, 0);
+        c.flush();
+        assert_eq!(c.lookup(0x200, false, 9), Lookup::Miss);
     }
 
     #[test]

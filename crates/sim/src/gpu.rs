@@ -192,7 +192,7 @@ impl Gpu {
             spec.kernel.num_regs()
         );
         assert!(
-            Sm::new(self.cfg.sm).can_accept(&req),
+            self.cfg.sm.fits(&CtaRequirements::default(), 0, &req),
             "kernel {} CTA ({} warps, {} regs, {} B shared) exceeds SM resources",
             spec.kernel.name(),
             req.warps,

@@ -1,5 +1,7 @@
 //! Streaming-multiprocessor configuration (the Fig 1 sub-core resources).
 
+use crate::sm::CtaRequirements;
+
 /// Warp scheduling policy of each sub-core scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedPolicy {
@@ -131,6 +133,17 @@ impl SmConfig {
         }
     }
 
+    /// Whether one more CTA needing `req` fits on an SM whose `ctas`
+    /// resident CTAs hold `held` between them: the occupancy rule of
+    /// [`crate::Sm::can_accept`], and of a launch asking whether a CTA
+    /// fits on an empty SM at all.
+    pub fn fits(&self, held: &CtaRequirements, ctas: usize, req: &CtaRequirements) -> bool {
+        held.warps + req.warps <= self.max_warps
+            && held.registers + req.registers <= self.registers
+            && held.shared_bytes + req.shared_bytes <= self.shared_bytes
+            && ctas < self.max_ctas
+    }
+
     /// Issue interval in cycles for a 32-thread warp over `lanes` lanes.
     pub fn warp_ii(&self, lanes: usize) -> u64 {
         (tcsim_isa::WARP_SIZE as u64).div_ceil(lanes as u64)
@@ -174,6 +187,25 @@ mod tests {
             ..SmConfig::volta()
         };
         assert_eq!(narrow.issue_width(), 2);
+    }
+
+    #[test]
+    fn a_cta_fits_beside_what_is_held() {
+        let c = SmConfig::volta();
+        let empty = CtaRequirements::default();
+        let half = CtaRequirements {
+            warps: 32,
+            registers: 32768,
+            shared_bytes: 48 * 1024,
+        };
+        assert!(c.fits(&empty, 0, &half));
+        assert!(c.fits(&half, 1, &half));
+        let more = CtaRequirements {
+            shared_bytes: half.shared_bytes + 1,
+            ..half
+        };
+        assert!(!c.fits(&half, 1, &more), "shared memory");
+        assert!(!c.fits(&empty, c.max_ctas, &empty), "CTA slots");
     }
 
     #[test]

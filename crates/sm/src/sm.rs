@@ -54,7 +54,7 @@ impl LaunchSpec {
 }
 
 /// Static resources a CTA occupies (occupancy limiting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CtaRequirements {
     /// Warp slots needed.
     pub warps: usize,
@@ -195,15 +195,16 @@ fn trace_unit(u: UnitClass) -> TraceUnit {
 pub struct Sm {
     cfg: SmConfig,
     id: u16,
-    l1: L1Path,
+    /// Built when the SM receives its first CTA: an SM that never holds
+    /// one costs no L1 and reports zero L1 statistics.
+    l1: Option<L1Path>,
     mio_free: u64,
     ctas: Vec<Option<CtaSlot>>,
     warps: Vec<Option<WarpSlot>>,
     sub: Vec<SubCore>,
     tensor: TensorCoreModel,
-    regs_used: u32,
-    shared_used: u32,
-    warps_used: usize,
+    /// What the resident CTAs hold between them.
+    held: CtaRequirements,
     age_counter: u64,
     stats: SmStats,
     profile_wmma: bool,
@@ -231,7 +232,7 @@ impl Sm {
         Sm {
             cfg,
             id,
-            l1: L1Path::new(cfg.l1_kib),
+            l1: None,
             mio_free: 0,
             ctas: Vec::new(),
             warps: (0..cfg.max_warps).map(|_| None).collect(),
@@ -241,9 +242,7 @@ impl Sm {
             } else {
                 TensorCoreModel::turing()
             },
-            regs_used: 0,
-            shared_used: 0,
-            warps_used: 0,
+            held: CtaRequirements::default(),
             age_counter: 0,
             stats: SmStats::default(),
             profile_wmma: false,
@@ -272,7 +271,7 @@ impl Sm {
 
     /// L1 cache statistics.
     pub fn l1_stats(&self) -> tcsim_mem::CacheStats {
-        self.l1.stats()
+        self.l1.as_ref().map(L1Path::stats).unwrap_or_default()
     }
 
     /// Number of resident CTAs.
@@ -287,10 +286,7 @@ impl Sm {
 
     /// Whether a CTA with the given requirements can be accepted now.
     pub fn can_accept(&self, req: &CtaRequirements) -> bool {
-        self.warps_used + req.warps <= self.cfg.max_warps
-            && self.regs_used + req.registers <= self.cfg.registers
-            && self.shared_used + req.shared_bytes <= self.cfg.shared_bytes
-            && self.live_ctas < self.cfg.max_ctas
+        self.cfg.fits(&self.held, self.live_ctas, req)
     }
 
     /// Places one CTA onto the SM.
@@ -301,6 +297,8 @@ impl Sm {
     pub fn launch_cta(&mut self, spec: &LaunchSpec, cta_id: Dim3, now: u64) {
         let req = spec.cta_requirements();
         assert!(self.can_accept(&req), "CTA launched onto a full SM");
+        let l1_kib = self.cfg.l1_kib;
+        self.l1.get_or_insert_with(|| L1Path::new(l1_kib));
         let decoded = spec
             .uops
             .clone()
@@ -355,9 +353,9 @@ impl Sm {
             spec: spec.clone(),
             decoded,
         });
-        self.warps_used += req.warps;
-        self.regs_used += req.registers;
-        self.shared_used += req.shared_bytes;
+        self.held.warps += req.warps;
+        self.held.registers += req.registers;
+        self.held.shared_bytes += req.shared_bytes;
         self.live_ctas += 1;
     }
 
@@ -452,9 +450,9 @@ impl Sm {
                         self.warps[wi] = None;
                         self.meta.flags[wi] = 0;
                     }
-                    self.warps_used -= cta.warps_total;
-                    self.regs_used -= cta.requirements.registers;
-                    self.shared_used -= cta.requirements.shared_bytes;
+                    self.held.warps -= cta.requirements.warps;
+                    self.held.registers -= cta.requirements.registers;
+                    self.held.shared_bytes -= cta.requirements.shared_bytes;
                     self.stats.ctas_completed += 1;
                     self.live_ctas -= 1;
                     retired = true;
@@ -1187,15 +1185,9 @@ impl Sm {
                 }
                 self.stats.global_txns += sectors.len() as u64;
                 self.mio_free = now + sectors.len() as u64 * spacing;
-                let last = self.l1.access_sectors(
-                    sectors,
-                    mem.is_store,
-                    start,
-                    spacing,
-                    sys,
-                    self.id,
-                    tracer,
-                );
+                let l1 = self.l1.as_mut().expect("a resident CTA built the L1");
+                let last =
+                    l1.access_sectors(sectors, mem.is_store, start, spacing, sys, self.id, tracer);
                 let done = last.max(now + collect + self.cfg.shared_latency);
                 if mem.is_store {
                     if class.has_dst {
@@ -1236,7 +1228,9 @@ impl Sm {
 
     /// Flushes the L1 (kernel boundary).
     pub fn flush_l1(&mut self) {
-        self.l1.flush();
+        if let Some(l1) = &mut self.l1 {
+            l1.flush();
+        }
     }
 
     /// Resets cycle-stamped scheduling state (functional-unit and MIO
@@ -1573,6 +1567,20 @@ mod tests {
             registers: 32768,
             shared_bytes: 48 * 1024
         }));
+    }
+
+    #[test]
+    fn the_l1_is_built_by_the_first_cta() {
+        let mut sm = Sm::new(SmConfig::volta());
+        assert!(sm.l1.is_none(), "a new SM holds no L1");
+        sm.flush_l1();
+        assert_eq!(sm.l1_stats(), tcsim_mem::CacheStats::default());
+        let mut b = KernelBuilder::new("t");
+        b.exit();
+        let spec = spec(b.build(), LaunchConfig::new(1u32, 32u32), vec![]);
+        sm.launch_cta(&spec, Dim3::new(0, 0, 0), 0);
+        let l1 = sm.l1.as_ref().expect("built by launch_cta");
+        assert_eq!(l1.stats(), tcsim_mem::CacheStats::default());
     }
 
     #[test]

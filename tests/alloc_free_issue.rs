@@ -13,6 +13,10 @@
 //! with its operand tiles bank-checked, a global-operand WMMA GEMM the
 //! same with every tile's sectors walked through L1, L2 and DRAM.
 //!
+//! Bytes are counted beside calls, for one more gate: building a GPU
+//! costs no L1. Each SM builds its L1 when it receives its first CTA, so
+//! `Gpu::new` asks the heap for the same bytes whatever the L1 size.
+//!
 //! The counting allocator is test-only; every library crate keeps
 //! `#![forbid(unsafe_code)]`.
 
@@ -23,26 +27,46 @@ use tcsim::cutlass::{
 };
 use tcsim::isa::UnitClass;
 use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
-use tcsim::sm::unit_index;
+use tcsim::sm::{unit_index, SmConfig};
 
 struct Counting;
 
-thread_local! {
-    /// `Some(n)` on a thread that is measuring, `n` allocations so far:
-    /// per thread, so the harness's own threads and the other test do
-    /// not pollute the count.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+/// Heap requests: calls to `alloc`, `alloc_zeroed` and `realloc`, and
+/// the bytes they asked for (a `realloc` its new size).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Allocated {
+    calls: u64,
+    bytes: u64,
 }
 
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+thread_local! {
+    /// `Some` on a thread that is measuring, with what it allocated so
+    /// far: per thread, so the harness's own threads and the other tests
+    /// do not pollute the count.
+    static ALLOCATED: Cell<Option<Allocated>> = const { Cell::new(None) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|a| {
+        a.set(a.get().map(|a| Allocated {
+            calls: a.calls + 1,
+            bytes: a.bytes + bytes as u64,
+        }))
+    });
+}
+
+/// Runs `f`, counting what it allocates on this thread.
+fn measure<T>(f: impl FnOnce() -> T) -> (Allocated, T) {
+    ALLOCATED.set(Some(Allocated::default()));
+    let out = f();
+    (ALLOCATED.replace(None).expect("still measuring"), out)
 }
 
 // SAFETY: defers every request unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the only addition is a relaxed counter bump.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -53,13 +77,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -129,10 +153,8 @@ fn launch_allocations(gemm: Gemm, k: usize) -> (u64, LaunchStats) {
         .param_u32(N as u32)
         .param_u32(k as u32);
 
-    ALLOCATIONS.set(Some(0));
-    let stats = builder.launch(&mut gpu);
-    let allocations = ALLOCATIONS.replace(None).expect("still measuring");
-    (allocations, stats)
+    let (allocated, stats) = measure(|| builder.launch(&mut gpu));
+    (allocated.calls, stats)
 }
 
 /// Launches `gemm` at a shallow and a four times deeper reduction on one
@@ -189,4 +211,24 @@ fn executing_wmma_instructions_allocates_nothing() {
     // (The accumulator load and the store do not grow with `k`.)
     assert!(deep.sm.global_txns >= 2 * shallow.sm.global_txns);
     assert!(deep.dram_sectors > shallow.dram_sectors);
+}
+
+#[test]
+fn building_a_gpu_costs_no_l1() {
+    let titan_v = |l1_kib| GpuConfig {
+        sm: SmConfig {
+            l1_kib,
+            ..SmConfig::volta()
+        },
+        ..GpuConfig::titan_v()
+    };
+    let (large, _) = measure(|| Gpu::new(titan_v(128)));
+    let (small, _) = measure(|| Gpu::new(titan_v(32)));
+    assert!(large.bytes > 0, "the counter is dead");
+    assert_eq!(
+        large,
+        small,
+        "a 128 KiB L1 costs {} bytes more than a 32 KiB one across 80 SMs",
+        large.bytes as i64 - small.bytes as i64
+    );
 }
