@@ -583,8 +583,9 @@ mod tests {
     #[test]
     fn lines_stay_invalid_across_the_generation_wrap() {
         let mut c = small();
-        c.fill(0x100, 1, true); // generation 1
-                                // 2^32 - 2 flushes later: the last generation before the wrap.
+        // Installed in generation 1; then, as after 2^32 - 2 flushes, the
+        // last generation before the wrap.
+        c.fill(0x100, 1, true);
         c.generation = u32::MAX as u64;
         assert_eq!(c.lookup(0x100, false, 2), Lookup::Miss);
         c.fill(0x200, 3, true);
