@@ -92,7 +92,6 @@ impl DenseScoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoreboard::Scoreboard;
     use tcsim_isa::{Instr, MemSpace, MemWidth, Op, Operand};
 
     fn r(n: u16) -> Reg {
@@ -161,10 +160,12 @@ mod tests {
         assert_eq!(sb.all_clear_at(90), 90);
     }
 
-    /// Differential: drive the map scoreboard and the dense one with the
-    /// same instruction sequence and compare every observation.
+    /// A five-instruction program of ALU moves and global loads, issued 13
+    /// cycles apart. Before each issue the instruction is checked at four
+    /// probe cycles; every hazard and barrier-fence cycle is the value the
+    /// per-register map scoreboard this one replaced reported there.
     #[test]
-    fn matches_hashmap_scoreboard_on_a_mixed_sequence() {
+    fn recorded_hazards_on_a_mixed_sequence() {
         let mov = |dst: u16, src: u16| {
             Instr::new(Op::Mov)
                 .with_dst(Reg(dst))
@@ -178,31 +179,84 @@ mod tests {
             .with_dst(Reg(dst))
             .with_srcs(vec![Operand::Reg(Reg(addr))])
         };
+        let alu = |ready| {
+            Err(Hazard {
+                ready,
+                from_mem: false,
+            })
+        };
+        let mem = |ready| {
+            Err(Hazard {
+                ready,
+                from_mem: true,
+            })
+        };
+        // (instruction, its completion cycle, [(probe, check, all_clear_at)]).
         let program = [
-            (mov(1, 0), 50u64),
-            (ld(2, 1), 180),
-            (mov(3, 2), 60),
-            (ld(1, 3), 300),
-            (mov(4, 1), 310),
+            (
+                mov(1, 0),
+                50u64,
+                [
+                    (0, Ok(()), 0),
+                    (17, Ok(()), 17),
+                    (49, Ok(()), 49),
+                    (50, Ok(()), 50),
+                ],
+            ),
+            (
+                ld(2, 1),
+                180,
+                [
+                    (13, alu(50), 50),
+                    (30, alu(50), 50),
+                    (179, Ok(()), 179),
+                    (180, Ok(()), 180),
+                ],
+            ),
+            (
+                mov(3, 2),
+                60,
+                [
+                    (26, mem(180), 180),
+                    (43, mem(180), 180),
+                    (59, mem(180), 180),
+                    (60, mem(180), 180),
+                ],
+            ),
+            (
+                ld(1, 3),
+                300,
+                [
+                    (39, alu(60), 180),
+                    (56, alu(60), 180),
+                    (299, Ok(()), 299),
+                    (300, Ok(()), 300),
+                ],
+            ),
+            (
+                mov(4, 1),
+                310,
+                [
+                    (52, mem(300), 300),
+                    (69, mem(300), 300),
+                    (309, Ok(()), 309),
+                    (310, Ok(()), 310),
+                ],
+            ),
         ];
-        let mut map = Scoreboard::new();
-        let mut dense = DenseScoreboard::new(16);
-        let mut now = 0u64;
-        for (instr, ready) in &program {
+        let mut sb = DenseScoreboard::new(16);
+        for (instr, ready, probes) in program {
             let uses = instr.use_regs(true);
             let defs = instr.def_regs(true);
-            for probe in [now, now + 17, ready - 1, *ready] {
-                map.retire(probe);
+            for (probe, check, clear) in probes {
                 assert_eq!(
-                    map.check(instr, true, probe),
-                    dense.check(&uses, &defs, probe),
+                    sb.check(&uses, &defs, probe),
+                    check,
                     "check at cycle {probe}"
                 );
-                assert_eq!(map.all_clear_at(probe), dense.all_clear_at(probe));
+                assert_eq!(sb.all_clear_at(probe), clear, "fence at cycle {probe}");
             }
-            map.issue(instr, true, *ready);
-            dense.issue(&defs, *ready, instr.op.unit() == tcsim_isa::UnitClass::Mem);
-            now += 13;
+            sb.issue(&defs, ready, instr.op.unit() == tcsim_isa::UnitClass::Mem);
         }
     }
 }

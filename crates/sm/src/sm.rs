@@ -1720,35 +1720,126 @@ mod tests {
         }
     }
 
+    /// One issue read back from a trace.
+    struct Issue {
+        sub_core: usize,
+        warp: usize,
+        /// The warp that issued last on the same sub-core.
+        prev: Option<usize>,
+        /// The sub-core's warps that could issue at that cycle, as far as
+        /// the trace tells: not retired and not stalled past it.
+        ready: Vec<usize>,
+    }
+
+    /// Runs one CTA of eight warps (two per sub-core) to completion and
+    /// reads its issues back from the trace, in order.
+    fn issue_order(cfg: SmConfig, kernel: Kernel) -> Vec<Issue> {
+        let mut sm = Sm::new(cfg);
+        let mut global = DeviceMemory::new();
+        let mut sys = tiny_sys();
+        let spec = spec(kernel, LaunchConfig::new(1u32, 256u32), vec![]);
+        sm.launch_cta(&spec, Dim3::new(0, 0, 0), 0);
+        let mut tr = RingTracer::with_capacity(1 << 16);
+        run_traced(&mut sm, &mut global, &mut sys, &mut tr);
+        let (mut until, mut retired, mut last) = ([0u64; 8], [false; 8], [None; 4]);
+        let mut issues = Vec::new();
+        for e in tr.snapshot().iter() {
+            match e.kind {
+                EventKind::WarpIssue { sub_core, warp, .. } => {
+                    let (sub_core, warp) = (sub_core as usize, warp as usize);
+                    let ready = (sub_core..8)
+                        .step_by(4)
+                        .filter(|&w| !retired[w] && until[w] <= e.cycle)
+                        .collect();
+                    issues.push(Issue {
+                        sub_core,
+                        warp,
+                        prev: last[sub_core],
+                        ready,
+                    });
+                    last[sub_core] = Some(warp);
+                }
+                EventKind::Stall { warp, until: u, .. } => until[warp as usize] = u,
+                EventKind::WarpRetire { warp, .. } => retired[warp as usize] = true,
+                _ => {}
+            }
+        }
+        issues
+    }
+
     #[test]
     fn gto_prefers_last_issued_warp() {
-        // Two warps of independent ALU work: GTO should give long runs to
-        // one warp; round-robin should interleave. We check GTO completes
-        // with the same total issues (sanity) and that the policy knob
-        // exists end-to-end.
-        let build = || {
-            let mut b = KernelBuilder::new("t");
-            let r = b.reg();
-            b.mov(r, Operand::Imm(0));
-            for _ in 0..10 {
+        // Every warp runs a dependent `iadd` chain with two independent
+        // moves between its links, so it blocks on its own chain while
+        // the other warp of its sub-core could issue.
+        let mut b = KernelBuilder::new("t");
+        let r = b.reg();
+        b.mov(r, Operand::Imm(0));
+        for _ in 0..4 {
+            b.iadd(r, r, Operand::Imm(1));
+            for _ in 0..2 {
                 let q = b.reg();
                 b.mov(q, Operand::Imm(1));
             }
-            b.exit();
-            b.build()
-        };
-        for policy in [SchedPolicy::Gto, SchedPolicy::RoundRobin] {
+        }
+        b.exit();
+        let issues = issue_order(SmConfig::volta(), b.build());
+        assert_eq!(issues.len(), 8 * 14);
+        let mut handovers = 0;
+        for i in &issues {
+            if let Some(p) = i.prev.filter(|&p| p != i.warp) {
+                assert!(
+                    !i.ready.contains(&p),
+                    "sub-core {}: warp {p} lost the slot to warp {} while it could issue",
+                    i.sub_core,
+                    i.warp
+                );
+                handovers += 1;
+            }
+        }
+        assert!(
+            issues
+                .iter()
+                .any(|i| i.prev == Some(i.warp) && i.ready.len() > 1),
+            "a warp keeps the slot although the other one is ready"
+        );
+        // More than the one handover per sub-core at a warp's exit: the
+        // chains pass the slot back and forth.
+        assert!(handovers > 4, "{handovers} handovers");
+    }
+
+    #[test]
+    fn round_robin_rotates_among_ready_warps() {
+        // Independent moves on a one-cycle integer pipe: no warp ever
+        // stalls, so both warps of a sub-core are ready until they exit.
+        let mut b = KernelBuilder::new("t");
+        for _ in 0..12 {
+            let q = b.reg();
+            b.mov(q, Operand::Imm(1));
+        }
+        b.exit();
+        let kernel = b.build();
+        for policy in [SchedPolicy::RoundRobin, SchedPolicy::Gto] {
             let cfg = SmConfig {
                 scheduler: policy,
+                int_lanes: 32,
                 ..SmConfig::volta()
             };
-            let mut sm = Sm::new(cfg);
-            let mut global = DeviceMemory::new();
-            let mut sys = tiny_sys();
-            let spec = spec(build(), LaunchConfig::new(1u32, 256u32), vec![]);
-            sm.launch_cta(&spec, Dim3::new(0, 0, 0), 0);
-            run_to_completion(&mut sm, &mut global, &mut sys);
-            assert_eq!(sm.stats().issued, 8 * 12);
+            let issues = issue_order(cfg, kernel.clone());
+            for sc in 0..4 {
+                let order: Vec<usize> = issues
+                    .iter()
+                    .filter(|i| i.sub_core == sc)
+                    .map(|i| i.warp)
+                    .collect();
+                // Round-robin alternates the two warps; GTO runs the older
+                // one to its exit first.
+                let want: Vec<usize> = match policy {
+                    SchedPolicy::RoundRobin => [sc, sc + 4].repeat(13),
+                    SchedPolicy::Gto => [[sc; 13], [sc + 4; 13]].concat(),
+                };
+                assert_eq!(order, want, "{policy:?}, sub-core {sc}");
+            }
         }
     }
 }

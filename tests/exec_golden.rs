@@ -10,7 +10,14 @@
 //! device output buffer and of `LaunchStats::to_json`, so any change to
 //! a computed bit — or to a simulated count — fails here.
 //!
-//! The run is cheap (under a second in release) and always compares.
+//! The `traced` rows that follow pin the SM core's schedule: each also
+//! records the FNV-1a/128 of the launch's Chrome trace, in which every
+//! issue, stall, retire and cache access appears with its cycle. They
+//! cover the corpus, the Fig 14a / Fig 17 GEMM families, pointer chases
+//! over L1-, L2- and DRAM-resident rings, and the corpus plus one WMMA
+//! GEMM under the round-robin scheduler.
+//!
+//! The run is cheap (a few seconds in debug) and always compares.
 //! After an *intended* behaviour change, rewrite the file with
 //!
 //! ```text
@@ -20,9 +27,14 @@
 //! and review the diff.
 
 use std::path::{Path, PathBuf};
+use tcsim::cutlass::microbench::{chase_chain, pointer_chase};
+use tcsim::cutlass::{run_gemm, GemmKernel, GemmPrecision, GemmProblem};
+use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, SimOptions};
+use tcsim::sm::SchedPolicy;
+use tcsim::trace::{chrome_trace, RingTracer};
 use tcsim_check::corpus::case_from_text;
 use tcsim_check::gen::{generate, Arch, GenConfig};
-use tcsim_check::oracle::{run_gpu, Case};
+use tcsim_check::oracle::{gpu_config, run_gpu, Case};
 use tcsim_serve::fnv128_hex;
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=256;
@@ -40,6 +52,100 @@ fn digest_line(label: &str, case: &Case) -> String {
     )
 }
 
+/// A fresh GPU whose ring tracer holds every event of the largest traced
+/// row.
+fn traced_gpu(cfg: GpuConfig) -> Gpu {
+    Gpu::new(SimOptions::new(cfg).tracer(RingTracer::with_capacity(1 << 20)))
+}
+
+fn traced_line(label: &str, gpu: &Gpu, stats: &LaunchStats, out: &[u8]) -> String {
+    assert_eq!(
+        gpu.tracer().dropped(),
+        0,
+        "{label}: the tracer dropped events"
+    );
+    format!(
+        "traced {label} out={} stats={} trace={}\n",
+        fnv128_hex(out),
+        fnv128_hex(stats.to_json().as_bytes()),
+        fnv128_hex(chrome_trace(&gpu.trace_events()).as_bytes())
+    )
+}
+
+/// A corpus case on `cfg`, launched as the oracle's `run_gpu` does.
+fn traced_case(label: &str, case: &Case, cfg: GpuConfig) -> String {
+    let mut gpu = traced_gpu(cfg);
+    let in_addr = gpu.alloc(u64::from(case.in_words) * 4);
+    let out_addr = gpu.alloc(u64::from(case.out_words) * 4);
+    gpu.memcpy_h2d(in_addr, &case.input_bytes());
+    let stats = LaunchBuilder::new(case.kernel.clone())
+        .grid(case.grid_x)
+        .block(case.block_x)
+        .param_u64(in_addr)
+        .param_u64(out_addr)
+        .launch(&mut gpu);
+    let out = gpu.memcpy_d2h(out_addr, case.out_words as usize * 4);
+    traced_line(label, &gpu, &stats, &out)
+}
+
+fn traced_gemm(label: &str, cfg: GpuConfig, kernel: GemmKernel, size: usize) -> String {
+    let precision = match kernel {
+        GemmKernel::Sgemm => GemmPrecision::Fp32,
+        GemmKernel::Hgemm => GemmPrecision::Fp16,
+        GemmKernel::IgemmWmma => GemmPrecision::Int8,
+        _ => GemmPrecision::MixedF32,
+    };
+    let problem = GemmProblem {
+        precision,
+        ..GemmProblem::square(size)
+    };
+    let mut gpu = traced_gpu(cfg);
+    let run = run_gemm(&mut gpu, problem, kernel, false);
+    // D is `run_gemm`'s last allocation, and its size is a multiple of
+    // the 256-byte alignment, so it ends where the next one starts.
+    let d_bytes = size
+        * size
+        * if precision == GemmPrecision::Fp16 {
+            2
+        } else {
+            4
+        };
+    let d_end = gpu.alloc(1);
+    let out = gpu.memcpy_d2h(d_end - d_bytes as u64, d_bytes);
+    let label = format!("gemm {label} {kernel:?} {size}");
+    traced_line(&label, &gpu, &run.stats, &out)
+}
+
+/// Warps of a traced pointer chase: 20 Titan V SMs, one CTA of eight
+/// warps each.
+const CHASE_WARPS: u64 = 20 * 256 / 32;
+
+/// A pointer chase of 96 dependent hops per warp over a ring of `elems`
+/// 8-byte links at stride 33; warp `w` enters at element `w * spread`.
+fn traced_chase(label: &str, elems: usize, spread: u32) -> String {
+    let mut gpu = traced_gpu(GpuConfig::titan_v());
+    let buf = gpu.alloc(elems as u64 * 8);
+    let out = gpu.alloc(CHASE_WARPS * 8);
+    let ring: Vec<u8> = chase_chain(elems, 33, buf)
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .collect();
+    gpu.memcpy_h2d(buf, &ring);
+    let stats = LaunchBuilder::new(pointer_chase(96, elems, spread))
+        .grid(20u32)
+        .block(256u32)
+        .param_u64(buf)
+        .param_u64(out)
+        .launch(&mut gpu);
+    let out = gpu.memcpy_d2h(out, CHASE_WARPS as usize * 8);
+    traced_line(&format!("chase {label}"), &gpu, &stats, &out)
+}
+
+/// Entry spacing that spreads the warps evenly along the chase cycle.
+fn even_spread(elems: usize) -> u32 {
+    ((33 * (elems as u64 / CHASE_WARPS)).max(33) & (elems as u64 - 1)) as u32
+}
+
 fn regenerate() -> String {
     let mut text = String::from(
         "# tcsim executor golden v1: FNV-1a/128 of the output buffer and of LaunchStats::to_json\n",
@@ -50,11 +156,17 @@ fn regenerate() -> String {
         .filter(|p| p.extension().is_some_and(|e| e == "case"))
         .collect();
     corpus.sort();
-    for path in &corpus {
-        let name = path.file_name().expect("file name").to_string_lossy();
-        let src = std::fs::read_to_string(path).expect("readable corpus case");
-        let case = case_from_text(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        text.push_str(&digest_line(&format!("corpus {name}"), &case));
+    let corpus: Vec<(String, Case)> = corpus
+        .iter()
+        .map(|path| {
+            let name = path.file_name().expect("file name").to_string_lossy();
+            let src = std::fs::read_to_string(path).expect("readable corpus case");
+            let case = case_from_text(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name.into_owned(), case)
+        })
+        .collect();
+    for (name, case) in &corpus {
+        text.push_str(&digest_line(&format!("corpus {name}"), case));
     }
     for arch in [Arch::Volta, Arch::Turing, Arch::Ampere] {
         let cfg = GenConfig {
@@ -66,6 +178,66 @@ fn regenerate() -> String {
             let label = format!("gen {} {seed}", arch.qualifier());
             text.push_str(&digest_line(&label, &case));
         }
+    }
+
+    text.push_str("# traced rows add trace=: FNV-1a/128 of chrome_trace of every event\n");
+    for (name, case) in &corpus {
+        let label = format!("corpus {name}");
+        text.push_str(&traced_case(&label, case, gpu_config(case.arch)));
+    }
+    let mini = GpuConfig::mini();
+    for kernel in [
+        GemmKernel::WmmaSimple,
+        GemmKernel::WmmaShared,
+        GemmKernel::Sgemm,
+        GemmKernel::Hgemm,
+    ] {
+        for size in [32, 64] {
+            text.push_str(&traced_gemm("mini", mini.clone(), kernel, size));
+        }
+    }
+    // INT8 WMMA needs Turing tensor cores.
+    let turing = gpu_config(Arch::Turing);
+    text.push_str(&traced_gemm(
+        "mini-turing",
+        turing,
+        GemmKernel::IgemmWmma,
+        32,
+    ));
+    for kernel in [GemmKernel::WmmaShared, GemmKernel::Sgemm] {
+        text.push_str(&traced_gemm("titan-v", GpuConfig::titan_v(), kernel, 64));
+    }
+    // The warps of one SM overlap on the 16 KiB ring, so hops hit in L1.
+    // With a spread of an eighth of the 256 KiB ring every SM chases the
+    // same eight segments: L1 misses, and each sector comes from DRAM
+    // once and from L2 after that. On the 8 MiB ring every hop misses.
+    let l2 = 32 << 10;
+    for (label, elems, spread) in [
+        ("L1 16KiB", 2 << 10, even_spread(2 << 10)),
+        ("L2 256KiB", l2, (l2 / 8) as u32),
+        ("DRAM 8MiB", 1 << 20, even_spread(1 << 20)),
+    ] {
+        text.push_str(&traced_chase(label, elems, spread));
+    }
+    let round_robin = |arch| {
+        let mut cfg = gpu_config(arch);
+        cfg.sm.scheduler = SchedPolicy::RoundRobin;
+        cfg
+    };
+    // A corpus launch holds at most one warp per sub-core, so its
+    // round-robin row equals its GTO row; the GEMMs put several warps on
+    // each sub-core and are where the two walks differ.
+    for (name, case) in &corpus {
+        let label = format!("rr corpus {name}");
+        text.push_str(&traced_case(&label, case, round_robin(case.arch)));
+    }
+    for kernel in [GemmKernel::WmmaShared, GemmKernel::Sgemm] {
+        text.push_str(&traced_gemm(
+            "rr-mini",
+            round_robin(Arch::Volta),
+            kernel,
+            64,
+        ));
     }
     text
 }
