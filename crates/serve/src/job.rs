@@ -3,10 +3,9 @@
 //!
 //! A job is the serve-layer mirror of one [`tcsim_sim::LaunchBuilder`]
 //! launch: a kernel in the workspace PTX dialect, a named GPU
-//! configuration, the `SimOptions`-relevant core-model switch, launch
-//! geometry, and the input buffer (either materialized inline or as a
-//! seeded deterministic stream shared with the `tcsim-check` case
-//! format). Kernels follow the conformance-corpus calling convention —
+//! configuration, launch geometry, and the input buffer (either
+//! materialized inline or as a seeded deterministic stream shared with
+//! the `tcsim-check` case format). Kernels follow the conformance-corpus calling convention —
 //! exactly two `u64` pointer parameters, input then output.
 //!
 //! # Cache key
@@ -19,11 +18,8 @@
 //!    textually different submissions of the same program dedupe;
 //! 3. the full `Debug` rendering of the resolved [`GpuConfig`] (every
 //!    architectural parameter, not the registry name);
-//! 4. the core model (`event`/`cycle` — the two cores are contractually
-//!    byte-identical, but the key stays conservative so a conformance
-//!    campaign can cache both sides separately);
-//! 5. grid and block extents;
-//! 6. the **materialized input bytes** (so a seeded stream and an inline
+//! 4. grid and block extents;
+//! 5. the **materialized input bytes** (so a seeded stream and an inline
 //!    buffer with equal contents dedupe) and the output size.
 //!
 //! The determinism contract of the simulator (fresh [`Gpu`] per job, no
@@ -35,7 +31,7 @@ use crate::json::JsonValue;
 use tcsim_check::gen::Arch;
 use tcsim_check::oracle::{self, Case, DataKind};
 use tcsim_isa::{Dim3, Kernel};
-use tcsim_sim::{CoreModel, Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats, SimOptions};
+use tcsim_sim::{Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats};
 
 /// Hard per-job size ceilings (words of 4 bytes): admission control for
 /// memory, enforced by [`JobSpec::validate`] before anything is
@@ -152,8 +148,6 @@ pub struct JobSpec {
     pub kernel: Kernel,
     /// GPU configuration to build the fresh [`Gpu`] from.
     pub config: ConfigId,
-    /// SM-core simulation loop (`SimOptions`-relevant field).
-    pub core: CoreModel,
     /// Grid extent in CTAs.
     pub grid: Dim3,
     /// CTA extent in threads.
@@ -172,21 +166,6 @@ pub struct JobOutcome {
     pub stats_json: String,
     /// FNV-1a/128 digest of the output buffer after the launch.
     pub output_fnv: String,
-}
-
-fn core_name(core: CoreModel) -> &'static str {
-    match core {
-        CoreModel::EventDriven => "event",
-        CoreModel::CycleStepped => "cycle",
-    }
-}
-
-fn core_from_name(s: &str) -> Option<CoreModel> {
-    match s {
-        "event" => Some(CoreModel::EventDriven),
-        "cycle" => Some(CoreModel::CycleStepped),
-        _ => None,
-    }
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
@@ -212,12 +191,11 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 
 impl JobSpec {
     /// Builds a job from a conformance-suite [`Case`] (mini config for
-    /// the case's architecture, event-driven core).
+    /// the case's architecture).
     pub fn from_case(case: &Case) -> JobSpec {
         JobSpec {
             kernel: case.kernel.clone(),
             config: ConfigId::for_arch(case.arch),
-            core: CoreModel::EventDriven,
             grid: Dim3::x(case.grid_x),
             block: Dim3::x(case.block_x),
             input: InputSpec::Seeded {
@@ -277,7 +255,6 @@ impl JobSpec {
         h.field(b"tcsim-serve job v1");
         h.field(self.kernel_text().as_bytes());
         h.field(format!("{:?}", self.config.to_config()).as_bytes());
-        h.field(core_name(self.core).as_bytes());
         for d in [self.grid, self.block] {
             h.u64(u64::from(d.x))
                 .u64(u64::from(d.y))
@@ -292,7 +269,7 @@ impl JobSpec {
     /// serial (no-server) execution path, byte-identical to what the
     /// server's sweep workers produce.
     pub fn run(&self) -> Result<JobOutcome, String> {
-        let mut gpu = Gpu::new(SimOptions::new(self.config.to_config()).core(self.core));
+        let mut gpu = Gpu::new(self.config.to_config());
         self.run_on(&mut gpu)
     }
 
@@ -326,7 +303,6 @@ impl JobSpec {
         let mut w = JsonWriter::object();
         w.field_str("kernel", &self.kernel_text());
         w.field_str("config", self.config.name());
-        w.field_str("core", core_name(self.core));
         w.raw_field(
             "grid",
             &format!("[{},{},{}]", self.grid.x, self.grid.y, self.grid.z),
@@ -361,10 +337,6 @@ impl JobSpec {
             .str_field("config")
             .and_then(ConfigId::from_name)
             .ok_or("job: missing or unknown `config`")?;
-        let core = v
-            .str_field("core")
-            .and_then(core_from_name)
-            .ok_or("job: missing or unknown `core`")?;
         let dim = |key: &str| -> Result<Dim3, String> {
             let arr = v
                 .get(key)
@@ -405,7 +377,6 @@ impl JobSpec {
         Ok(JobSpec {
             kernel,
             config,
-            core,
             grid: dim("grid")?,
             block: dim("block")?,
             input,
@@ -448,7 +419,6 @@ mod tests {
         JobSpec {
             kernel: test_kernel(1),
             config: ConfigId::Mini,
-            core: CoreModel::EventDriven,
             grid: Dim3::x(1),
             block: Dim3::x(32),
             input: InputSpec::Seeded {
@@ -466,7 +436,6 @@ mod tests {
             let mut s = test_spec();
             s.input = InputSpec::Inline(vec![1, 2, 3, 4, 5, 6, 7, 8]);
             s.config = ConfigId::MiniTuring;
-            s.core = CoreModel::CycleStepped;
             s.grid = Dim3::new(2, 3, 1);
             s
         }] {
@@ -474,13 +443,23 @@ mod tests {
             let back = JobSpec::from_json(&json::parse(&text).unwrap()).unwrap();
             assert_eq!(back.kernel_text(), spec.kernel_text());
             assert_eq!(back.config, spec.config);
-            assert_eq!(back.core, spec.core);
             assert_eq!(back.grid, spec.grid);
             assert_eq!(back.block, spec.block);
             assert_eq!(back.input, spec.input);
             assert_eq!(back.out_words, spec.out_words);
             assert_eq!(back.cache_key(), spec.cache_key());
         }
+    }
+
+    #[test]
+    fn an_old_clients_core_field_is_ignored() {
+        // Jobs once named an SM core model; both cores gave byte-identical
+        // results, so the field is ignored like any unknown key.
+        let spec = test_spec();
+        let text = spec.to_json();
+        let old = format!("{{\"core\":\"cycle\",{}", &text[1..]);
+        let back = JobSpec::from_json(&json::parse(&old).unwrap()).unwrap();
+        assert_eq!(back.cache_key(), spec.cache_key());
     }
 
     #[test]

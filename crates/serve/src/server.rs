@@ -15,9 +15,9 @@
 //!                                   │ condvar
 //!                                   ▼
 //!             dispatcher thread: drain ≤ batch_max jobs,
-//!             partition by core model, run each group as a
-//!             Sweep::run_parallel(workers), install results
-//!             in the cache, fan completions out to waiters
+//!             run them as one Sweep::run_parallel(workers),
+//!             install results in the cache, fan completions
+//!             out to waiters
 //! ```
 //!
 //! Each client connection owns an mpsc channel drained by a dedicated
@@ -54,7 +54,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use tcsim_sim::{CoreModel, Sweep};
+use tcsim_sim::Sweep;
 
 /// Server sizing and policy knobs.
 #[derive(Clone, Debug)]
@@ -436,80 +436,69 @@ fn dispatch_loop(shared: Arc<Shared>) {
             batch
         };
 
-        // Shard the batch across the sweep pool, one group per core
-        // model (a Sweep builds every fresh Gpu with one core setting).
-        for model in [CoreModel::EventDriven, CoreModel::CycleStepped] {
-            let group: Vec<&PendingJob> = batch.iter().filter(|j| j.spec.core == model).collect();
-            if group.is_empty() {
-                continue;
-            }
-            let mut sweep = Sweep::new();
-            sweep.core_model(model);
-            for job in &group {
-                let spec = job.spec.clone();
-                sweep.add(spec.config.to_config(), move |gpu| {
-                    catch_unwind(AssertUnwindSafe(|| spec.run_on(gpu))).unwrap_or_else(|panic| {
-                        let msg = panic
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| panic.downcast_ref::<&str>().copied())
-                            .unwrap_or("launch panicked");
-                        Err(format!("launch panicked: {msg}"))
-                    })
-                });
-            }
-            let outcome = sweep.run_parallel(shared.opts.workers);
+        // Shard the batch across the sweep pool.
+        let mut sweep = Sweep::new();
+        for job in &batch {
+            let spec = job.spec.clone();
+            sweep.add(spec.config.to_config(), move |gpu| {
+                catch_unwind(AssertUnwindSafe(|| spec.run_on(gpu))).unwrap_or_else(|panic| {
+                    let msg = panic
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| panic.downcast_ref::<&str>().copied())
+                        .unwrap_or("launch panicked");
+                    Err(format!("launch panicked: {msg}"))
+                })
+            });
+        }
+        let outcome = sweep.run_parallel(shared.opts.workers);
 
-            let mut core = shared.mu.lock().unwrap();
-            for (job, result) in group.iter().zip(outcome.results) {
-                let waiters = core.in_flight.remove(&job.key).unwrap_or_default();
-                match result {
-                    Ok(out) => {
-                        core.counters.cache_misses += 1;
-                        core.counters.jobs_done += waiters.len() as u64;
-                        let entry = CacheEntry {
-                            key: job.key.clone(),
-                            outcome: out,
-                        };
-                        let entry = match core.cache.insert(entry) {
-                            Ok(e) => e,
-                            Err(io_err) => {
-                                // Persistence failure degrades to a warm
-                                // in-memory cache; the job still completes.
-                                eprintln!(
-                                    "tcsim-serve: cache write for {} failed: {io_err}",
-                                    job.key
-                                );
-                                core.cache.get(&job.key).expect("in-memory insert")
+        let mut core = shared.mu.lock().unwrap();
+        for (job, result) in batch.iter().zip(outcome.results) {
+            let waiters = core.in_flight.remove(&job.key).unwrap_or_default();
+            match result {
+                Ok(out) => {
+                    core.counters.cache_misses += 1;
+                    core.counters.jobs_done += waiters.len() as u64;
+                    let entry = CacheEntry {
+                        key: job.key.clone(),
+                        outcome: out,
+                    };
+                    let entry = match core.cache.insert(entry) {
+                        Ok(e) => e,
+                        Err(io_err) => {
+                            // Persistence failure degrades to a warm
+                            // in-memory cache; the job still completes.
+                            eprintln!("tcsim-serve: cache write for {} failed: {io_err}", job.key);
+                            core.cache.get(&job.key).expect("in-memory insert")
+                        }
+                    };
+                    for w in waiters {
+                        w.conn_inflight.fetch_sub(1, Ordering::SeqCst);
+                        let _ = w.tx.send(
+                            Event::Done {
+                                id: w.id,
+                                key: job.key.clone(),
+                                cached: false,
+                                output_fnv: entry.outcome.output_fnv.clone(),
+                                latency_us: w.submitted.elapsed().as_micros() as u64,
+                                stats_json: entry.outcome.stats_json.clone(),
                             }
-                        };
-                        for w in waiters {
-                            w.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-                            let _ = w.tx.send(
-                                Event::Done {
-                                    id: w.id,
-                                    key: job.key.clone(),
-                                    cached: false,
-                                    output_fnv: entry.outcome.output_fnv.clone(),
-                                    latency_us: w.submitted.elapsed().as_micros() as u64,
-                                    stats_json: entry.outcome.stats_json.clone(),
-                                }
-                                .to_line(),
-                            );
-                        }
+                            .to_line(),
+                        );
                     }
-                    Err(reason) => {
-                        core.counters.failed += waiters.len() as u64;
-                        for w in waiters {
-                            w.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-                            let _ = w.tx.send(
-                                Event::Failed {
-                                    id: w.id,
-                                    reason: reason.clone(),
-                                }
-                                .to_line(),
-                            );
-                        }
+                }
+                Err(reason) => {
+                    core.counters.failed += waiters.len() as u64;
+                    for w in waiters {
+                        w.conn_inflight.fetch_sub(1, Ordering::SeqCst);
+                        let _ = w.tx.send(
+                            Event::Failed {
+                                id: w.id,
+                                reason: reason.clone(),
+                            }
+                            .to_line(),
+                        );
                     }
                 }
             }

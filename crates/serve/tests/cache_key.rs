@@ -7,7 +7,7 @@
 use tcsim_check::oracle::DataKind;
 use tcsim_isa::{Dim3, Kernel, KernelBuilder, MemWidth, Operand, SpecialReg};
 use tcsim_serve::{verify_stats_round_trip, ConfigId, InputSpec, JobSpec};
-use tcsim_sim::{CoreModel, Gpu, GpuConfig, LaunchBuilder, SimOptions};
+use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, SimOptions};
 
 /// `out[tid] = in[tid] + bias` over one warp.
 fn add_kernel(bias: i64) -> Kernel {
@@ -36,7 +36,6 @@ fn base_spec() -> JobSpec {
     JobSpec {
         kernel: add_kernel(1),
         config: ConfigId::Mini,
-        core: CoreModel::EventDriven,
         grid: Dim3::x(2),
         block: Dim3::x(32),
         input: InputSpec::Seeded {
@@ -111,13 +110,6 @@ fn every_single_field_perturbation_changes_the_key() {
             "config",
             JobSpec {
                 config: ConfigId::MiniTuring,
-                ..base_spec()
-            },
-        ),
-        (
-            "core model",
-            JobSpec {
-                core: CoreModel::CycleStepped,
                 ..base_spec()
             },
         ),

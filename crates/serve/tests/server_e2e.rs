@@ -6,7 +6,6 @@ use std::path::PathBuf;
 use tcsim_check::oracle::DataKind;
 use tcsim_isa::{Dim3, Kernel, KernelBuilder, MemWidth, Operand, SpecialReg};
 use tcsim_serve::{Client, ConfigId, Event, InputSpec, JobSpec, Request, ServeOptions, Server};
-use tcsim_sim::CoreModel;
 
 fn add_kernel(bias: i64) -> Kernel {
     let mut b = KernelBuilder::new("e2e_add");
@@ -34,7 +33,6 @@ fn spec(bias: i64) -> JobSpec {
     JobSpec {
         kernel: add_kernel(bias),
         config: ConfigId::Mini,
-        core: CoreModel::EventDriven,
         grid: Dim3::x(1),
         block: Dim3::x(32),
         input: InputSpec::Seeded {

@@ -2,7 +2,7 @@
 //! event skipping, and launch statistics.
 
 use crate::config::GpuConfig;
-use crate::options::{CoreModel, SimOptions};
+use crate::options::SimOptions;
 use crate::stats::LaunchStats;
 use std::sync::Arc;
 use tcsim_isa::{ByteMemory, Kernel, LaunchConfig};
@@ -45,7 +45,6 @@ use tcsim_trace::{NullTracer, TraceEvent, TraceSummary, Tracer};
 /// ```
 pub struct Gpu {
     cfg: GpuConfig,
-    core: CoreModel,
     sms: Vec<Sm>,
     mem_sys: MemSystem,
     device: DeviceMemory,
@@ -55,13 +54,11 @@ pub struct Gpu {
 
 impl Gpu {
     /// Builds an idle GPU from a [`GpuConfig`] (all-default options) or an
-    /// explicit [`SimOptions`] carrying the core model, tracer and
-    /// profiling switches.
+    /// explicit [`SimOptions`] carrying the tracer and profiling switches.
     pub fn new(options: impl Into<SimOptions>) -> Gpu {
         let opts = options.into();
         let cfg = opts.cfg;
         let mut gpu = Gpu {
-            core: opts.core,
             sms: (0..cfg.num_sms)
                 .map(|i| Sm::with_id(cfg.sm, i as u16))
                 .collect(),
@@ -80,11 +77,6 @@ impl Gpu {
     /// The GPU configuration.
     pub fn config(&self) -> &GpuConfig {
         &self.cfg
-    }
-
-    /// Which SM-core simulation loop this GPU runs.
-    pub fn core_model(&self) -> CoreModel {
-        self.core
     }
 
     pub(crate) fn install_tracer(&mut self, tracer: Box<dyn Tracer>) {
@@ -215,10 +207,7 @@ impl Gpu {
         let l1_before = self.l1_aggregate();
         let l2_before = self.mem_sys.l2_stats();
         let dram_before = self.mem_sys.dram_sectors();
-        let cycle = match self.core {
-            CoreModel::EventDriven => self.run_loop_event(&spec, &req),
-            CoreModel::CycleStepped => self.run_loop_cycle(&spec, &req),
-        };
+        let cycle = self.run_loop(&spec, &req);
 
         let mut merged = tcsim_sm::SmStats::default();
         for (sm, before) in self.sms.iter().zip(&sm_before) {
@@ -249,82 +238,24 @@ impl Gpu {
         }
     }
 
-    /// The original reference loop: step every non-idle SM at every
-    /// visited cycle, then advance the clock by one (if anything issued)
-    /// or jump to the earliest wake hint.
-    fn run_loop_cycle(&mut self, spec: &LaunchSpec, req: &CtaRequirements) -> u64 {
-        let total_ctas = spec.launch.total_ctas();
-        let mut next_cta: u64 = 0;
-        let mut cycle: u64 = 0;
-
-        loop {
-            // CTA issue: fill SMs round-robin, one pass per cycle.
-            if next_cta < total_ctas {
-                for sm in &mut self.sms {
-                    if next_cta >= total_ctas {
-                        break;
-                    }
-                    if sm.can_accept(req) {
-                        let id = spec.launch.grid.delinearize(next_cta);
-                        sm.launch_cta(spec, id, cycle);
-                        next_cta += 1;
-                    }
-                }
-            }
-
-            let mut any_issued = false;
-            let mut hint = u64::MAX;
-            let mut all_idle = true;
-            for sm in &mut self.sms {
-                if sm.idle() {
-                    continue;
-                }
-                all_idle = false;
-                match sm.step(
-                    cycle,
-                    &mut self.device,
-                    &mut self.mem_sys,
-                    self.tracer.as_mut(),
-                ) {
-                    None => any_issued = true,
-                    Some(h) => hint = hint.min(h),
-                }
-            }
-
-            if all_idle && next_cta >= total_ctas {
-                break;
-            }
-
-            if any_issued || hint == u64::MAX {
-                cycle += 1;
-            } else {
-                // Event skip: nothing can issue before `hint`.
-                cycle = hint.max(cycle + 1);
-            }
-            assert!(cycle < WATCHDOG, "simulation watchdog tripped");
-        }
-        cycle
-    }
-
-    /// The event/wakeup-driven loop. Each SM's next interesting cycle is
-    /// cached in `wake`; an SM is stepped only when the clock reaches it,
-    /// and the clock advances straight to the minimum wake time.
+    /// The event/wakeup-driven launch loop. Each SM's next interesting
+    /// cycle is cached in `wake`; an SM is stepped only when the clock
+    /// reaches it, and the clock advances straight to the minimum wake
+    /// time.
     ///
-    /// This visits exactly the cycle sequence of [`Gpu::run_loop_cycle`]
-    /// and skips only SM steps that are provably no-ops: a step before an
-    /// SM's wake time finds every warp still blocked (`block_until`
-    /// values only change when a warp is actually retried or issued), so
-    /// it emits no events, mutates nothing, and returns the same hint —
-    /// which is why the two cores produce byte-identical statistics and
-    /// traces.
-    fn run_loop_event(&mut self, spec: &LaunchSpec, req: &CtaRequirements) -> u64 {
+    /// Stepping every resident SM at every visited cycle would give the
+    /// same result: the loop skips only SM steps that are provably no-ops.
+    /// A step before an SM's wake time finds every warp still blocked
+    /// (`block_until` values only change when a warp is actually retried,
+    /// issued, launched or released), so it emits no events, mutates
+    /// nothing and returns the same hint.
+    fn run_loop(&mut self, spec: &LaunchSpec, req: &CtaRequirements) -> u64 {
         let total_ctas = spec.launch.total_ctas();
         let mut next_cta: u64 = 0;
         let mut cycle: u64 = 0;
         let mut wake: Vec<u64> = vec![0; self.sms.len()];
-        // Indices of the SMs with resident CTAs, ascending: the stepping
-        // order of the reference loop without its visit to every idle SM
-        // on every visited cycle.
+        // Indices of the SMs with resident CTAs, ascending: SMs are stepped
+        // in index order, and an idle SM is never visited.
         let mut resident: Vec<usize> = Vec::with_capacity(self.sms.len());
 
         loop {
@@ -357,7 +288,7 @@ impl Gpu {
                 resident[live] = i;
                 live += 1;
                 if wake[i] <= cycle {
-                    wake[i] = match sm.step_event(
+                    wake[i] = match sm.step(
                         cycle,
                         &mut self.device,
                         &mut self.mem_sys,

@@ -30,7 +30,7 @@ mod sweep;
 pub use config::GpuConfig;
 pub use gpu::Gpu;
 pub use launch::{LaunchBuilder, LaunchError};
-pub use options::{CoreModel, SimOptions};
+pub use options::SimOptions;
 pub use session::{Session, SessionEntry};
 pub use stats::{pearson, Distribution, JsonWriter, LaunchStats};
 pub use sweep::{HasLaunchStats, Sweep, SweepOutcome, SweepStats};

@@ -1,56 +1,33 @@
 //! Typed simulation options.
 //!
-//! [`SimOptions`] gathers tracing, WMMA latency profiling and the
-//! core-model selector into one builder consumed by [`crate::Gpu::new`]
-//! — the sole way to configure these (the transitional `Gpu` setters
-//! were removed once every caller migrated).
+//! [`SimOptions`] gathers tracing and WMMA latency profiling into one
+//! builder consumed by [`crate::Gpu::new`] — the sole way to configure
+//! these (the transitional `Gpu` setters were removed once every caller
+//! migrated).
 //! A plain [`GpuConfig`] converts into default options, so existing
 //! `Gpu::new(GpuConfig::titan_v())` call sites keep working unchanged.
 //!
 //! # Example
 //!
 //! ```
-//! use tcsim_sim::{CoreModel, Gpu, GpuConfig, SimOptions};
+//! use tcsim_sim::{Gpu, GpuConfig, SimOptions};
 //! use tcsim_trace::RingTracer;
 //!
-//! // Defaults: event-driven core, no tracing, no WMMA profiling.
+//! // Defaults: no tracing, no WMMA profiling.
 //! let gpu = Gpu::new(GpuConfig::mini());
-//! assert_eq!(gpu.core_model(), CoreModel::EventDriven);
+//! assert!(!gpu.tracer().enabled());
 //!
 //! // Everything explicit:
 //! let gpu = Gpu::new(
 //!     SimOptions::new(GpuConfig::mini())
-//!         .core(CoreModel::CycleStepped)
 //!         .profile_wmma(true)
 //!         .tracer(RingTracer::new()),
 //! );
-//! assert_eq!(gpu.core_model(), CoreModel::CycleStepped);
 //! assert!(gpu.tracer().enabled());
 //! ```
 
 use crate::config::GpuConfig;
 use tcsim_trace::Tracer;
-
-/// Which SM-core simulation loop drives a [`crate::Gpu`].
-///
-/// Both models produce **identical** launch statistics and trace event
-/// streams (this is pinned by differential tests over the conformance
-/// corpus and the figure configurations); they differ only in wall-clock
-/// speed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CoreModel {
-    /// Event/wakeup-driven core (the default): each SM caches the next
-    /// cycle at which it could issue, the global clock jumps to the
-    /// minimum, and blocked issue attempts run against decode-once μop
-    /// tables — 1.5–3.6× faster depending on how latency-bound the
-    /// workload is (see `results/BENCH_core_speedup.json`).
-    #[default]
-    EventDriven,
-    /// The original cycle-stepped core: every non-idle SM is stepped at
-    /// every visited cycle and re-interprets instructions on each issue
-    /// attempt. Kept as the reference implementation.
-    CycleStepped,
-}
 
 /// Builder-style options for constructing a [`crate::Gpu`].
 ///
@@ -58,27 +35,18 @@ pub enum CoreModel {
 /// via `From<GpuConfig>`.
 pub struct SimOptions {
     pub(crate) cfg: GpuConfig,
-    pub(crate) core: CoreModel,
     pub(crate) profile_wmma: bool,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
 }
 
 impl SimOptions {
-    /// Default options for `cfg`: event-driven core, tracing disabled,
-    /// WMMA profiling off.
+    /// Default options for `cfg`: tracing disabled, WMMA profiling off.
     pub fn new(cfg: GpuConfig) -> SimOptions {
         SimOptions {
             cfg,
-            core: CoreModel::default(),
             profile_wmma: false,
             tracer: None,
         }
-    }
-
-    /// Selects the SM-core simulation loop.
-    pub fn core(mut self, core: CoreModel) -> SimOptions {
-        self.core = core;
-        self
     }
 
     /// Enables per-WMMA-instruction latency profiling (Fig 15/16).
@@ -108,7 +76,6 @@ mod tests {
     #[test]
     fn config_converts_to_default_options() {
         let opts: SimOptions = GpuConfig::mini().into();
-        assert_eq!(opts.core, CoreModel::EventDriven);
         assert!(!opts.profile_wmma);
         assert!(opts.tracer.is_none());
         assert_eq!(opts.cfg.num_sms, GpuConfig::mini().num_sms);
@@ -117,10 +84,8 @@ mod tests {
     #[test]
     fn builder_methods_compose() {
         let opts = SimOptions::new(GpuConfig::mini())
-            .core(CoreModel::CycleStepped)
             .profile_wmma(true)
             .tracer(tcsim_trace::RingTracer::new());
-        assert_eq!(opts.core, CoreModel::CycleStepped);
         assert!(opts.profile_wmma);
         assert!(opts.tracer.is_some());
     }

@@ -46,7 +46,6 @@
 
 use crate::config::GpuConfig;
 use crate::gpu::Gpu;
-use crate::options::{CoreModel, SimOptions};
 use crate::stats::LaunchStats;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -118,25 +117,12 @@ impl<T: HasLaunchStats> SweepOutcome<T> {
 #[derive(Default)]
 pub struct Sweep<T> {
     jobs: Vec<Job<T>>,
-    core: CoreModel,
 }
 
 impl<T: Send> Sweep<T> {
     /// Creates an empty sweep.
     pub fn new() -> Sweep<T> {
-        Sweep {
-            jobs: Vec::new(),
-            core: CoreModel::default(),
-        }
-    }
-
-    /// Selects the SM-core model every job's fresh [`Gpu`] is built with
-    /// (default: [`CoreModel::EventDriven`]). Both cores produce
-    /// identical results; this knob exists for differential testing and
-    /// benchmarking.
-    pub fn core_model(&mut self, core: CoreModel) -> &mut Sweep<T> {
-        self.core = core;
-        self
+        Sweep { jobs: Vec::new() }
     }
 
     /// Adds a job with default scheduling weight.
@@ -181,12 +167,11 @@ impl<T: Send> Sweep<T> {
     pub fn run_serial(self) -> SweepOutcome<T> {
         let start = Instant::now();
         let n_jobs = self.jobs.len();
-        let core = self.core;
         let results = self
             .jobs
             .into_iter()
             .map(|job| {
-                let mut gpu = Gpu::new(SimOptions::new(job.cfg).core(core));
+                let mut gpu = Gpu::new(job.cfg);
                 (job.run)(&mut gpu)
             })
             .collect();
@@ -209,7 +194,6 @@ impl<T: Send> Sweep<T> {
     pub fn run_parallel(self, threads: usize) -> SweepOutcome<T> {
         let start = Instant::now();
         let n_jobs = self.jobs.len();
-        let core = self.core;
         let workers = threads.max(1).min(n_jobs.max(1));
 
         // Index jobs by submission order, then schedule heaviest-first
@@ -225,7 +209,7 @@ impl<T: Send> Sweep<T> {
                 scope.spawn(|| loop {
                     let next = queue.lock().unwrap().pop_front();
                     let Some((idx, job)) = next else { break };
-                    let mut gpu = Gpu::new(SimOptions::new(job.cfg).core(core));
+                    let mut gpu = Gpu::new(job.cfg);
                     let result = (job.run)(&mut gpu);
                     slots.lock().unwrap()[idx] = Some(result);
                 });

@@ -7,9 +7,10 @@
 //! them from the `Instr` (and, for bank conflicts, re-counting operand
 //! banks on every issue).
 //!
-//! Decoding is pure — it records exactly the values the cycle-stepped
-//! [`crate::Sm::step`] path computes inline, which is what makes the two
-//! issue paths cycle-identical.
+//! Decoding is pure: every value is a function of one instruction and
+//! the configuration, so a table shared by all CTAs of a launch (or
+//! decoded by each SM on its own, see [`crate::LaunchSpec::uops`]) gives
+//! the same schedule.
 
 use crate::config::SmConfig;
 use tcsim_core::mma_timing;

@@ -24,14 +24,12 @@
 
 mod config;
 mod decode;
-mod dense_scoreboard;
 mod scoreboard;
 mod sm;
 mod stats;
 
 pub use config::{SchedPolicy, SmConfig};
 pub use decode::{DecodedKernel, UopTiming};
-pub use dense_scoreboard::DenseScoreboard;
 pub use scoreboard::{Hazard, Scoreboard};
 pub use sm::{CtaRequirements, LaunchSpec, Sm};
 pub use stats::{unit_index, SmStats, WmmaKind, WmmaSample};

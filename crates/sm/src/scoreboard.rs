@@ -2,75 +2,69 @@
 //! hazards), as the paper's GPGPU-Sim changes do for `wmma.mma` (§V-A:
 //! "We updated the scoreboard to check for RAW and WAW hazard associated
 //! with wmma.mma instructions").
+//!
+//! The state is two dense per-register arrays, so the hazard check is a
+//! slice walk with no hashing or allocation:
+//!
+//! * an entry is *pending* iff `ready[r] > now`, so completed writes need
+//!   no `retire` pass: they are simply skipped;
+//! * [`Scoreboard::issue`] keeps the **latest** completion per register
+//!   (overwrite-if-greater, OR the memory flag on ties);
+//! * a running maximum is exact for [`Scoreboard::all_clear_at`]: if the
+//!   max is in the past, every entry is.
 
-use std::collections::HashMap;
-use tcsim_isa::{Instr, Reg, UnitClass};
-
-/// One in-flight register write.
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    /// Cycle at which the value becomes readable.
-    ready: u64,
-    /// Whether the producing instruction went to the memory unit — this
-    /// is what turns a scoreboard stall into a *memory* stall rather
-    /// than a plain RAW dependency in the trace breakdown.
-    from_mem: bool,
-}
+use tcsim_isa::Reg;
 
 /// A blocking dependency found by [`Scoreboard::check`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hazard {
     /// Cycle at which the last blocking write completes.
     pub ready: u64,
-    /// Whether any blocking write is an outstanding memory load.
+    /// Whether any blocking write came from the memory unit: this is what
+    /// turns a scoreboard stall into a *memory* stall rather than a plain
+    /// RAW dependency in the trace breakdown.
     pub from_mem: bool,
 }
 
-/// In-flight write tracking for one warp.
-#[derive(Clone, Debug, Default)]
+/// Dense in-flight write tracking for one warp (indexed by register
+/// number, sized to the kernel's register count).
+#[derive(Clone, Debug)]
 pub struct Scoreboard {
-    pending: HashMap<Reg, Pending>,
+    /// Cycle each register's latest in-flight write completes (0 = never
+    /// written, always ready).
+    ready: Box<[u64]>,
+    /// Whether that write came from the memory unit.
+    from_mem: Box<[bool]>,
+    /// Max over all completion times ever recorded.
+    max_ready: u64,
 }
 
 impl Scoreboard {
-    /// Creates an empty scoreboard.
-    pub fn new() -> Scoreboard {
-        Scoreboard::default()
+    /// An empty scoreboard covering registers `0..num_regs`.
+    pub fn new(num_regs: usize) -> Scoreboard {
+        Scoreboard {
+            ready: vec![0; num_regs].into_boxed_slice(),
+            from_mem: vec![false; num_regs].into_boxed_slice(),
+            max_ready: 0,
+        }
     }
 
-    /// Releases completed writes at cycle `now`.
-    pub fn retire(&mut self, now: u64) {
-        self.pending.retain(|_, p| p.ready > now);
-    }
-
-    /// Whether `instr` can issue at `now`: all registers it reads (RAW)
-    /// and writes (WAW) must be free of pending writes. Returns the
-    /// blocking `Hazard` (latest completion cycle, memory-origin flag)
-    /// if stalled.
-    pub fn check(&self, instr: &Instr, volta_frag: bool, now: u64) -> Result<(), Hazard> {
+    /// Whether an instruction reading `uses` (RAW) and writing `defs`
+    /// (WAW) can issue at `now`; returns the blocking [`Hazard`] (latest
+    /// completion, OR of memory-origin flags) otherwise.
+    pub fn check(&self, uses: &[Reg], defs: &[Reg], now: u64) -> Result<(), Hazard> {
         let mut block: Option<Hazard> = None;
-        let mut consider = |p: Pending| {
-            if p.ready > now {
+        for &r in uses.iter().chain(defs) {
+            let ready = self.ready[r.0 as usize];
+            if ready > now {
+                let from_mem = self.from_mem[r.0 as usize];
                 block = Some(match block {
-                    None => Hazard {
-                        ready: p.ready,
-                        from_mem: p.from_mem,
-                    },
+                    None => Hazard { ready, from_mem },
                     Some(h) => Hazard {
-                        ready: h.ready.max(p.ready),
-                        from_mem: h.from_mem || p.from_mem,
+                        ready: h.ready.max(ready),
+                        from_mem: h.from_mem || from_mem,
                     },
                 });
-            }
-        };
-        for r in instr.use_regs(volta_frag) {
-            if let Some(&p) = self.pending.get(&r) {
-                consider(p);
-            }
-        }
-        for r in instr.def_regs(volta_frag) {
-            if let Some(&p) = self.pending.get(&r) {
-                consider(p);
             }
         }
         match block {
@@ -79,36 +73,28 @@ impl Scoreboard {
         }
     }
 
-    /// Records the writes of an issued instruction completing at `ready`.
-    pub fn issue(&mut self, instr: &Instr, volta_frag: bool, ready: u64) {
-        let from_mem = instr.op.unit() == UnitClass::Mem;
-        for r in instr.def_regs(volta_frag) {
-            let slot = self.pending.entry(r).or_insert(Pending {
-                ready: 0,
-                from_mem: false,
-            });
-            if ready > slot.ready {
-                slot.ready = ready;
-                slot.from_mem = from_mem;
-            } else if ready == slot.ready {
-                slot.from_mem |= from_mem;
+    /// Records an issued instruction's writes to `defs` completing at
+    /// `ready`.
+    pub fn issue(&mut self, defs: &[Reg], ready: u64, from_mem: bool) {
+        // `max_ready` advances only on actual register writes: an
+        // instruction without defs (e.g. a store) must not move the
+        // barrier fence.
+        for &r in defs {
+            let slot = &mut self.ready[r.0 as usize];
+            if ready > *slot {
+                *slot = ready;
+                self.from_mem[r.0 as usize] = from_mem;
+            } else if ready == *slot {
+                self.from_mem[r.0 as usize] |= from_mem;
             }
+            self.max_ready = self.max_ready.max(ready);
         }
     }
 
-    /// Number of registers with pending writes.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Cycle when every pending write has completed (`now` if none).
+    /// Cycle when every pending write has completed (`now` if none) —
+    /// the barrier-fence query.
     pub fn all_clear_at(&self, now: u64) -> u64 {
-        self.pending
-            .values()
-            .map(|p| p.ready)
-            .max()
-            .unwrap_or(now)
-            .max(now)
+        self.max_ready.max(now)
     }
 }
 
@@ -117,108 +103,148 @@ mod tests {
     use super::*;
     use tcsim_isa::{Instr, MemSpace, MemWidth, Op, Operand};
 
-    fn mov(dst: u16, src: u16) -> Instr {
-        Instr::new(Op::Mov)
-            .with_dst(Reg(dst))
-            .with_srcs(vec![Operand::Reg(Reg(src))])
-    }
-
-    fn ld(dst: u16, addr: u16) -> Instr {
-        Instr::new(Op::Ld {
-            space: MemSpace::Global,
-            width: MemWidth::B32,
-        })
-        .with_dst(Reg(dst))
-        .with_srcs(vec![Operand::Reg(Reg(addr))])
-    }
-
-    fn alu_hazard(ready: u64) -> Hazard {
-        Hazard {
-            ready,
-            from_mem: false,
-        }
+    fn r(n: u16) -> Reg {
+        Reg(n)
     }
 
     #[test]
-    fn raw_hazard_blocks_until_write_completes() {
-        let mut sb = Scoreboard::new();
-        sb.issue(&mov(1, 0), true, 50);
-        // r2 ← r1 must wait for r1.
-        assert_eq!(sb.check(&mov(2, 1), true, 10), Err(alu_hazard(50)));
-        sb.retire(50);
-        assert_eq!(sb.check(&mov(2, 1), true, 50), Ok(()));
-    }
-
-    #[test]
-    fn waw_hazard_blocks() {
-        let mut sb = Scoreboard::new();
-        sb.issue(&mov(3, 0), true, 80);
-        assert_eq!(sb.check(&mov(3, 4), true, 20), Err(alu_hazard(80)));
-    }
-
-    #[test]
-    fn independent_instructions_issue_freely() {
-        let mut sb = Scoreboard::new();
-        sb.issue(&mov(1, 0), true, 100);
-        assert_eq!(sb.check(&mov(5, 6), true, 1), Ok(()));
-        assert_eq!(sb.outstanding(), 1);
-        assert_eq!(sb.all_clear_at(1), 100);
-    }
-
-    #[test]
-    fn retire_frees_exactly_completed_writes() {
-        let mut sb = Scoreboard::new();
-        sb.issue(&mov(1, 0), true, 10);
-        sb.issue(&mov(2, 0), true, 20);
-        sb.retire(15);
-        assert_eq!(sb.outstanding(), 1);
-        assert_eq!(sb.check(&mov(4, 1), true, 15), Ok(()));
-        assert_eq!(sb.check(&mov(4, 2), true, 15), Err(alu_hazard(20)));
-    }
-
-    #[test]
-    fn multiple_writers_to_same_reg_keep_latest() {
-        let mut sb = Scoreboard::new();
-        sb.issue(&mov(1, 0), true, 30);
-        sb.issue(&mov(1, 0), true, 10); // earlier completion must not mask
-        assert_eq!(sb.check(&mov(2, 1), true, 15), Err(alu_hazard(30)));
-    }
-
-    #[test]
-    fn load_dependency_reports_memory_origin() {
-        let mut sb = Scoreboard::new();
-        sb.issue(&ld(1, 0), true, 200);
-        sb.issue(&mov(2, 0), true, 40);
-        // Blocking on the load alone: a memory stall.
+    fn raw_and_waw_block_until_completion() {
+        let mut sb = Scoreboard::new(8);
+        sb.issue(&[r(1)], 50, false);
         assert_eq!(
-            sb.check(&mov(3, 1), true, 10),
+            sb.check(&[r(1)], &[r(2)], 10),
+            Err(Hazard {
+                ready: 50,
+                from_mem: false
+            })
+        );
+        assert_eq!(
+            sb.check(&[r(4)], &[r(1)], 20),
+            Err(Hazard {
+                ready: 50,
+                from_mem: false
+            })
+        );
+        assert_eq!(sb.check(&[r(1)], &[r(2)], 50), Ok(()));
+    }
+
+    #[test]
+    fn latest_writer_wins_and_memory_flag_tracks_it() {
+        let mut sb = Scoreboard::new(8);
+        sb.issue(&[r(1)], 200, true);
+        assert_eq!(
+            sb.check(&[r(1)], &[], 10),
             Err(Hazard {
                 ready: 200,
                 from_mem: true
             })
         );
-        // Blocking on both: the flag propagates even though the ALU
-        // write is also outstanding.
-        let mixed = Instr::new(Op::IAdd)
-            .with_dst(Reg(4))
-            .with_srcs(vec![Operand::Reg(Reg(1)), Operand::Reg(Reg(2))]);
+        // A later ALU overwrite clears the memory attribution.
+        sb.issue(&[r(1)], 300, false);
         assert_eq!(
-            sb.check(&mixed, true, 10),
-            Err(Hazard {
-                ready: 200,
-                from_mem: true
-            })
-        );
-        // Blocking on the ALU write alone: plain RAW.
-        assert_eq!(sb.check(&mov(5, 2), true, 10), Err(alu_hazard(40)));
-        // A later ALU overwrite of the load target clears the flag.
-        sb.issue(&mov(1, 0), true, 300);
-        assert_eq!(
-            sb.check(&mov(6, 1), true, 10),
+            sb.check(&[r(1)], &[], 10),
             Err(Hazard {
                 ready: 300,
                 from_mem: false
             })
         );
+        // An *earlier* completion must not mask the pending one.
+        sb.issue(&[r(1)], 250, true);
+        assert_eq!(
+            sb.check(&[r(1)], &[], 10),
+            Err(Hazard {
+                ready: 300,
+                from_mem: false
+            })
+        );
+    }
+
+    #[test]
+    fn a_block_on_a_load_and_an_alu_write_is_a_memory_stall() {
+        let mut sb = Scoreboard::new(8);
+        sb.issue(&[r(1)], 200, true);
+        sb.issue(&[r(2)], 40, false);
+        assert_eq!(
+            sb.check(&[r(1), r(2)], &[r(4)], 10),
+            Err(Hazard {
+                ready: 200,
+                from_mem: true
+            })
+        );
+        assert_eq!(
+            sb.check(&[r(2)], &[r(4)], 10),
+            Err(Hazard {
+                ready: 40,
+                from_mem: false
+            })
+        );
+        assert_eq!(sb.check(&[r(5)], &[r(6)], 10), Ok(()), "independent");
+    }
+
+    #[test]
+    fn all_clear_tracks_running_max() {
+        let mut sb = Scoreboard::new(8);
+        assert_eq!(sb.all_clear_at(7), 7);
+        sb.issue(&[r(3)], 40, false);
+        sb.issue(&[r(5)], 25, true);
+        assert_eq!(sb.all_clear_at(10), 40);
+        assert_eq!(sb.all_clear_at(90), 90);
+    }
+
+    /// A five-instruction program of ALU moves and global loads, issued 13
+    /// cycles apart. Before each issue the instruction is checked at four
+    /// probe cycles; every hazard and barrier-fence cycle is the value the
+    /// earlier per-register map scoreboard reported there.
+    #[test]
+    fn recorded_hazards_on_a_mixed_sequence() {
+        let mov = |dst: u16, src: u16| {
+            Instr::new(Op::Mov)
+                .with_dst(Reg(dst))
+                .with_srcs(vec![Operand::Reg(Reg(src))])
+        };
+        let ld = |dst: u16, addr: u16| {
+            Instr::new(Op::Ld {
+                space: MemSpace::Global,
+                width: MemWidth::B32,
+            })
+            .with_dst(Reg(dst))
+            .with_srcs(vec![Operand::Reg(Reg(addr))])
+        };
+        let alu = |ready| {
+            Err(Hazard {
+                ready,
+                from_mem: false,
+            })
+        };
+        let mem = |ready| {
+            Err(Hazard {
+                ready,
+                from_mem: true,
+            })
+        };
+        const OK: Result<(), Hazard> = Ok(());
+        // (instruction, its completion cycle, [(probe, check, all_clear_at)]).
+        #[rustfmt::skip]
+        let program = [
+            (mov(1, 0),  50, [(0, OK, 0),          (17, OK, 17),        (49, OK, 49),        (50, OK, 50)]),
+            (ld(2, 1),  180, [(13, alu(50), 50),   (30, alu(50), 50),   (179, OK, 179),      (180, OK, 180)]),
+            (mov(3, 2),  60, [(26, mem(180), 180), (43, mem(180), 180), (59, mem(180), 180), (60, mem(180), 180)]),
+            (ld(1, 3),  300, [(39, alu(60), 180),  (56, alu(60), 180),  (299, OK, 299),      (300, OK, 300)]),
+            (mov(4, 1), 310, [(52, mem(300), 300), (69, mem(300), 300), (309, OK, 309),      (310, OK, 310)]),
+        ];
+        let mut sb = Scoreboard::new(16);
+        for (instr, ready, probes) in program {
+            let uses = instr.use_regs(true);
+            let defs = instr.def_regs(true);
+            for (probe, check, clear) in probes {
+                assert_eq!(
+                    sb.check(&uses, &defs, probe),
+                    check,
+                    "check at cycle {probe}"
+                );
+                assert_eq!(sb.all_clear_at(probe), clear, "fence at cycle {probe}");
+            }
+            sb.issue(&defs, ready, instr.op.unit() == tcsim_isa::UnitClass::Mem);
+        }
     }
 }

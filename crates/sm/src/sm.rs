@@ -11,14 +11,13 @@
 
 use crate::config::{SchedPolicy, SmConfig};
 use crate::decode::DecodedKernel;
-use crate::dense_scoreboard::DenseScoreboard;
 use crate::scoreboard::Scoreboard;
 use crate::stats::{unit_index, SmStats, WmmaKind, WmmaSample};
 use std::sync::Arc;
-use tcsim_core::{mma_timing, trace_mma, TensorCoreModel};
+use tcsim_core::{trace_mma, TensorCoreModel};
 use tcsim_isa::exec::{step_into, ExecEnv, MemAccess, MemOp, StepAction, WarpExec, FULL_MASK};
 use tcsim_isa::{
-    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, Operand, UnitClass, WmmaDirective, WARP_SIZE,
+    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, UnitClass, WmmaDirective, WARP_SIZE,
 };
 use tcsim_mem::{
     coalesce_into, conflict_passes_in, tile_conflict_passes, tile_sectors_into, DeviceMemory,
@@ -78,12 +77,7 @@ struct CtaSlot {
 struct WarpSlot {
     exec: WarpExec,
     scoreboard: Scoreboard,
-    dense: DenseScoreboard,
     cta: usize,
-    age: u64,
-    done: bool,
-    at_barrier: bool,
-    block_until: u64,
 }
 
 #[derive(Clone, Default)]
@@ -91,13 +85,12 @@ struct SubCore {
     last_issued: Option<usize>,
     unit_free: [u64; UnitClass::COUNT],
     rr_cursor: usize,
-    /// This sub-core's resident warp slots, oldest first. Ages are handed
-    /// out in increasing order within a launch, so appending on CTA launch
-    /// and dropping on CTA retire keeps the list sorted: GTO walks it as
-    /// is and never sorts.
+    /// This sub-core's resident warp slots, oldest first: appending on
+    /// CTA launch and dropping on CTA retire keeps launch order, so GTO
+    /// walks the list as is and never sorts.
     by_age: Vec<usize>,
-    /// Event core only: no warp of this sub-core can issue before this
-    /// cycle, so a step before it skips the sub-core (0 = must look).
+    /// No warp of this sub-core can issue before this cycle, so a step
+    /// before it skips the sub-core (0 = must look).
     wake: u64,
 }
 
@@ -150,16 +143,12 @@ const WARP_DONE: u8 = 2;
 /// Warp is parked at a barrier.
 const WARP_AT_BARRIER: u8 = 4;
 
-/// Scheduling-visible warp state in structure-of-arrays form.
+/// Scheduling state of every warp slot, in structure-of-arrays form.
 ///
-/// The issue walk of the event-driven core touches only these two
-/// compact arrays (one byte + one word per warp slot) instead of
-/// dereferencing the multi-kilobyte [`WarpSlot`] (register file, two
-/// scoreboards) per slot per cycle. The arrays mirror the authoritative
-/// fields in [`WarpSlot`]; every site that mutates `done`, `at_barrier`
-/// or `block_until` updates the mirror in the same statement block, and
-/// the cycle-identity suite (`tests/core_differential.rs`) checks the
-/// two views never diverge observably.
+/// This is the only copy of it: the issue walk and the barrier release
+/// touch these two compact arrays (one byte + one word per warp slot)
+/// instead of dereferencing the multi-kilobyte [`WarpSlot`] (register
+/// file, scoreboard) per slot per cycle.
 struct WarpMeta {
     /// `WARP_LIVE | WARP_DONE | WARP_AT_BARRIER` bits; 0 = empty slot.
     /// A warp is schedulable iff its flags are exactly `WARP_LIVE`.
@@ -205,15 +194,14 @@ pub struct Sm {
     tensor: TensorCoreModel,
     /// What the resident CTAs hold between them.
     held: CtaRequirements,
-    age_counter: u64,
     stats: SmStats,
     profile_wmma: bool,
     meta: WarpMeta,
     /// Resident CTA count (`ctas` slots that are `Some`).
     live_ctas: usize,
     /// Warps currently parked at a barrier; the release pass is skipped
-    /// by the event-driven core while this is zero (it would scan every
-    /// CTA's warp list only to find nothing arrived).
+    /// while this is zero (it would scan every CTA's warp list only to
+    /// find nothing arrived).
     barrier_waiters: usize,
     /// A warp exited since the last retire pass, so a CTA may be
     /// complete; cleared when the pass runs.
@@ -243,7 +231,6 @@ impl Sm {
                 TensorCoreModel::turing()
             },
             held: CtaRequirements::default(),
-            age_counter: 0,
             stats: SmStats::default(),
             profile_wmma: false,
             meta: WarpMeta::new(cfg.max_warps),
@@ -276,7 +263,7 @@ impl Sm {
 
     /// Number of resident CTAs.
     pub fn resident_ctas(&self) -> usize {
-        self.ctas.iter().filter(|c| c.is_some()).count()
+        self.live_ctas
     }
 
     /// Whether the SM has no resident work.
@@ -327,17 +314,11 @@ impl Sm {
                 .expect("warp slot free (checked by can_accept)");
             self.warps[slot] = Some(WarpSlot {
                 exec: WarpExec::new(spec.kernel.num_regs(), w as u32, mask),
-                scoreboard: Scoreboard::new(),
-                dense: DenseScoreboard::new(spec.kernel.num_regs() as usize),
+                scoreboard: Scoreboard::new(spec.kernel.num_regs() as usize),
                 cta: cta_index,
-                age: self.age_counter,
-                done: false,
-                at_barrier: false,
-                block_until: now,
             });
             self.meta.flags[slot] = WARP_LIVE;
             self.meta.block_until[slot] = now;
-            self.age_counter += 1;
             let sub = &mut self.sub[slot % self.cfg.sub_cores];
             sub.by_age.push(slot);
             sub.wake = 0;
@@ -363,6 +344,10 @@ impl Sm {
     /// instruction issued, otherwise `Some(hint)` — the earliest future
     /// cycle at which something could issue (`u64::MAX` if the SM is
     /// fully idle), enabling event-skipping in the GPU loop.
+    ///
+    /// Issue attempts run against the decode-once μop tables and the
+    /// scoreboard, warps are walked lazily in policy order, and neither a
+    /// blocked attempt nor an issue allocates.
     pub fn step(
         &mut self,
         now: u64,
@@ -370,63 +355,28 @@ impl Sm {
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
     ) -> Option<u64> {
-        self.step_inner(now, global, sys, tracer, false)
-    }
-
-    /// [`Sm::step`] for the event-driven core: identical scheduling
-    /// decisions, trace events and statistics, but issue attempts run
-    /// against the decode-once μop tables and the dense scoreboard, warps
-    /// are walked lazily in policy order instead of collected and sorted,
-    /// and neither a blocked attempt nor an issue allocates. An SM is
-    /// driven through one of `step` / `step_event` for its whole life:
-    /// the two keep different scoreboards and wake caches.
-    pub fn step_event(
-        &mut self,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-    ) -> Option<u64> {
-        self.step_inner(now, global, sys, tracer, true)
-    }
-
-    fn step_inner(
-        &mut self,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-        fast: bool,
-    ) -> Option<u64> {
-        let (issued_any, hint) = if fast {
-            self.issue_event(now, global, sys, tracer)
-        } else {
-            self.issue_stepped(now, global, sys, tracer)
-        };
+        let (issued_any, hint) = self.issue(now, global, sys, tracer);
 
         // Barrier release: a CTA whose live warps have all arrived. With
         // no warp parked at a barrier the pass cannot release anything,
-        // so the event-driven core skips it outright.
-        if !fast || self.barrier_waiters > 0 {
+        // so it is skipped outright.
+        if self.barrier_waiters > 0 {
             let sub_cores = self.cfg.sub_cores;
+            let meta = &mut self.meta;
             for cta in self.ctas.iter().flatten() {
                 let arrived = cta
                     .warp_slots
                     .iter()
-                    .filter(|&&wi| self.warps[wi].as_ref().is_some_and(|w| w.at_barrier))
+                    .filter(|&&wi| meta.flags[wi] & WARP_AT_BARRIER != 0)
                     .count();
                 if arrived > 0 && arrived + cta.warps_done == cta.warps_total {
                     for &wi in &cta.warp_slots {
-                        if let Some(w) = self.warps[wi].as_mut() {
-                            if w.at_barrier {
-                                w.at_barrier = false;
-                                w.block_until = now + 1;
-                                self.meta.flags[wi] &= !WARP_AT_BARRIER;
-                                self.meta.block_until[wi] = now + 1;
-                                let sub = &mut self.sub[wi % sub_cores];
-                                sub.wake = sub.wake.min(now + 1);
-                                self.barrier_waiters -= 1;
-                            }
+                        if meta.flags[wi] & WARP_AT_BARRIER != 0 {
+                            meta.flags[wi] &= !WARP_AT_BARRIER;
+                            meta.block_until[wi] = now + 1;
+                            let sub = &mut self.sub[wi % sub_cores];
+                            sub.wake = sub.wake.min(now + 1);
+                            self.barrier_waiters -= 1;
                         }
                     }
                     self.stats.barriers += 1;
@@ -437,8 +387,8 @@ impl Sm {
         // Retire completed CTAs and free their resources. `warps_done`
         // only advances when a warp issues its exit, which raises
         // `retire_check`; until then no CTA can newly complete and the
-        // event-driven core skips the scan.
-        if !fast || self.retire_check {
+        // scan is skipped.
+        if self.retire_check {
             let mut retired = false;
             for c in 0..self.ctas.len() {
                 let done = self.ctas[c]
@@ -475,87 +425,17 @@ impl Sm {
         }
     }
 
-    /// One issue slot per sub-core for the cycle-stepped core: collect the
-    /// ready warps, order them by policy, try them in turn. Returns
-    /// whether anything issued and the earliest cycle something could.
-    fn issue_stepped(
-        &mut self,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-    ) -> (bool, u64) {
-        let mut issued_any = false;
-        let mut hint = u64::MAX;
-
-        for sc in 0..self.cfg.sub_cores {
-            // Candidate warps live at slots sc, sc+S, sc+2S, … (static
-            // sub-core assignment); at most max_warps / sub_cores of them.
-            // Order on the stack: GTO tries the last-issued warp first,
-            // then oldest-first; round-robin rotates.
-            let mut cand = [(u64::MAX, usize::MAX); 64];
-            let mut n = 0;
-            let mut wi = sc;
-            while wi < self.warps.len() {
-                if let Some(w) = self.warps[wi].as_ref() {
-                    if !w.done && !w.at_barrier {
-                        if w.block_until > now {
-                            hint = hint.min(w.block_until);
-                        } else {
-                            cand[n] = (w.age, wi);
-                            n += 1;
-                        }
-                    }
-                }
-                wi += self.cfg.sub_cores;
-            }
-            let cand = &mut cand[..n];
-            match self.cfg.scheduler {
-                SchedPolicy::Gto => {
-                    cand.sort_unstable();
-                    if let Some(last) = self.sub[sc].last_issued {
-                        if let Some(pos) = cand.iter().position(|&(_, i)| i == last) {
-                            cand[..=pos].rotate_right(1);
-                        }
-                    }
-                }
-                SchedPolicy::RoundRobin => {
-                    // The cursor advances only on steps with candidates,
-                    // so skipping the candidate-free steps (as the
-                    // event-driven loop does) cannot desynchronize it.
-                    if n > 0 {
-                        cand.rotate_left(self.sub[sc].rr_cursor % n);
-                        self.sub[sc].rr_cursor = self.sub[sc].rr_cursor.wrapping_add(1);
-                    }
-                }
-            }
-
-            for &(_, wi) in cand.iter() {
-                match self.try_issue(sc, wi, now, global, sys, tracer) {
-                    IssueResult::Issued => {
-                        self.sub[sc].last_issued = Some(wi);
-                        issued_any = true;
-                        break;
-                    }
-                    IssueResult::Blocked(until) => {
-                        hint = hint.min(until.max(now + 1));
-                    }
-                }
-            }
-        }
-        (issued_any, hint)
-    }
-
-    /// [`Sm::issue_stepped`] for the event-driven core: the same warps are
-    /// tried in the same order with the same outcome, but nothing is
-    /// collected or sorted. Each sub-core is walked lazily in policy
-    /// order over the compact [`WarpMeta`] mirror and the walk stops at
+    /// One issue slot per sub-core. Returns whether anything issued and
+    /// the earliest cycle something could.
+    ///
+    /// Nothing is collected or sorted: each sub-core is walked lazily in
+    /// policy order over the compact [`WarpMeta`] and the walk stops at
     /// the first issue. A sub-core whose last walk found every warp
     /// blocked is not walked again before the earliest of those blocks
     /// expires: `block_until` only moves when a warp is tried, issued,
     /// launched or released from a barrier, so the skipped walk would try
     /// nothing, emit nothing and report the same wake cycle.
-    fn issue_event(
+    fn issue(
         &mut self,
         now: u64,
         global: &mut DeviceMemory,
@@ -668,7 +548,7 @@ impl Sm {
             walk.hint = walk.hint.min(until);
             return false;
         }
-        match self.try_issue_fast(wi, walk) {
+        match self.try_issue(wi, walk) {
             IssueResult::Issued => true,
             IssueResult::Blocked(until) => {
                 // What the sub-core wake cache relies on.
@@ -679,270 +559,7 @@ impl Sm {
         }
     }
 
-    fn try_issue(
-        &mut self,
-        sc: usize,
-        wi: usize,
-        now: u64,
-        global: &mut DeviceMemory,
-        sys: &mut MemSystem,
-        tracer: &mut dyn Tracer,
-    ) -> IssueResult {
-        let cta_idx = self.warps[wi].as_ref().expect("warp exists").cta;
-        let sm_id = self.id;
-        let volta = self.cfg.volta_tensor;
-
-        // Peek the next instruction for hazard/unit checks. The kernel Arc
-        // keeps the instruction reference alive without cloning it (this
-        // is the per-attempt hot path).
-        let (kernel, pc) = {
-            let w = self.warps[wi].as_ref().expect("warp exists");
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            (Arc::clone(&cta.spec.kernel), w.exec.pc)
-        };
-        let instr = &kernel.instrs()[pc];
-
-        // Functional-unit availability first (cheap). Unit-busy times are
-        // monotone, so sleeping the warp until the observed free time is
-        // exact, not just a heuristic.
-        let unit = instr.op.unit();
-        match unit {
-            UnitClass::Mem => {
-                if self.mio_free > now {
-                    let until = self.mio_free;
-                    self.warps[wi].as_mut().expect("warp exists").block_until = until;
-                    self.meta.block_until[wi] = until;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until,
-                        },
-                    });
-                    return IssueResult::Blocked(until);
-                }
-            }
-            UnitClass::Control => {}
-            u => {
-                let free = self.sub[sc].unit_free[unit_index(u)];
-                if free > now {
-                    self.warps[wi].as_mut().expect("warp exists").block_until = free;
-                    self.meta.block_until[wi] = free;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Structural,
-                            until: free,
-                        },
-                    });
-                    return IssueResult::Blocked(free);
-                }
-            }
-        }
-
-        // Scoreboard: RAW/WAW on in-flight writes.
-        {
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            w.scoreboard.retire(now);
-            if let Err(hazard) = w.scoreboard.check(instr, volta, now) {
-                w.block_until = hazard.ready;
-                self.meta.block_until[wi] = hazard.ready;
-                // Attribute waits on outstanding loads to the memory
-                // system rather than plain register dependence.
-                let reason = if hazard.from_mem {
-                    StallReason::Memory
-                } else {
-                    StallReason::Raw
-                };
-                emit(tracer, || TraceEvent {
-                    cycle: now,
-                    sm: sm_id,
-                    kind: EventKind::Stall {
-                        sub_core: sc as u8,
-                        warp: wi as u16,
-                        reason,
-                        until: hazard.ready,
-                    },
-                });
-                return IssueResult::Blocked(hazard.ready);
-            }
-            // Barriers act as execution fences: wait for outstanding
-            // writes before arriving.
-            if matches!(instr.op, Op::Bar) {
-                let clear = w.scoreboard.all_clear_at(now);
-                if clear > now {
-                    w.block_until = clear;
-                    self.meta.block_until[wi] = clear;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::Stall {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                            reason: StallReason::Barrier,
-                            until: clear,
-                        },
-                    });
-                    return IssueResult::Blocked(clear);
-                }
-            }
-        }
-
-        // Only the params Arc and launch dims are needed past this point
-        // — cloning the whole LaunchSpec per issue is measurable.
-        let (params, block, grid) = {
-            let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
-            (
-                Arc::clone(&cta.spec.params),
-                cta.spec.launch.block,
-                cta.spec.launch.grid,
-            )
-        };
-
-        // --- Issue: execute functionally, then account timing. ---
-        let outcome = {
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
-            let mut env = ExecEnv {
-                global,
-                shared: &mut cta.shared,
-                params: &params,
-                block,
-                grid,
-                cta: cta.cta_id,
-                clock: now,
-            };
-            step_into(
-                &mut w.exec,
-                &kernel,
-                &mut env,
-                &self.tensor,
-                &mut self.scratch.accesses,
-            )
-        };
-
-        // Operand collection: register-bank conflicts among source reads.
-        let mut collect = self.cfg.operand_collect;
-        if !(self.cfg.operand_reuse_cache && unit == UnitClass::Tensor) {
-            let mut bank_counts = vec![0u32; self.cfg.reg_banks];
-            for r in instr.use_regs(volta) {
-                bank_counts[r.0 as usize % self.cfg.reg_banks] += 1;
-            }
-            let conflicts = bank_counts
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(1)
-                .saturating_sub(1) as u64;
-            collect += conflicts;
-            self.stats.reg_bank_stalls += conflicts;
-        }
-
-        // Timing by unit class.
-        let ready = match unit {
-            UnitClass::Sp => {
-                let ii = self.cfg.warp_ii(self.cfg.fp32_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.alu_latency + ii
-            }
-            UnitClass::Int => {
-                let ii = self.cfg.warp_ii(self.cfg.int_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.alu_latency + ii
-            }
-            UnitClass::Fp64 => {
-                let ii = self.cfg.warp_ii(self.cfg.fp64_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.fp64_latency + ii
-            }
-            UnitClass::Mufu => {
-                let ii = self.cfg.warp_ii(self.cfg.mufu_lanes);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                now + collect + self.cfg.mufu_latency + ii
-            }
-            UnitClass::Tensor => {
-                let Op::Wmma(dir) = &instr.op else {
-                    unreachable!("tensor unit ⇒ wmma.mma")
-                };
-                let t = mma_timing(volta, dir);
-                // A warp normally drives two tensor cores (§IV); with
-                // fewer, its HMMA throughput scales down proportionally.
-                let ii = t.initiation_interval as u64 * 2 / (self.cfg.tensor_cores.max(1) as u64);
-                self.sub[sc].unit_free[unit_index(unit)] = now + ii;
-                let ready = now + collect + t.latency as u64;
-                if self.profile_wmma {
-                    self.push_sample(WmmaKind::Mma, now, ready - now);
-                }
-                // The first HMMA enters the tensor core once operands are
-                // collected, so step completions land at issue + collect +
-                // the Fig 9 cumulative cycles.
-                trace_mma(
-                    tracer,
-                    volta,
-                    dir,
-                    now + collect,
-                    sm_id,
-                    sc as u8,
-                    wi as u16,
-                );
-                ready
-            }
-            UnitClass::Mem => {
-                self.account_memory(MemClass::of(instr), outcome.mem, now, collect, sys, tracer)
-            }
-            UnitClass::Control => now + 1,
-        };
-
-        emit(tracer, || TraceEvent {
-            cycle: now,
-            sm: sm_id,
-            kind: EventKind::WarpIssue {
-                sub_core: sc as u8,
-                warp: wi as u16,
-                unit: trace_unit(unit),
-            },
-        });
-
-        {
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            w.scoreboard.issue(instr, volta, ready);
-            match outcome.action {
-                StepAction::Exited => {
-                    w.done = true;
-                    self.meta.flags[wi] |= WARP_DONE;
-                    self.retire_check = true;
-                    let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
-                    cta.warps_done += 1;
-                    emit(tracer, || TraceEvent {
-                        cycle: now,
-                        sm: sm_id,
-                        kind: EventKind::WarpRetire {
-                            sub_core: sc as u8,
-                            warp: wi as u16,
-                        },
-                    });
-                }
-                StepAction::Barrier => {
-                    w.at_barrier = true;
-                    self.meta.flags[wi] |= WARP_AT_BARRIER;
-                    self.barrier_waiters += 1;
-                }
-                StepAction::Continue => {}
-            }
-        }
-
-        self.stats.issued += 1;
-        self.stats.issued_by_unit[unit_index(unit)] += 1;
-        IssueResult::Issued
-    }
-
-    /// Parks warp `wi` until `until` and reports why (event core).
+    /// Parks warp `wi` until `until` and reports why.
     fn park(
         &mut self,
         wi: usize,
@@ -950,7 +567,6 @@ impl Sm {
         reason: StallReason,
         until: u64,
     ) -> IssueResult {
-        self.warps[wi].as_mut().expect("warp exists").block_until = until;
         self.meta.block_until[wi] = until;
         emit(walk.tracer, || TraceEvent {
             cycle: walk.now,
@@ -965,14 +581,12 @@ impl Sm {
         IssueResult::Blocked(until)
     }
 
-    /// [`Sm::try_issue`] over the decode-once tables: the blocked paths
+    /// Tries to issue warp `wi`'s next instruction. The blocked paths
     /// (unit busy, scoreboard hazard, barrier fence) read the μop's
-    /// pre-expanded operand spans and the dense scoreboard, and an issue
+    /// pre-expanded operand spans and the scoreboard, and an issue
     /// borrows the kernel and parameters from the CTA slot and refills
-    /// the SM's [`Scratch`] — no `Arc` clone, no `Vec`, no hashing. Stall
-    /// decisions, emitted events and all statistics are identical to the
-    /// legacy path.
-    fn try_issue_fast(&mut self, wi: usize, walk: &mut Walk<'_>) -> IssueResult {
+    /// the SM's [`Scratch`] — no `Arc` clone, no `Vec`, no hashing.
+    fn try_issue(&mut self, wi: usize, walk: &mut Walk<'_>) -> IssueResult {
         let (sc, now) = (walk.sc, walk.now);
         let (cta_idx, pc) = {
             let w = self.warps[wi].as_ref().expect("warp exists");
@@ -985,8 +599,9 @@ impl Sm {
             (cta.decoded.uops().uop(pc), cta.decoded.timing(pc))
         };
 
-        // Functional-unit availability (same order and events as the
-        // legacy path).
+        // Functional-unit availability first (cheap). Unit-busy times are
+        // monotone, so sleeping the warp until the observed free time is
+        // exact, not just a heuristic.
         let unit = uop.unit;
         match unit {
             UnitClass::Mem => {
@@ -1012,11 +627,11 @@ impl Sm {
                 .decoded
                 .uops();
             let w = self.warps[wi].as_mut().expect("warp exists");
-            match w.dense.check(uops.uses(pc), uops.defs(pc), now) {
+            match w.scoreboard.check(uops.uses(pc), uops.defs(pc), now) {
                 Err(hazard) if hazard.from_mem => Some((StallReason::Memory, hazard.ready)),
                 Err(hazard) => Some((StallReason::Raw, hazard.ready)),
                 Ok(()) if uop.is_bar => {
-                    let clear = w.dense.all_clear_at(now);
+                    let clear = w.scoreboard.all_clear_at(now);
                     (clear > now).then_some((StallReason::Barrier, clear))
                 }
                 Ok(()) => None,
@@ -1100,11 +715,10 @@ impl Sm {
 
         let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
         let w = self.warps[wi].as_mut().expect("warp exists");
-        w.dense
+        w.scoreboard
             .issue(cta.decoded.uops().defs(pc), ready, unit == UnitClass::Mem);
         match action {
             StepAction::Exited => {
-                w.done = true;
                 self.meta.flags[wi] |= WARP_DONE;
                 self.retire_check = true;
                 cta.warps_done += 1;
@@ -1118,7 +732,6 @@ impl Sm {
                 });
             }
             StepAction::Barrier => {
-                w.at_barrier = true;
                 self.meta.flags[wi] |= WARP_AT_BARRIER;
                 self.barrier_waiters += 1;
             }
@@ -1252,7 +865,6 @@ impl Sm {
             sc.rr_cursor = 0;
             sc.wake = 0;
         }
-        self.age_counter = 0;
     }
 
     /// Reads a register of a resident warp (test/debug aid).
@@ -1276,8 +888,8 @@ enum IssueResult {
     Blocked(u64),
 }
 
-/// One sub-core's issue slot on the event core: where and when, the
-/// earliest wake cycle seen so far, and the machine the issue acts on.
+/// One sub-core's issue slot: where and when, the earliest wake cycle
+/// seen so far, and the machine the issue acts on.
 struct Walk<'a> {
     sc: usize,
     now: u64,
@@ -1287,14 +899,10 @@ struct Walk<'a> {
     tracer: &'a mut dyn Tracer,
 }
 
-// `Operand` is referenced by kernels embedded in tests below.
-#[allow(unused_imports)]
-use Operand as _OperandForTests;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcsim_isa::{CmpOp, DataType, KernelBuilder, MemWidth, SpecialReg};
+    use tcsim_isa::{CmpOp, DataType, KernelBuilder, MemWidth, Operand, SpecialReg};
     use tcsim_mem::MemSystemConfig;
 
     use tcsim_trace::{NullTracer, RingTracer};
@@ -1627,97 +1235,6 @@ mod tests {
         run_to_completion(&mut sm, &mut global, &mut sys);
         // 1 mov + 10×(iadd+setp+bra) + exit = 32 issues.
         assert_eq!(sm.stats().issued, 32);
-    }
-
-    /// The μop-driven issue path must be indistinguishable from the
-    /// legacy path: same trace events (order included), same statistics,
-    /// same final cycle, same memory — across both scheduler policies and
-    /// a kernel touching ALU chains, global/shared memory and barriers.
-    #[test]
-    fn step_event_is_cycle_identical_to_step() {
-        let build = || {
-            let mut b = KernelBuilder::new("t");
-            let base = b.reg_pair();
-            b.ld_param(MemWidth::B64, base, 0);
-            let tid = b.reg();
-            b.mov(tid, Operand::Special(SpecialReg::TidX));
-            let addr = b.reg_pair();
-            b.imad_wide(addr, tid, Operand::Imm(4), base);
-            let v = b.reg();
-            b.ld_global(MemWidth::B32, v, addr, 0);
-            for _ in 0..3 {
-                b.iadd(v, v, Operand::Imm(1));
-            }
-            b.st_shared(MemWidth::B32, addr, 0, v);
-            b.bar();
-            b.ld_shared(MemWidth::B32, v, addr, 0);
-            b.st_global(MemWidth::B32, addr, 0, v);
-            b.exit();
-            b.build()
-        };
-        for policy in [SchedPolicy::Gto, SchedPolicy::RoundRobin] {
-            let cfg = SmConfig {
-                scheduler: policy,
-                ..SmConfig::volta()
-            };
-            let mut runs = Vec::new();
-            for event_driven in [false, true] {
-                let mut global = DeviceMemory::new();
-                let buf = global.alloc(4096);
-                for i in 0..128u32 {
-                    use tcsim_isa::ByteMemory;
-                    global.write_u32(buf + 4 * i as u64, i * 3);
-                }
-                let spec = spec(
-                    build(),
-                    LaunchConfig::new(1u32, 128u32).with_shared_bytes(4096),
-                    buf.to_le_bytes().to_vec(),
-                );
-                let mut sm = Sm::with_id(cfg, 3);
-                let mut sys = tiny_sys();
-                sm.launch_cta(&spec, Dim3::new(0, 0, 0), 0);
-                let mut tr = RingTracer::with_capacity(1 << 16);
-                let mut now = 0u64;
-                while !sm.idle() {
-                    let hint = if event_driven {
-                        sm.step_event(now, &mut global, &mut sys, &mut tr)
-                    } else {
-                        sm.step(now, &mut global, &mut sys, &mut tr)
-                    };
-                    now = match hint {
-                        None => now + 1,
-                        Some(h) => h.max(now + 1),
-                    };
-                    assert!(now < 1_000_000, "SM did not finish");
-                }
-                let bytes: Vec<u32> = (0..128u32)
-                    .map(|i| {
-                        use tcsim_isa::ByteMemory;
-                        global.read_u32(buf + 4 * i as u64)
-                    })
-                    .collect();
-                runs.push((tr.snapshot().to_vec(), sm.stats().clone(), now, bytes));
-            }
-            let (legacy, fast) = (&runs[0], &runs[1]);
-            if let Some(i) =
-                (0..legacy.0.len().min(fast.0.len())).find(|&i| legacy.0[i] != fast.0[i])
-            {
-                let lo = i.saturating_sub(2);
-                panic!(
-                    "first event divergence at index {i} ({policy:?}):\n legacy: {:#?}\n fast: {:#?}",
-                    &legacy.0[lo..(i + 2).min(legacy.0.len())],
-                    &fast.0[lo..(i + 2).min(fast.0.len())],
-                );
-            }
-            assert_eq!(
-                legacy.0.len(),
-                fast.0.len(),
-                "event count differs ({policy:?})"
-            );
-            assert_eq!(legacy.1, fast.1, "stats differ ({policy:?})");
-            assert_eq!(legacy.2, fast.2, "end cycle differs ({policy:?})");
-            assert_eq!(legacy.3, fast.3, "memory differs ({policy:?})");
-        }
     }
 
     /// One issue read back from a trace.

@@ -113,13 +113,6 @@ target/release/tcsim-fuzz --replay tests/corpus
 echo "== golden figures: regenerate and diff committed artifacts =="
 TCSIM_GOLDEN=1 cargo test -q --offline --test figures_golden
 
-echo "== smoke: core-model speedup bench (event vs cycle-stepped) =="
-# Runs every workload family at reduced scale; the binary itself asserts
-# byte-identical LaunchStats between the two cores on every point and
-# exits non-zero if the event-driven core is slower in aggregate.
-target/release/bench_core_speedup --max-size 128 --json results/BENCH_core_speedup_smoke.json
-test -s results/BENCH_core_speedup_smoke.json
-
 echo "== smoke: fig14a sweep (--json) =="
 target/release/fig14a_gemm_cycles --json results/fig14a.json
 test -s results/fig14a.json

@@ -10,9 +10,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use tcsim_check::corpus::case_from_text;
 use tcsim_serve::{Client, Event, JobSpec, Request, ServeOptions, Server};
-use tcsim_sim::CoreModel;
 
-/// The job mix: every committed corpus case, on both core models.
+/// The job mix: every committed corpus case.
 fn job_mix() -> Vec<JobSpec> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -27,12 +26,7 @@ fn job_mix() -> Vec<JobSpec> {
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("read case");
         let case = case_from_text(&text).expect("parse case");
-        let base = JobSpec::from_case(&case);
-        jobs.push(base.clone());
-        jobs.push(JobSpec {
-            core: CoreModel::CycleStepped,
-            ..base
-        });
+        jobs.push(JobSpec::from_case(&case));
     }
     jobs
 }
