@@ -5,8 +5,9 @@
 //! launch: a kernel in the workspace PTX dialect, a named GPU
 //! configuration, launch geometry, and the input buffer (either
 //! materialized inline or as a seeded deterministic stream shared with
-//! the `tcsim-check` case format). Kernels follow the conformance-corpus calling convention —
-//! exactly two `u64` pointer parameters, input then output.
+//! the `tcsim-check` case format). Kernels follow the conformance-corpus
+//! calling convention — exactly two `u64` pointer parameters, input then
+//! output.
 //!
 //! # Cache key
 //!

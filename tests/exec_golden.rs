@@ -14,8 +14,8 @@
 //! records the FNV-1a/128 of the launch's Chrome trace, in which every
 //! issue, stall, retire and cache access appears with its cycle. They
 //! cover the corpus, the Fig 14a / Fig 17 GEMM families, pointer chases
-//! over L1-, L2- and DRAM-resident rings, and the corpus plus one WMMA
-//! GEMM under the round-robin scheduler.
+//! over L1-, L2- and DRAM-resident rings, and the corpus plus a WMMA
+//! and an SGEMM GEMM under the round-robin scheduler.
 //!
 //! The run is cheap (a few seconds in debug) and always compares.
 //! After an *intended* behaviour change, rewrite the file with
@@ -103,13 +103,10 @@ fn traced_gemm(label: &str, cfg: GpuConfig, kernel: GemmKernel, size: usize) -> 
     let run = run_gemm(&mut gpu, problem, kernel, false);
     // D is `run_gemm`'s last allocation, and its size is a multiple of
     // the 256-byte alignment, so it ends where the next one starts.
-    let d_bytes = size
-        * size
-        * if precision == GemmPrecision::Fp16 {
-            2
-        } else {
-            4
-        };
+    let d_bytes = match precision {
+        GemmPrecision::Fp16 => size * size * 2,
+        _ => size * size * 4,
+    };
     let d_end = gpu.alloc(1);
     let out = gpu.memcpy_d2h(d_end - d_bytes as u64, d_bytes);
     let label = format!("gemm {label} {kernel:?} {size}");
