@@ -8,11 +8,12 @@
 //! an independent first-principles reference across the size sweep.
 
 use tcsim_bench::{
-    ascii_chart, fnum, gemm_sweep, json_array, parse_cli, print_table, write_results, FIG14A_SIZES,
+    ascii_chart, fnum, gemm_sweep, parse_cli, print_table, write_results, FIG14A_SIZES,
 };
 use tcsim_cutlass::{GemmKernel, GemmProblem};
 use tcsim_hw::{HwModel, KernelClass};
-use tcsim_sim::{pearson, GpuConfig, JsonWriter};
+use tcsim_sim::{pearson, GpuConfig};
+use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
@@ -54,7 +55,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut sim_series = Vec::new();
     let mut hw_series = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut json = JsonWriter::array();
     for (&size, run) in FIG14A_SIZES.iter().zip(main_runs) {
         let hw_cycles = hw.gemm_cycles(size, size, size, KernelClass::WmmaOptimized);
         sim_series.push(run.stats.cycles as f64);
@@ -65,14 +66,14 @@ fn main() {
             fnum(run.stats.cycles as f64 / 1000.0, 1),
             fnum(run.stats.ipc(), 1),
         ]);
-        let mut w = JsonWriter::object();
-        w.field_u64("size", size as u64);
-        w.field_f64("hw_cycles", hw_cycles);
-        w.raw_field("sim", &run.stats.to_json());
-        json_rows.push(w.finish());
+        json.begin_object();
+        json.field_u64("size", size as u64);
+        json.field_f64("hw_cycles", hw_cycles);
+        run.stats.write_json(json.key("sim"));
+        json.end_object();
     }
     if let Some(path) = &cli.json {
-        write_results(path, &json_array(&json_rows));
+        write_results(path, &json.finish());
     }
     print_table(
         "Cycle counts (thousands)",

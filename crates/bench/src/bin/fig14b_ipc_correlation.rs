@@ -7,10 +7,11 @@
 //! identical on both sides — so IPC_hw = instructions / cycles_hw and
 //! IPC_sim = instructions / cycles_sim.
 
-use tcsim_bench::{fnum, gemm_sweep, json_array, parse_cli, print_table, write_results};
+use tcsim_bench::{fnum, gemm_sweep, parse_cli, print_table, write_results};
 use tcsim_cutlass::{CutlassConfig, GemmKernel, GemmProblem};
 use tcsim_hw::{HwModel, KernelClass};
-use tcsim_sim::{pearson, GpuConfig, JsonWriter};
+use tcsim_sim::{pearson, GpuConfig};
+use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
@@ -89,7 +90,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut sim_ipc = Vec::new();
     let mut hw_ipc = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut points = JsonWriter::array();
     for (&(problem, kernel, class), run) in runnable.iter().zip(&runs) {
         let hw_cycles = hw.gemm_cycles(problem.m, problem.n, problem.k, class);
         let i_hw = run.stats.instructions as f64 / hw_cycles;
@@ -102,15 +103,14 @@ fn main() {
             fnum(i_hw, 1),
             fnum(i_sim, 1),
         ]);
-        let mut w = JsonWriter::object();
-        w.field_str(
-            "problem",
-            &format!("{}x{}x{}", problem.m, problem.n, problem.k),
-        );
-        w.field_str("kernel", &format!("{kernel:?}"));
-        w.field_f64("hw_ipc", i_hw);
-        w.raw_field("sim", &run.stats.to_json());
-        json_rows.push(w.finish());
+        points.begin_object();
+        points
+            .key("problem")
+            .display(format_args!("{}x{}x{}", problem.m, problem.n, problem.k));
+        points.key("kernel").display(format_args!("{kernel:?}"));
+        points.field_f64("hw_ipc", i_hw);
+        run.stats.write_json(points.key("sim"));
+        points.end_object();
     }
     print_table(
         "IPC scatter points",
@@ -123,7 +123,7 @@ fn main() {
     if let Some(path) = &cli.json {
         let mut top = JsonWriter::object();
         top.field_f64("pearson", r);
-        top.raw_field("points", &json_array(&json_rows));
+        top.raw_field("points", &points.finish());
         write_results(path, &top.finish());
     }
     assert!(r > 0.9, "IPC correlation collapsed: {r}");

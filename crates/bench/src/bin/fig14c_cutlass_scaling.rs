@@ -2,12 +2,11 @@
 //! (sim vs surrogate hardware IPC). The paper notes GPGPU-Sim "tends to
 //! have higher performance versus hardware as matrix size increases".
 
-use tcsim_bench::{
-    fnum, gemm_sweep, json_array, parse_cli, print_table, write_results, FIG14C_SIZES,
-};
+use tcsim_bench::{fnum, gemm_sweep, parse_cli, print_table, write_results, FIG14C_SIZES};
 use tcsim_cutlass::{CutlassConfig, GemmKernel, GemmProblem};
 use tcsim_hw::{HwModel, KernelClass};
-use tcsim_sim::{GpuConfig, JsonWriter};
+use tcsim_sim::GpuConfig;
+use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
@@ -33,7 +32,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut json = JsonWriter::array();
     for (&size, run) in FIG14C_SIZES.iter().zip(&runs) {
         let hw_cycles = hw.gemm_cycles(size, size, size, KernelClass::CutlassTc);
         let hw_ipc = run.stats.instructions as f64 / hw_cycles;
@@ -47,15 +46,15 @@ fn main() {
             fnum(sim_ipc, 1),
             fnum(sim_ipc / hw_ipc, 2),
         ]);
-        let mut w = JsonWriter::object();
-        w.field_u64("size", size as u64);
-        w.field_f64("hw_cycles", hw_cycles);
-        w.field_f64("hw_ipc", hw_ipc);
-        w.raw_field("sim", &run.stats.to_json());
-        json_rows.push(w.finish());
+        json.begin_object();
+        json.field_u64("size", size as u64);
+        json.field_f64("hw_cycles", hw_cycles);
+        json.field_f64("hw_ipc", hw_ipc);
+        run.stats.write_json(json.key("sim"));
+        json.end_object();
     }
     if let Some(path) = &cli.json {
-        write_results(path, &json_array(&json_rows));
+        write_results(path, &json.finish());
     }
     print_table(
         "CUTLASS 128x128 double-buffered kernel",

@@ -9,11 +9,12 @@
 //! cycle-level simulator at sizes the simulator can reach.
 
 use tcsim_bench::{
-    ascii_chart, fnum, gemm_sweep, json_array, parse_cli, print_table, write_results, FIG17_SIZES,
+    ascii_chart, fnum, gemm_sweep, parse_cli, print_table, write_results, FIG17_SIZES,
 };
 use tcsim_cutlass::{GemmKernel, GemmPrecision, GemmProblem};
 use tcsim_hw::{HwModel, KernelClass};
-use tcsim_sim::{GpuConfig, JsonWriter};
+use tcsim_sim::GpuConfig;
+use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
@@ -141,7 +142,7 @@ fn main() {
     }
     let runs = gemm_sweep(&GpuConfig::titan_v(), &points, false, cli.threads);
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut crosscheck = JsonWriter::array();
     for (&(size, label), run) in labelled.iter().zip(&runs) {
         rows.push(vec![
             label.to_string(),
@@ -149,12 +150,12 @@ fn main() {
             run.stats.cycles.to_string(),
             fnum(run.tflops(), 2),
         ]);
-        let mut w = JsonWriter::object();
-        w.field_str("kernel", label);
-        w.field_u64("size", size as u64);
-        w.field_f64("tflops", run.tflops());
-        w.raw_field("sim", &run.stats.to_json());
-        json_rows.push(w.finish());
+        crosscheck.begin_object();
+        crosscheck.field_str("kernel", label);
+        crosscheck.field_u64("size", size as u64);
+        crosscheck.field_f64("tflops", run.tflops());
+        run.stats.write_json(crosscheck.key("sim"));
+        crosscheck.end_object();
     }
     print_table(
         "sim cross-check",
@@ -192,19 +193,19 @@ fn main() {
 
     if let Some(path) = &cli.json {
         // Surrogate series plus the simulator cross-check rows.
-        let mut surrogate = Vec::new();
+        let mut top = JsonWriter::object();
+        top.key("surrogate").begin_array();
         for (class, label) in series {
             for &s in &FIG17_SIZES {
-                let mut w = JsonWriter::object();
-                w.field_str("kernel", label);
-                w.field_u64("size", s as u64);
-                w.field_f64("hw_tflops", hw.gemm_tflops(s, class));
-                surrogate.push(w.finish());
+                top.begin_object();
+                top.field_str("kernel", label);
+                top.field_u64("size", s as u64);
+                top.field_f64("hw_tflops", hw.gemm_tflops(s, class));
+                top.end_object();
             }
         }
-        let mut top = JsonWriter::object();
-        top.raw_field("surrogate", &json_array(&surrogate));
-        top.raw_field("sim_crosscheck", &json_array(&json_rows));
+        top.end_array();
+        top.raw_field("sim_crosscheck", &crosscheck.finish());
         write_results(path, &top.finish());
     }
 }

@@ -14,9 +14,10 @@
 //! Flags: `--json <path>` (machine-readable report), `--threads <n>`
 //! (sweep workers), `--smoke` (tiny fixed-seed net only — the CI golden).
 
-use tcsim_bench::{fnum, json_array, parse_cli, print_table, write_results};
+use tcsim_bench::{fnum, parse_cli, print_table, write_results};
 use tcsim_nn::{models, run_chained, run_parallel, Graph, InferenceReport, Tensor};
 use tcsim_sim::GpuConfig;
+use tcsim_trace::json::{validate_json, JsonWriter};
 
 const SEED: u64 = 42;
 
@@ -98,15 +99,14 @@ fn main() {
             .join(" + ")
     );
 
-    let mut json_reports = Vec::new();
+    let mut reports = JsonWriter::array();
     for net in &nets {
         let input = models::input_for(net, SEED);
-        let report = run_net(net, &input, &cfg, cli.threads);
-        json_reports.push(report.to_json());
+        run_net(net, &input, &cfg, cli.threads).write_json(&mut reports);
     }
     if let Some(path) = &cli.json {
-        let json = json_array(&json_reports);
-        tcsim_trace::validate_json(&json).expect("report JSON must validate");
+        let json = reports.finish();
+        validate_json(&json).expect("report JSON must validate");
         write_results(path, &json);
     }
     println!("\nall layers within tolerance of the f32 reference");

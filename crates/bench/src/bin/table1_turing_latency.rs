@@ -1,10 +1,10 @@
 //! Table I — average cumulative cycles to execute all HMMA instructions
 //! up to SET n on Turing (RTX 2080), for every tile size and precision.
 
-use tcsim_bench::{json_array, parse_cli, print_table, write_results};
+use tcsim_bench::{parse_cli, print_table, write_results};
 use tcsim_core::{mma_timing, turing_set_completions, TuringMode};
 use tcsim_isa::{Layout, WmmaDirective, WmmaShape, WmmaType};
-use tcsim_sim::JsonWriter;
+use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
@@ -46,7 +46,7 @@ fn main() {
         (WmmaShape::M8N8K32, TuringMode::Int4, "4Bit"),
     ];
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
+    let mut json = JsonWriter::array();
     for (shape, mode, label) in combos {
         let c = turing_set_completions(shape, mode).expect("supported combo");
         let mut row = vec![shape.to_string(), label.to_string()];
@@ -58,20 +58,11 @@ fn main() {
             );
         }
         rows.push(row);
-        let mut w = JsonWriter::object();
-        w.field_str("tile", &shape.to_string());
-        w.field_str("precision", label);
-        w.raw_field(
-            "set_completions",
-            &format!(
-                "[{}]",
-                c.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
-        json_rows.push(w.finish());
+        json.begin_object();
+        json.key("tile").display(shape);
+        json.field_str("precision", label);
+        json.key("set_completions").u64s(&c);
+        json.end_object();
     }
     print_table(
         "Average cumulative clock cycles",
@@ -79,7 +70,7 @@ fn main() {
         &rows,
     );
     if let Some(path) = &cli.json {
-        write_results(path, &json_array(&json_rows));
+        write_results(path, &json.finish());
     }
 
     // Derived observations the paper makes in §III-C2 / §III-D2.

@@ -18,7 +18,8 @@
 
 use tcsim_bench::{fnum, print_table, write_results};
 use tcsim_infer::{rate_sweep, CostModel, KvCache, Policy, ServingReport};
-use tcsim_sim::{GpuConfig, JsonWriter};
+use tcsim_sim::GpuConfig;
+use tcsim_trace::json::{validate_json, JsonWriter};
 
 struct Args {
     json: Option<String>,
@@ -220,24 +221,25 @@ fn main() {
         w.field_str("model", "encoder");
         w.field_u64("seed", args.seed);
         w.field_u64("requests", args.requests as u64);
-        let costs: Vec<String> = batches
-            .iter()
-            .map(|&b| {
-                let c = cost.block_cost(b);
-                let mut cw = JsonWriter::object();
-                cw.field_u64("batch", b as u64);
-                cw.field_u64("cycles", c.cycles);
-                cw.field_u64("instructions", c.instructions);
-                cw.field_str("key", &cost.shape_key(b));
-                cw.finish()
-            })
-            .collect();
-        w.raw_field("block_costs", &format!("[{}]", costs.join(",")));
+        w.key("block_costs").begin_array();
+        for &b in &batches {
+            let c = cost.block_cost(b);
+            w.begin_object();
+            w.field_u64("batch", b as u64);
+            w.field_u64("cycles", c.cycles);
+            w.field_u64("instructions", c.instructions);
+            w.field_str("key", &cost.shape_key(b));
+            w.end_object();
+        }
+        w.end_array();
         w.field_u64("sim_invocations", cost.sim_invocations());
-        let run_json: Vec<String> = runs.iter().map(|r| r.to_json()).collect();
-        w.raw_field("runs", &format!("[{}]", run_json.join(",")));
+        w.key("runs").begin_array();
+        for r in &runs {
+            r.write_json(&mut w);
+        }
+        w.end_array();
         let json = w.finish();
-        tcsim_trace::validate_json(&json).expect("report JSON must validate");
+        validate_json(&json).expect("report JSON must validate");
         write_results(path, &json);
     }
 }

@@ -19,7 +19,7 @@ use tcsim_bench::{fnum, print_table};
 use tcsim_cutlass::{run_gemm, GemmKernel, GemmProblem};
 use tcsim_sim::{Gpu, GpuConfig, SimOptions};
 use tcsim_trace::{
-    chrome_trace, hmma_step_timeline, interval_ipc, validate_json, EventKind, RingTracer,
+    chrome_trace, hmma_step_timeline, interval_ipc, json::validate_json, EventKind, RingTracer,
     TraceSummary,
 };
 

@@ -166,11 +166,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Wraps pre-serialized JSON values into an array.
-pub fn json_array(items: &[String]) -> String {
-    format!("[{}]", items.join(","))
-}
-
 /// Writes `content` to `path`, creating parent directories (the binaries
 /// default to `results/*.json`), and prints the destination.
 pub fn write_results(path: &str, content: &str) {

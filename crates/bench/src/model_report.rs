@@ -28,9 +28,10 @@ use tcsim_cutlass::{
 };
 use tcsim_isa::Kernel;
 use tcsim_model::{estimate, gemm_roofline, TilePlan};
-use tcsim_sim::{pearson, GpuConfig, JsonWriter, LaunchGeometry};
+use tcsim_sim::{pearson, GpuConfig, LaunchGeometry};
+use tcsim_trace::json::JsonWriter;
 
-use crate::{gemm_sweep, json_array};
+use crate::gemm_sweep;
 
 /// One estimator-vs-simulator data point.
 #[derive(Clone, Debug)]
@@ -377,53 +378,45 @@ pub fn build_report(spec: &ReportSpec, threads: usize) -> ModelReport {
 
 /// Renders the report as deterministic JSON.
 pub fn render_json(report: &ModelReport) -> String {
-    let points: Vec<String> = report
-        .points
-        .iter()
-        .map(|p| {
-            let mut w = JsonWriter::object();
-            w.field_str("name", &p.name);
-            w.field_str("family", p.family);
-            w.field_u64("sim_cycles", p.sim_cycles);
-            w.field_u64("est_cycles", p.est_cycles);
-            w.field_str("bound", p.bound);
-            w.finish()
-        })
-        .collect();
-    let search: Vec<String> = report
-        .search
-        .iter()
-        .map(|s| {
-            let mut w = JsonWriter::object();
-            w.field_u64("size", s.size as u64);
-            let names = |v: &[&'static str]| {
-                json_array(&v.iter().map(|n| format!("\"{n}\"")).collect::<Vec<_>>())
-            };
-            w.raw_field("modeled", &names(&s.modeled));
-            w.raw_field("simulated", &names(&s.simulated));
-            w.field_str("top_agrees", if s.top_agrees() { "yes" } else { "no" });
-            w.finish()
-        })
-        .collect();
-    let families: Vec<String> = report
-        .families
-        .iter()
-        .map(|(name, corr)| {
-            let mut w = JsonWriter::object();
-            w.field_str("family", name);
-            w.field_f64("pearson_log", *corr);
-            w.finish()
-        })
-        .collect();
-
     let mut w = JsonWriter::object();
     w.field_u64("points_total", report.points.len() as u64);
     w.field_f64("pearson_raw", report.pearson_raw);
     w.field_f64("pearson_log", report.pearson_log);
-    w.raw_field("families", &json_array(&families));
+    w.key("families").begin_array();
+    for (name, corr) in &report.families {
+        w.begin_object();
+        w.field_str("family", name);
+        w.field_f64("pearson_log", *corr);
+        w.end_object();
+    }
+    w.end_array();
     w.field_f64("search_agreement", report.search_agreement());
-    w.raw_field("search", &json_array(&search));
-    w.raw_field("points", &json_array(&points));
+    w.key("search").begin_array();
+    for s in &report.search {
+        w.begin_object();
+        w.field_u64("size", s.size as u64);
+        for (key, names) in [("modeled", &s.modeled), ("simulated", &s.simulated)] {
+            w.key(key).begin_array();
+            for name in names {
+                w.str(name);
+            }
+            w.end_array();
+        }
+        w.field_str("top_agrees", if s.top_agrees() { "yes" } else { "no" });
+        w.end_object();
+    }
+    w.end_array();
+    w.key("points").begin_array();
+    for p in &report.points {
+        w.begin_object();
+        w.field_str("name", &p.name);
+        w.field_str("family", p.family);
+        w.field_u64("sim_cycles", p.sim_cycles);
+        w.field_u64("est_cycles", p.est_cycles);
+        w.field_str("bound", p.bound);
+        w.end_object();
+    }
+    w.end_array();
     w.finish()
 }
 

@@ -45,6 +45,7 @@ use tcsim_check::invariants;
 use tcsim_check::mutate::{self, VerifyMutation};
 use tcsim_check::oracle::{diff_run, Case, Mutation};
 use tcsim_check::shrink::{shrink, shrink_mismatch, ShrinkResult, DEFAULT_SHRINK_EVALS};
+use tcsim_trace::json::JsonWriter;
 use tcsim_verify::LaunchGeometry;
 
 struct Args {
@@ -155,7 +156,10 @@ fn replay(dir: &std::path::Path, json: bool) -> ExitCode {
         }
     }
     if json {
-        println!("{{\"replayed\":{},\"failed\":{failed}}}", results.len());
+        let mut w = JsonWriter::object();
+        w.field_u64("replayed", results.len() as u64);
+        w.field_u64("failed", failed as u64);
+        println!("{}", w.finish());
     } else {
         eprintln!("replayed {} case(s), {failed} failure(s)", results.len());
     }
@@ -270,12 +274,15 @@ fn verifier_canary(args: &Args, m: VerifyMutation) -> ExitCode {
     let failures = applied - caught;
     let secs = started.elapsed().as_secs_f64();
     if args.json {
-        println!(
-            "{{\"seed\":{},\"mutate\":\"{}\",\"attempts\":{attempts},\"applied\":{applied},\
-             \"caught\":{caught},\"failures\":{failures},\"seconds\":{secs:.2}}}",
-            args.seed,
-            m.name()
-        );
+        let mut w = JsonWriter::object();
+        w.field_u64("seed", args.seed);
+        w.field_str("mutate", m.name());
+        w.field_u64("attempts", attempts);
+        w.field_u64("applied", applied);
+        w.field_u64("caught", caught);
+        w.field_u64("failures", failures);
+        w.raw_field("seconds", &format!("{secs:.2}"));
+        println!("{}", w.finish());
     } else {
         eprintln!(
             "tcsim-fuzz: {caught}/{applied} planted {} defect(s) flagged \
@@ -394,13 +401,16 @@ fn main() -> ExitCode {
 
     let secs = started.elapsed().as_secs_f64();
     if args.json {
-        println!(
-            "{{\"seed\":{},\"iters\":{},\"simt\":{simt},\"wmma\":{wmma},\
-             \"mutate\":\"{}\",\"caught\":{caught},\"failures\":0,\"seconds\":{secs:.2}}}",
-            args.seed,
-            args.iters,
-            mutation.name()
-        );
+        let mut w = JsonWriter::object();
+        w.field_u64("seed", args.seed);
+        w.field_u64("iters", args.iters);
+        w.field_u64("simt", simt);
+        w.field_u64("wmma", wmma);
+        w.field_str("mutate", mutation.name());
+        w.field_u64("caught", caught);
+        w.field_u64("failures", 0);
+        w.raw_field("seconds", &format!("{secs:.2}"));
+        println!("{}", w.finish());
     } else {
         eprintln!(
             "tcsim-fuzz: {} iters clean ({simt} simt, {wmma} wmma{}) in {secs:.2}s",

@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tcsim_check::corpus;
 use tcsim_check::gen::Arch;
+use tcsim_trace::json::JsonWriter;
 use tcsim_verify::perf::{check_perf, PerfLimits};
 use tcsim_verify::{check, Diagnostic, LaunchGeometry};
 
@@ -192,11 +193,12 @@ fn main() -> ExitCode {
     }
     if args.json {
         let files: std::collections::BTreeSet<_> = linted.iter().map(|l| &l.path).collect();
-        println!(
-            "{{\"files\":{},\"kernels\":{},\"errors\":{errors},\"warnings\":{warnings}}}",
-            files.len(),
-            linted.len()
-        );
+        let mut w = JsonWriter::object();
+        w.field_u64("files", files.len() as u64);
+        w.field_u64("kernels", linted.len() as u64);
+        w.field_u64("errors", errors as u64);
+        w.field_u64("warnings", warnings as u64);
+        println!("{}", w.finish());
     } else {
         eprintln!(
             "tcsim-lint: {} kernel(s), {errors} error(s), {warnings} warning(s)",

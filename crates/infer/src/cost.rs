@@ -6,16 +6,16 @@
 //! free. So each distinct `(model, seed, batch, GpuConfig)` tuple is
 //! simulated once — with the full differential check against the host
 //! f32 reference, so a serving run can never be costed by a block that
-//! computes the wrong numbers — and keyed by content hash thereafter,
-//! the same `Fnv128`-over-identity scheme `tcsim-serve` uses for its
-//! result cache.
+//! computes the wrong numbers — and keyed by content hash thereafter:
+//! [`tcsim_trace::hash::Fnv128`] over the identity, the same scheme
+//! `tcsim-serve` uses for its result cache.
 
 use std::collections::HashMap;
 
 use tcsim_nn::models::{encoder, input_for};
 use tcsim_nn::run_chained;
-use tcsim_serve::hash::Fnv128;
 use tcsim_sim::GpuConfig;
+use tcsim_trace::hash::Fnv128;
 
 /// The simulated cost of one encoder-block invocation at a fixed batch
 /// size: every lowered kernel launch, summed.

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::cost::CostModel;
 use tcsim_check::rng::ExpArrivals;
-use tcsim_sim::JsonWriter;
+use tcsim_trace::json::JsonWriter;
 
 /// How waiting requests are grouped into batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,8 +285,8 @@ impl ServingReport {
         buckets.into_iter().collect()
     }
 
-    fn latency_stats_json(&self, scale: f64) -> String {
-        let mut w = JsonWriter::object();
+    fn write_latency_stats(&self, w: &mut JsonWriter, scale: f64) {
+        w.begin_object();
         for (name, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
             w.field_f64(name, self.percentile(p) as f64 * scale);
         }
@@ -295,13 +295,20 @@ impl ServingReport {
             "max",
             self.latencies.last().copied().unwrap_or(0) as f64 * scale,
         );
-        w.finish()
+        w.end_object();
     }
 
     /// Deterministic JSON for this run — byte-stable for a fixed
     /// `(seed, rate, policy, kv, cost model)`.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
+        let mut w = JsonWriter::value();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes [`ServingReport::to_json`]'s object into `w`, in place.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         w.field_str("policy", &self.policy);
         w.field_u64("max_batch", self.max_batch as u64);
         w.field_u64("window_cycles", self.window_cycles);
@@ -312,36 +319,31 @@ impl ServingReport {
         w.field_u64("rejected", self.rejected);
         w.field_u64("makespan_cycles", self.makespan_cycles);
         w.field_f64("throughput_per_mcycle", self.throughput_per_mcycle());
-        w.raw_field("latency_cycles", &self.latency_stats_json(1.0));
+        self.write_latency_stats(w.key("latency_cycles"), 1.0);
         // cycles / MHz = microseconds.
-        w.raw_field(
-            "latency_us",
-            &self.latency_stats_json(1.0 / self.clock_mhz as f64),
-        );
-        let hist: Vec<String> = self
-            .latency_histogram()
-            .iter()
-            .map(|(lo, n)| format!("[{lo},{n}]"))
-            .collect();
-        w.raw_field("latency_histogram", &format!("[{}]", hist.join(",")));
+        self.write_latency_stats(w.key("latency_us"), 1.0 / self.clock_mhz as f64);
+        w.key("latency_histogram").begin_array();
+        for (lo, n) in self.latency_histogram() {
+            w.u64s(&[lo, n]);
+        }
+        w.end_array();
         w.field_u64("batches", self.batch_sizes.len() as u64);
         w.field_f64("mean_batch", self.mean_batch());
-        let bhist: Vec<String> = self
-            .batch_histogram()
-            .iter()
-            .map(|(b, n)| format!("[{b},{n}]"))
-            .collect();
-        w.raw_field("batch_histogram", &format!("[{}]", bhist.join(",")));
-        let mut kvw = JsonWriter::object();
-        kvw.field_u64("bytes_per_seq", self.kv.bytes_per_seq);
-        if self.kv.capacity_bytes == u64::MAX {
-            kvw.field_str("capacity_bytes", "unbounded");
-        } else {
-            kvw.field_u64("capacity_bytes", self.kv.capacity_bytes);
+        w.key("batch_histogram").begin_array();
+        for (b, n) in self.batch_histogram() {
+            w.u64s(&[b as u64, n]);
         }
-        kvw.field_u64("peak_bytes", self.kv_peak_bytes);
-        w.raw_field("kv", &kvw.finish());
-        w.finish()
+        w.end_array();
+        w.key("kv").begin_object();
+        w.field_u64("bytes_per_seq", self.kv.bytes_per_seq);
+        if self.kv.capacity_bytes == u64::MAX {
+            w.field_str("capacity_bytes", "unbounded");
+        } else {
+            w.field_u64("capacity_bytes", self.kv.capacity_bytes);
+        }
+        w.field_u64("peak_bytes", self.kv_peak_bytes);
+        w.end_object();
+        w.end_object();
     }
 }
 

@@ -30,8 +30,8 @@ use crate::lower::{
 };
 use crate::reference::run_layer;
 use crate::tensor::Tensor;
-use std::fmt::Write as _;
-use tcsim_sim::{Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats, Session, Sweep};
+use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, Session, Sweep};
+use tcsim_trace::json::JsonWriter;
 use tcsim_trace::RingTracer;
 
 /// Per-layer execution record: timing, the kernel it dispatched to, and
@@ -66,8 +66,8 @@ impl LayerReport {
         }
     }
 
-    fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         w.field_str("name", &self.name);
         w.field_str("kernel", &self.kernel);
         w.field_str("dims", &self.dims);
@@ -76,11 +76,11 @@ impl LayerReport {
         w.field_f64("ipc", self.ipc());
         match self.hmma_occupancy {
             Some(o) => w.field_f64("hmma_occupancy", o),
-            None => w.raw_field("hmma_occupancy", "null"),
+            None => w.key("hmma_occupancy").null(),
         }
         w.field_f64("max_err", f64::from(self.max_err));
         w.field_f64("tolerance", f64::from(self.tolerance));
-        w.finish()
+        w.end_object();
     }
 }
 
@@ -140,38 +140,30 @@ impl InferenceReport {
 
     /// Deterministic JSON (no wall-clock fields).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
+        let mut w = JsonWriter::value();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes [`InferenceReport::to_json`]'s object into `w`, in place.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         w.field_str("network", &self.network);
         w.field_str("mode", &self.mode);
         w.field_u64("total_cycles", self.total_cycles());
         w.field_f64("worst_rel_err", f64::from(self.worst_rel_err()));
-        // Both arrays are written into one scratch buffer, element by
-        // element: no string per layer list or per output value.
-        let mut array = String::from("[");
-        for (i, l) in self.layers.iter().enumerate() {
-            if i > 0 {
-                array.push(',');
-            }
-            array.push_str(&l.to_json());
+        w.key("layers").begin_array();
+        for l in &self.layers {
+            l.write_json(w);
         }
-        array.push(']');
-        w.raw_field("layers", &array);
-        array.clear();
-        array.push('[');
-        for (i, v) in self.output.iter().enumerate() {
-            if i > 0 {
-                array.push(',');
-            }
-            // Like `JsonWriter::field_f64`: NaN and infinities are not JSON.
-            if v.is_finite() {
-                write!(array, "{v:.6}").expect("writing to a String cannot fail");
-            } else {
-                array.push_str("null");
-            }
+        w.end_array();
+        // Non-finite outputs become `null`: NaN and infinities are not JSON.
+        w.key("output").begin_array();
+        for &v in &self.output {
+            w.f64(f64::from(v));
         }
-        array.push(']');
-        w.raw_field("output", &array);
-        w.finish()
+        w.end_array();
+        w.end_object();
     }
 }
 
@@ -755,7 +747,7 @@ mod tests {
         {
             assert!(l.hmma_occupancy.is_some(), "{} untraced", l.name);
         }
-        tcsim_trace::validate_json(&report.to_json()).expect("valid JSON");
+        tcsim_trace::json::validate_json(&report.to_json()).expect("valid JSON");
     }
 
     /// A one-layer report whose device output is `got` where the
@@ -788,7 +780,7 @@ mod tests {
     fn non_finite_outputs_serialise_as_null() {
         let report = report_of(&[f32::NAN, f32::NEG_INFINITY, 0.5], &[0.0, 0.0, 0.5]);
         let json = report.to_json();
-        tcsim_trace::validate_json(&json).expect("valid JSON");
+        tcsim_trace::json::validate_json(&json).expect("valid JSON");
         assert!(
             json.ends_with(r#""output":[null,null,0.500000]}"#),
             "{json}"

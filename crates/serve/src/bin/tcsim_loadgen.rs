@@ -34,9 +34,9 @@ use tcsim_check::corpus::case_from_text;
 use tcsim_check::gen::{generate, GenConfig, KindSel};
 use tcsim_check::oracle::Case;
 use tcsim_check::rng::ExpArrivals;
-use tcsim_serve::hash::Fnv128;
-use tcsim_serve::{json, Client, Event, JobSpec, Request};
-use tcsim_sim::JsonWriter;
+use tcsim_serve::{Client, Event, JobSpec, Request};
+use tcsim_trace::hash::Fnv128;
+use tcsim_trace::json::{self, JsonWriter};
 
 struct Args {
     connect: String,
@@ -390,8 +390,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     w.field_u64("rejected", rejected as u64);
     w.field_u64("cache_hits", hits as u64);
     w.field_u64("coalesced", coalesced);
-    w.raw_field("hit_rate", &format!("{hit_rate:.6}"));
-    w.raw_field("wall_seconds", &format!("{wall:.6}"));
+    w.field_f64("hit_rate", hit_rate);
+    w.field_f64("wall_seconds", wall);
     w.raw_field(
         "throughput_jobs_per_sec",
         &format!("{:.3}", done.len() as f64 / wall.max(1e-9)),
@@ -400,17 +400,15 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     w.field_u64("latency_p95_us", p95);
     w.field_u64("latency_p99_us", p99);
     w.field_str("results_digest", &results_digest);
-    w.raw_field("server", &{
-        let mut s = JsonWriter::object();
-        s.field_u64("jobs_done", server_stats.jobs_done);
-        s.field_u64("cache_hits", server_stats.cache_hits);
-        s.field_u64("cache_misses", server_stats.cache_misses);
-        s.field_u64("coalesced", server_stats.coalesced);
-        s.field_u64("rejected", server_stats.rejected);
-        s.field_u64("failed", server_stats.failed);
-        s.field_u64("cache_entries", server_stats.cache_entries);
-        s.finish()
-    });
+    w.key("server").begin_object();
+    w.field_u64("jobs_done", server_stats.jobs_done);
+    w.field_u64("cache_hits", server_stats.cache_hits);
+    w.field_u64("cache_misses", server_stats.cache_misses);
+    w.field_u64("coalesced", server_stats.coalesced);
+    w.field_u64("rejected", server_stats.rejected);
+    w.field_u64("failed", server_stats.failed);
+    w.field_u64("cache_entries", server_stats.cache_entries);
+    w.end_object();
     let report = w.finish();
     println!("{report}");
     if let Some(path) = &args.json_path {

@@ -23,7 +23,6 @@
 //! [`LaunchStats::to_json`]: tcsim_sim::LaunchStats::to_json
 
 use crate::job::JobOutcome;
-use crate::json;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -70,7 +69,8 @@ fn entry_from_text(text: &str) -> Result<CacheEntry, String> {
     if key.len() != 32 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(format!("malformed key {key:?}"));
     }
-    json::parse(&stats_json).map_err(|e| format!("stats do not parse: {e}"))?;
+    tcsim_trace::json::validate_json(&stats_json)
+        .map_err(|e| format!("stats do not parse: {e}"))?;
     Ok(CacheEntry {
         key,
         outcome: JobOutcome {

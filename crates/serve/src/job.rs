@@ -27,12 +27,12 @@
 //! global state) is what makes this key sound: equal keys ⇒ equal
 //! content ⇒ byte-identical [`LaunchStats`] JSON and output digest.
 
-use crate::hash::{fnv128_hex, Fnv128};
-use crate::json::JsonValue;
 use tcsim_check::gen::Arch;
 use tcsim_check::oracle::{self, Case, DataKind};
 use tcsim_isa::{Dim3, Kernel};
-use tcsim_sim::{Gpu, GpuConfig, JsonWriter, LaunchBuilder, LaunchStats};
+use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
+use tcsim_trace::hash::{fnv128_hex, Fnv128};
+use tcsim_trace::json::{JsonValue, JsonWriter};
 
 /// Hard per-job size ceilings (words of 4 bytes): admission control for
 /// memory, enforced by [`JobSpec::validate`] before anything is
@@ -170,11 +170,7 @@ pub struct JobOutcome {
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
@@ -299,19 +295,15 @@ impl JobSpec {
         })
     }
 
-    /// Serializes the job as the protocol's JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
+    /// Writes the job as the protocol's JSON object into `w`, in place
+    /// (the `job` member of a `submit` or `batch` request).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         w.field_str("kernel", &self.kernel_text());
         w.field_str("config", self.config.name());
-        w.raw_field(
-            "grid",
-            &format!("[{},{},{}]", self.grid.x, self.grid.y, self.grid.z),
-        );
-        w.raw_field(
-            "block",
-            &format!("[{},{},{}]", self.block.x, self.block.y, self.block.z),
-        );
+        for (key, d) in [("grid", self.grid), ("block", self.block)] {
+            w.key(key).u64s(&[d.x, d.y, d.z]);
+        }
         match &self.input {
             InputSpec::Seeded { kind, seed, words } => {
                 w.field_str("data", kind.qualifier());
@@ -324,7 +316,7 @@ impl JobSpec {
             }
         }
         w.field_u64("out_words", u64::from(self.out_words));
-        w.finish()
+        w.end_object();
     }
 
     /// Parses the protocol's JSON object back into a job.
@@ -389,8 +381,14 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use tcsim_isa::{KernelBuilder, MemWidth, Operand, SpecialReg};
+    use tcsim_trace::json::parse;
+
+    fn job_json(spec: &JobSpec) -> String {
+        let mut w = JsonWriter::value();
+        spec.write_json(&mut w);
+        w.finish()
+    }
 
     /// `out[tid] = in[tid] + bias` over one warp — a minimal two-pointer
     /// kernel in the serve calling convention.
@@ -440,8 +438,8 @@ mod tests {
             s.grid = Dim3::new(2, 3, 1);
             s
         }] {
-            let text = spec.to_json();
-            let back = JobSpec::from_json(&json::parse(&text).unwrap()).unwrap();
+            let text = job_json(&spec);
+            let back = JobSpec::from_json(&parse(&text).unwrap()).unwrap();
             assert_eq!(back.kernel_text(), spec.kernel_text());
             assert_eq!(back.config, spec.config);
             assert_eq!(back.grid, spec.grid);
@@ -457,9 +455,9 @@ mod tests {
         // Jobs once named an SM core model; both cores gave byte-identical
         // results, so the field is ignored like any unknown key.
         let spec = test_spec();
-        let text = spec.to_json();
+        let text = job_json(&spec);
         let old = format!("{{\"core\":\"cycle\",{}", &text[1..]);
-        let back = JobSpec::from_json(&json::parse(&old).unwrap()).unwrap();
+        let back = JobSpec::from_json(&parse(&old).unwrap()).unwrap();
         assert_eq!(back.cache_key(), spec.cache_key());
     }
 

@@ -1,7 +1,7 @@
 //! The line-delimited JSON wire protocol.
 //!
 //! Every request and every event is one JSON object on one line
-//! (`\n`-terminated, no newlines inside — the workspace `JsonWriter`
+//! (`\n`-terminated, no newlines inside — `tcsim_trace::json::JsonWriter`
 //! never emits any). A connection carries any number of requests; the
 //! server streams events back as they happen, tagged with the client's
 //! job `id`, so responses interleave freely with later submissions.
@@ -31,8 +31,7 @@
 //! and freshly computed completions are byte-identical by contract.
 
 use crate::job::JobSpec;
-use crate::json::{self, JsonValue};
-use tcsim_sim::JsonWriter;
+use tcsim_trace::json::{self, JsonValue, JsonWriter};
 
 /// A client → server request.
 #[derive(Debug)]
@@ -58,32 +57,28 @@ pub enum Request {
 impl Request {
     /// Serializes the request as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
+        let mut w = JsonWriter::object();
         match self {
             Request::Submit { id, job } => {
-                let mut w = JsonWriter::object();
                 w.field_str("type", "submit");
                 w.field_str("id", id);
-                w.raw_field("job", &job.to_json());
-                w.finish()
+                job.write_json(w.key("job"));
             }
             Request::Batch { jobs } => {
-                let mut w = JsonWriter::object();
                 w.field_str("type", "batch");
-                let items: Vec<String> = jobs
-                    .iter()
-                    .map(|(id, job)| {
-                        let mut jw = JsonWriter::object();
-                        jw.field_str("id", id);
-                        jw.raw_field("job", &job.to_json());
-                        jw.finish()
-                    })
-                    .collect();
-                w.raw_field("jobs", &format!("[{}]", items.join(",")));
-                w.finish()
+                w.key("jobs").begin_array();
+                for (id, job) in jobs {
+                    w.begin_object();
+                    w.field_str("id", id);
+                    job.write_json(w.key("job"));
+                    w.end_object();
+                }
+                w.end_array();
             }
-            Request::Stats => r#"{"type":"stats"}"#.into(),
-            Request::Shutdown => r#"{"type":"shutdown"}"#.into(),
+            Request::Stats => w.field_str("type", "stats"),
+            Request::Shutdown => w.field_str("type", "shutdown"),
         }
+        w.finish()
     }
 
     /// Parses one protocol line.
@@ -209,7 +204,7 @@ impl Event {
                 w.field_str("type", "accepted");
                 w.field_str("id", id);
                 w.field_str("key", key);
-                w.raw_field("coalesced", if *coalesced { "true" } else { "false" });
+                w.key("coalesced").bool(*coalesced);
             }
             Event::Rejected { id, reason } => {
                 w.field_str("type", "rejected");
@@ -231,7 +226,7 @@ impl Event {
                 w.field_str("type", "done");
                 w.field_str("id", id);
                 w.field_str("key", key);
-                w.raw_field("cached", if *cached { "true" } else { "false" });
+                w.key("cached").bool(*cached);
                 w.field_str("output_fnv", output_fnv);
                 w.field_u64("latency_us", *latency_us);
                 w.raw_field("stats", stats_json);
@@ -371,7 +366,7 @@ mod tests {
         for ev in events {
             let line = ev.to_line();
             assert!(!line.contains('\n'), "events must be single lines: {line}");
-            tcsim_trace::validate_json(&line).expect("event line must be valid JSON");
+            json::validate_json(&line).expect("event line must be valid JSON");
             let back = Event::from_line(&line).expect("parse");
             assert_eq!(back, ev);
             // Re-encoding the parsed event reproduces the wire bytes.

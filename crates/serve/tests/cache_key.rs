@@ -6,8 +6,22 @@
 
 use tcsim_check::oracle::DataKind;
 use tcsim_isa::{Dim3, Kernel, KernelBuilder, MemWidth, Operand, SpecialReg};
-use tcsim_serve::{verify_stats_round_trip, ConfigId, InputSpec, JobSpec};
-use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, SimOptions};
+use tcsim_serve::{ConfigId, InputSpec, JobSpec};
+use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, SimOptions};
+use tcsim_trace::json::{parse, JsonValue};
+
+/// The cache persists `LaunchStats::to_json` verbatim and the protocol
+/// re-parses it at every hop, so the text must survive parse →
+/// re-serialize byte-identically and agree with the struct on its
+/// headline counters. Returns the parsed tree.
+fn assert_stats_round_trip(stats: &LaunchStats) -> JsonValue {
+    let text = stats.to_json();
+    let tree = parse(&text).expect("stats JSON parses");
+    assert_eq!(tree.to_json(), text, "stats JSON must round-trip");
+    assert_eq!(tree.u64_field("cycles"), Some(stats.cycles));
+    assert_eq!(tree.u64_field("instructions"), Some(stats.instructions));
+    tree
+}
 
 /// `out[tid] = in[tid] + bias` over one warp.
 fn add_kernel(bias: i64) -> Kernel {
@@ -181,7 +195,7 @@ fn launch_stats_json_round_trips() {
         .param_u64(in_addr)
         .param_u64(out_addr)
         .launch(&mut gpu);
-    verify_stats_round_trip(&stats).expect("plain stats round-trip");
+    assert_stats_round_trip(&stats);
 
     // Traced launch: exercises the optional `trace` object too.
     let mut gpu =
@@ -195,7 +209,7 @@ fn launch_stats_json_round_trips() {
         .param_u64(in_addr)
         .param_u64(out_addr)
         .launch(&mut gpu);
-    let tree = verify_stats_round_trip(&stats).expect("traced stats round-trip");
+    let tree = assert_stats_round_trip(&stats);
     assert!(
         tree.get("trace").is_some(),
         "traced launch must serialize a trace summary"

@@ -32,6 +32,9 @@ pub use gpu::Gpu;
 pub use launch::{LaunchBuilder, LaunchError};
 pub use options::SimOptions;
 pub use session::{Session, SessionEntry};
-pub use stats::{pearson, Distribution, JsonWriter, LaunchStats};
+pub use stats::{pearson, Distribution, LaunchStats};
 pub use sweep::{HasLaunchStats, Sweep, SweepOutcome, SweepStats};
+/// Kept only for the benchmark crate (`tcsim-perf`), which imports it from
+/// here; everything else uses [`tcsim_trace::json::JsonWriter`].
+pub use tcsim_trace::json::JsonWriter;
 pub use tcsim_verify::{Diagnostic, LaunchGeometry, Severity};

@@ -3,6 +3,7 @@
 
 use tcsim_mem::CacheStats;
 use tcsim_sm::{SmStats, WmmaKind};
+use tcsim_trace::json::JsonWriter;
 use tcsim_trace::TraceSummary;
 
 /// Results of one kernel launch.
@@ -59,9 +60,8 @@ impl LaunchStats {
             .collect()
     }
 
-    /// Serializes the statistics as a JSON object (hand-rolled writer, no
-    /// external crates). The WMMA sample list is summarized by count, not
-    /// dumped, to keep result files small.
+    /// Serializes the statistics as a JSON object. The WMMA sample list
+    /// is summarized by count, not dumped, to keep result files small.
     ///
     /// # Example
     ///
@@ -76,25 +76,21 @@ impl LaunchStats {
     /// assert!(s.to_json().starts_with("{\"cycles\":100,"));
     /// ```
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
+        let mut w = JsonWriter::value();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes [`LaunchStats::to_json`]'s object into `w`, in place.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         w.field_u64("cycles", self.cycles);
         w.field_u64("instructions", self.instructions);
         w.field_f64("ipc", self.ipc());
         w.field_u64("clock_mhz", self.clock_mhz as u64);
         w.field_f64("seconds", self.seconds());
         w.field_u64("sm_issued", self.sm.issued);
-        w.raw_field(
-            "sm_issued_by_unit",
-            &format!(
-                "[{}]",
-                self.sm
-                    .issued_by_unit
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
+        w.key("sm_issued_by_unit").u64s(&self.sm.issued_by_unit);
         w.field_u64("sm_active_cycles", self.sm.active_cycles);
         w.field_u64("sm_barriers", self.sm.barriers);
         w.field_u64("sm_ctas_completed", self.sm.ctas_completed);
@@ -112,91 +108,10 @@ impl LaunchStats {
         w.field_u64("l2_writebacks", self.l2.writebacks);
         w.field_u64("dram_sectors", self.dram_sectors);
         if let Some(trace) = &self.trace {
-            w.raw_field("trace", &trace.to_json());
+            trace.write_json(w.key("trace"));
         }
-        w.finish()
+        w.end_object();
     }
-}
-
-/// A minimal JSON object writer (no serde; the crate registry is not
-/// reachable from the build environment). Strings are escaped for the
-/// characters that can occur in kernel/config names.
-#[derive(Debug)]
-pub struct JsonWriter {
-    buf: String,
-    first: bool,
-}
-
-impl JsonWriter {
-    /// Starts an object (`{`).
-    pub fn object() -> JsonWriter {
-        JsonWriter {
-            buf: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn key(&mut self, name: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(&escape_json(name));
-        self.buf.push_str("\":");
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn field_u64(&mut self, name: &str, v: u64) {
-        self.key(name);
-        self.buf.push_str(&v.to_string());
-    }
-
-    /// Adds a float field (non-finite values become `null`).
-    pub fn field_f64(&mut self, name: &str, v: f64) {
-        self.key(name);
-        if v.is_finite() {
-            self.buf.push_str(&format!("{v:.6}"));
-        } else {
-            self.buf.push_str("null");
-        }
-    }
-
-    /// Adds a string field (escaped).
-    pub fn field_str(&mut self, name: &str, v: &str) {
-        self.key(name);
-        self.buf.push('"');
-        self.buf.push_str(&escape_json(v));
-        self.buf.push('"');
-    }
-
-    /// Adds a pre-serialized JSON value (array or object) verbatim.
-    pub fn raw_field(&mut self, name: &str, json: &str) {
-        self.key(name);
-        self.buf.push_str(json);
-    }
-
-    /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Summary statistics of a latency distribution (Fig 15/16 reporting).
@@ -262,30 +177,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escape_json_handles_control_chars_and_unicode() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("a\nb\tc\r"), "a\\nb\\tc\\r");
-        // Control characters without a short escape use \uXXXX.
-        assert_eq!(escape_json("\0"), "\\u0000");
-        assert_eq!(escape_json("\x1f"), "\\u001f");
-        assert_eq!(escape_json("\x01\x02"), "\\u0001\\u0002");
-        // Non-ASCII passes through untouched (JSON is UTF-8).
-        assert_eq!(escape_json("gemm-α×β"), "gemm-α×β");
-    }
-
-    #[test]
-    fn field_str_round_trips_through_the_validator() {
-        let mut w = JsonWriter::object();
-        w.field_str("name", "weird\0name\x1fwith\nβ");
-        w.field_str("empty", "");
-        let json = w.finish();
-        tcsim_trace::validate_json(&json).expect("escaped output must parse");
-        assert!(json.contains("\\u0000"));
-        assert!(json.contains("\\u001f"));
-    }
-
-    #[test]
     fn launch_stats_json_is_valid_with_and_without_trace() {
         let mut s = LaunchStats {
             cycles: 100,
@@ -297,11 +188,11 @@ mod tests {
             clock_mhz: 1000,
             trace: None,
         };
-        tcsim_trace::validate_json(&s.to_json()).expect("no-trace JSON");
+        tcsim_trace::json::validate_json(&s.to_json()).expect("no-trace JSON");
         assert!(!s.to_json().contains("\"trace\""));
         s.trace = Some(TraceSummary::default());
         let json = s.to_json();
-        tcsim_trace::validate_json(&json).expect("with-trace JSON");
+        tcsim_trace::json::validate_json(&json).expect("with-trace JSON");
         assert!(json.contains("\"trace\":{"));
     }
 

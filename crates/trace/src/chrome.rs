@@ -26,70 +26,92 @@
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::event::{CacheLevel, EventKind, TraceEvent, MEM_SM};
-use std::collections::BTreeMap;
+use crate::json::JsonWriter;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// The pid used for the shared memory system's pseudo-process.
 pub const MEMORY_PID: u64 = 1_000_000;
 
-/// Escapes a string for inclusion in a JSON string literal, covering
-/// every control character below 0x20.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The `(pid, tid)` track an event renders on (see the table above).
+fn track(ev: &TraceEvent) -> (u64, u64) {
+    let sm = ev.sm as u64;
+    match ev.kind {
+        EventKind::WarpIssue { sub_core, .. } | EventKind::WarpRetire { sub_core, .. } => {
+            (sm, sub_core as u64)
         }
+        EventKind::Stall { sub_core, .. } => (sm, 40 + sub_core as u64),
+        EventKind::FedpStage { sub_core, .. } => (sm, 80 + sub_core as u64),
+        EventKind::CacheAccess {
+            level: CacheLevel::L1,
+            ..
+        } => (sm, 90),
+        EventKind::HmmaStep {
+            sub_core, octet, ..
+        } => (sm, 100 + 8 * sub_core as u64 + octet as u64),
+        EventKind::CacheAccess {
+            level: CacheLevel::L2,
+            ..
+        } => (MEMORY_PID, 0),
+        EventKind::DramTxn { channel } => (MEMORY_PID, 100 + channel as u64),
     }
-    out
+}
+
+/// The name of the thread track `kind` renders on.
+fn thread_name(kind: EventKind) -> String {
+    match kind {
+        EventKind::WarpIssue { sub_core, .. } | EventKind::WarpRetire { sub_core, .. } => {
+            format!("sc{sub_core} issue")
+        }
+        EventKind::Stall { sub_core, .. } => format!("sc{sub_core} stall"),
+        EventKind::FedpStage { sub_core, .. } => format!("sc{sub_core} fedp"),
+        EventKind::HmmaStep {
+            sub_core, octet, ..
+        } => format!("sc{sub_core} octet {octet}"),
+        EventKind::CacheAccess { level, .. } => level.name().to_string(),
+        EventKind::DramTxn { channel } => format!("dram ch{channel}"),
+    }
+}
+
+fn meta_event(w: &mut JsonWriter, what: &str, pid: u64, tid: Option<u64>, name: &str) {
+    w.begin_object();
+    w.field_str("name", what);
+    w.field_str("ph", "M");
+    w.field_u64("pid", pid);
+    if let Some(tid) = tid {
+        w.field_u64("tid", tid);
+    }
+    w.key("args").begin_object();
+    w.field_str("name", name);
+    w.end_object();
+    w.end_object();
 }
 
 fn complete_event(
-    out: &mut Vec<String>,
-    name: &str,
+    w: &mut JsonWriter,
+    ev: &TraceEvent,
+    name: impl fmt::Display,
     cat: &str,
-    track: (u64, u64),
-    ts: u64,
     dur: u64,
     args: &[(&str, u64)],
 ) {
-    let mut s = format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}",
-        escape(name),
-        escape(cat),
-        track.0,
-        track.1,
-        ts,
-        dur.max(1),
-    );
+    let (pid, tid) = track(ev);
+    w.begin_object();
+    w.key("name").display(name);
+    w.field_str("cat", cat);
+    w.field_str("ph", "X");
+    w.field_u64("pid", pid);
+    w.field_u64("tid", tid);
+    w.field_u64("ts", ev.cycle);
+    w.field_u64("dur", dur.max(1));
     if !args.is_empty() {
-        s.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{}", escape(k), v));
+        w.key("args").begin_object();
+        for &(k, v) in args {
+            w.field_u64(k, v);
         }
-        s.push('}');
+        w.end_object();
     }
-    s.push('}');
-    out.push(s);
-}
-
-fn meta_event(out: &mut Vec<String>, what: &str, pid: u64, tid: Option<u64>, name: &str) {
-    let tid_field = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-    out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":{}{},\"args\":{{\"name\":\"{}\"}}}}",
-        what,
-        pid,
-        tid_field,
-        escape(name)
-    ));
+    w.end_object();
 }
 
 /// Renders `events` as a Chrome `trace_event` JSON document.
@@ -98,194 +120,114 @@ fn meta_event(out: &mut Vec<String>, what: &str, pid: u64, tid: Option<u64>, nam
 /// loadable in `chrome://tracing` and Perfetto. Event order follows the
 /// input, so two identical event streams serialize byte-identically.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    // (pid, tid) -> thread name; pid -> process name. BTreeMaps make the
-    // metadata block deterministic regardless of event order.
-    let mut processes: BTreeMap<u64, String> = BTreeMap::new();
+    // The metadata block comes first and names every track in use; the
+    // ordered collections make it independent of event order. A thread is
+    // named by the first event on it.
+    let mut processes = BTreeSet::new();
     let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    let mut body: Vec<String> = Vec::with_capacity(events.len());
-
     for ev in events {
-        let sm_pid = ev.sm as u64;
+        let (pid, tid) = track(ev);
+        processes.insert(pid);
+        threads
+            .entry((pid, tid))
+            .or_insert_with(|| thread_name(ev.kind));
+    }
+
+    let mut w = JsonWriter::object();
+    w.key("traceEvents").begin_array();
+    for pid in processes {
+        let name = if pid == MEMORY_PID {
+            "memory system".to_string()
+        } else {
+            format!("SM {pid}")
+        };
+        meta_event(&mut w, "process_name", pid, None, &name);
+    }
+    for ((pid, tid), name) in &threads {
+        meta_event(&mut w, "thread_name", *pid, Some(*tid), name);
+    }
+    for ev in events {
+        let w = &mut w;
         match ev.kind {
-            EventKind::WarpIssue {
-                sub_core,
-                warp,
-                unit,
-            } => {
-                let tid = sub_core as u64;
-                processes
-                    .entry(sm_pid)
-                    .or_insert_with(|| format!("SM {}", ev.sm));
-                threads
-                    .entry((sm_pid, tid))
-                    .or_insert_with(|| format!("sc{sub_core} issue"));
-                complete_event(
-                    &mut body,
-                    &format!("{} w{}", unit.name(), warp),
-                    "issue",
-                    (sm_pid, tid),
-                    ev.cycle,
-                    1,
-                    &[("warp", warp as u64)],
-                );
+            EventKind::WarpIssue { warp, unit, .. } => {
+                let name = format_args!("{} w{warp}", unit.name());
+                complete_event(w, ev, name, "issue", 1, &[("warp", warp.into())]);
             }
-            EventKind::WarpRetire { sub_core, warp } => {
-                let tid = sub_core as u64;
-                processes
-                    .entry(sm_pid)
-                    .or_insert_with(|| format!("SM {}", ev.sm));
-                threads
-                    .entry((sm_pid, tid))
-                    .or_insert_with(|| format!("sc{sub_core} issue"));
-                complete_event(
-                    &mut body,
-                    &format!("retire w{warp}"),
-                    "retire",
-                    (sm_pid, tid),
-                    ev.cycle,
-                    1,
-                    &[("warp", warp as u64)],
-                );
+            EventKind::WarpRetire { warp, .. } => {
+                let name = format_args!("retire w{warp}");
+                complete_event(w, ev, name, "retire", 1, &[("warp", warp.into())]);
             }
             EventKind::Stall {
-                sub_core,
                 warp,
                 reason,
                 until,
+                ..
             } => {
-                let tid = 40 + sub_core as u64;
-                processes
-                    .entry(sm_pid)
-                    .or_insert_with(|| format!("SM {}", ev.sm));
-                threads
-                    .entry((sm_pid, tid))
-                    .or_insert_with(|| format!("sc{sub_core} stall"));
-                complete_event(
-                    &mut body,
-                    reason.name(),
-                    "stall",
-                    (sm_pid, tid),
-                    ev.cycle,
-                    until.saturating_sub(ev.cycle),
-                    &[("warp", warp as u64)],
-                );
+                let dur = until.saturating_sub(ev.cycle);
+                complete_event(w, ev, reason.name(), "stall", dur, &[("warp", warp.into())]);
             }
             EventKind::HmmaStep {
-                sub_core,
                 warp,
-                octet,
                 set,
                 step,
                 complete,
+                ..
             } => {
-                let tid = 100 + 8 * sub_core as u64 + octet as u64;
-                processes
-                    .entry(sm_pid)
-                    .or_insert_with(|| format!("SM {}", ev.sm));
-                threads
-                    .entry((sm_pid, tid))
-                    .or_insert_with(|| format!("sc{sub_core} octet {octet}"));
+                let name = format_args!("set{set} step{step}");
+                let args = [
+                    ("warp", warp.into()),
+                    ("set", set.into()),
+                    ("step", step.into()),
+                ];
                 complete_event(
-                    &mut body,
-                    &format!("set{set} step{step}"),
+                    w,
+                    ev,
+                    name,
                     "hmma",
-                    (sm_pid, tid),
-                    ev.cycle,
                     complete.saturating_sub(ev.cycle),
-                    &[
-                        ("warp", warp as u64),
-                        ("set", set as u64),
-                        ("step", step as u64),
-                    ],
+                    &args,
                 );
             }
             EventKind::FedpStage {
-                sub_core,
                 warp,
                 set,
                 step,
                 stage,
+                ..
             } => {
-                let tid = 80 + sub_core as u64;
-                processes
-                    .entry(sm_pid)
-                    .or_insert_with(|| format!("SM {}", ev.sm));
-                threads
-                    .entry((sm_pid, tid))
-                    .or_insert_with(|| format!("sc{sub_core} fedp"));
-                complete_event(
-                    &mut body,
-                    &format!("s{set}.{step} stage{stage}"),
-                    "fedp",
-                    (sm_pid, tid),
-                    ev.cycle,
-                    1,
-                    &[("warp", warp as u64)],
-                );
+                let name = format_args!("s{set}.{step} stage{stage}");
+                complete_event(w, ev, name, "fedp", 1, &[("warp", warp.into())]);
             }
             EventKind::CacheAccess { level, hit, store } => {
-                let (pid, tid, pname, tname) = match level {
-                    CacheLevel::L1 => (sm_pid, 90u64, format!("SM {}", ev.sm), "L1".to_string()),
-                    CacheLevel::L2 => (
-                        MEMORY_PID,
-                        0u64,
-                        "memory system".to_string(),
-                        "L2".to_string(),
-                    ),
-                };
-                processes.entry(pid).or_insert(pname);
-                threads.entry((pid, tid)).or_insert(tname);
-                let name = format!(
+                let name = format_args!(
                     "{} {}{}",
                     level.name(),
                     if hit { "hit" } else { "miss" },
                     if store { " (st)" } else { "" }
                 );
-                let args: &[(&str, u64)] =
-                    &[("sm", if ev.sm == MEM_SM { u64::MAX } else { sm_pid })];
-                complete_event(&mut body, &name, "cache", (pid, tid), ev.cycle, 1, args);
+                let sm = if ev.sm == MEM_SM {
+                    u64::MAX
+                } else {
+                    ev.sm.into()
+                };
+                complete_event(w, ev, name, "cache", 1, &[("sm", sm)]);
             }
-            EventKind::DramTxn { channel } => {
-                let tid = 100 + channel as u64;
-                processes
-                    .entry(MEMORY_PID)
-                    .or_insert_with(|| "memory system".to_string());
-                threads
-                    .entry((MEMORY_PID, tid))
-                    .or_insert_with(|| format!("dram ch{channel}"));
-                complete_event(
-                    &mut body,
-                    "sector",
-                    "dram",
-                    (MEMORY_PID, tid),
-                    ev.cycle,
-                    1,
-                    &[],
-                );
-            }
+            EventKind::DramTxn { .. } => complete_event(w, ev, "sector", "dram", 1, &[]),
         }
     }
-
-    let mut all: Vec<String> = Vec::with_capacity(body.len() + processes.len() + threads.len());
-    for (pid, name) in &processes {
-        meta_event(&mut all, "process_name", *pid, None, name);
-    }
-    for ((pid, tid), name) in &threads {
-        meta_event(&mut all, "thread_name", *pid, Some(*tid), name);
-    }
-    all.append(&mut body);
-
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"generator\":\"tcsim-trace\"}}}}",
-        all.join(",")
-    )
+    w.end_array();
+    w.field_str("displayTimeUnit", "ms");
+    w.key("otherData").begin_object();
+    w.field_str("generator", "tcsim-trace");
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{StallReason, TraceUnit};
-    use crate::jsonv::validate_json;
+    use crate::json::validate_json;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -408,14 +350,5 @@ mod tests {
         let a = chrome_trace(&sample_events());
         let b = chrome_trace(&sample_events());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("\n\t\r"), "\\n\\t\\r");
-        assert_eq!(escape("\u{0}x\u{1f}"), "\\u0000x\\u001f");
-        assert_eq!(escape("π"), "π");
     }
 }

@@ -1,12 +1,13 @@
-//! Content hashing for cache keys: FNV-1a with a 128-bit state.
+//! Content hashing: FNV-1a with a 128-bit state, behind serve cache keys
+//! and output digests, infer cost keys and the golden-file digests.
 //!
-//! The cache key must only ever collide for byte-identical content; at
-//! the job volumes a single server sees (≪ 2^40), a 128-bit FNV-1a state
-//! gives a collision probability far below any operational concern while
-//! staying a ten-line, dependency-free function. The hash is **stable
-//! across runs, platforms and versions of this crate** — it is part of
-//! the on-disk cache format, so changing it invalidates every persisted
-//! result (bump the cache file version when doing so).
+//! A key must only ever collide for byte-identical content; at the job
+//! volumes a single server sees (≪ 2^40), a 128-bit FNV-1a state gives a
+//! collision probability far below any operational concern while staying
+//! a ten-line, dependency-free function. The hash is **stable across
+//! runs, platforms and versions of this crate** — it is part of the
+//! on-disk cache format and every committed digest, so changing it
+//! invalidates every persisted result (bump the cache file version).
 
 /// FNV-1a/128 offset basis.
 const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;

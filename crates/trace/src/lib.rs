@@ -23,12 +23,17 @@
 //! * [`hmma_step_timeline`] — a plain-text Fig 10-style step cadence;
 //! * [`TraceSummary`]/[`interval_ipc`] — derived metrics: per-interval
 //!   IPC, pipeline occupancy and the stall-reason breakdown;
-//! * [`validate_json`] — a dependency-free JSON checker guarding the
-//!   hand-rolled exporters.
+//! * [`json`] — the workspace's one JSON codec: the in-place
+//!   [`json::JsonWriter`] every exporter, report and wire line is written
+//!   with, and the [`json::parse`] tree (raw number text, key order
+//!   preserved) everything is read back with;
+//! * [`hash`] — the FNV-1a/128 content hash behind serve cache keys,
+//!   infer cost keys and the golden digests.
 //!
 //! This is a leaf crate with no dependencies, so every simulator layer
 //! (`tcsim-mem`, `tcsim-sm`, `tcsim-core`, `tcsim-sim`, `tcsim-bench`)
-//! can emit events without dependency cycles.
+//! can emit events, and every crate above it can write, read and hash
+//! JSON, without dependency cycles.
 //!
 //! # Example
 //!
@@ -51,14 +56,17 @@
 
 mod chrome;
 mod event;
-mod jsonv;
+pub mod hash;
+pub mod json;
 mod metrics;
 mod timeline;
 mod tracer;
 
 pub use chrome::{chrome_trace, MEMORY_PID};
 pub use event::{CacheLevel, EventKind, StallReason, TraceEvent, TraceUnit, MEM_SM};
-pub use jsonv::validate_json;
+/// Kept only for the benchmark crate (`tcsim-perf`), which imports it from
+/// here; everything else uses [`json::validate_json`].
+pub use json::validate_json;
 pub use metrics::{interval_ipc, Interval, TraceSummary};
 pub use timeline::hmma_step_timeline;
 pub use tracer::{emit, NullTracer, RingTracer, Tracer, DEFAULT_RING_CAPACITY};

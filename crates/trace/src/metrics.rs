@@ -7,6 +7,7 @@
 //! determinism contract.
 
 use crate::event::{CacheLevel, EventKind, StallReason, TraceEvent};
+use crate::json::JsonWriter;
 
 /// Aggregated view of one launch's event stream.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -140,47 +141,30 @@ impl TraceSummary {
             .collect()
     }
 
-    /// Serializes the summary as a JSON object (hand-rolled; no external
-    /// crates are reachable from the build environment).
-    pub fn to_json(&self) -> String {
-        let arr = |v: &[u64]| {
-            format!(
-                "[{}]",
-                v.iter()
-                    .map(|x| x.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        };
-        format!(
-            concat!(
-                "{{\"events\":{},\"dropped\":{},\"first_cycle\":{},\"last_cycle\":{},",
-                "\"issues\":{},\"issues_by_unit\":{},\"retires\":{},",
-                "\"stall_counts\":{},\"stall_cycles\":{},",
-                "\"hmma_steps\":{},\"hmma_busy_cycles\":{},\"fedp_stages\":{},",
-                "\"l1_hits\":{},\"l1_misses\":{},\"l2_hits\":{},\"l2_misses\":{},",
-                "\"dram_txns\":{},\"ipc\":{:.6},\"hmma_occupancy\":{:.6}}}"
-            ),
-            self.events,
-            self.dropped,
-            self.first_cycle,
-            self.last_cycle,
-            self.issues,
-            arr(&self.issues_by_unit),
-            self.retires,
-            arr(&self.stall_counts),
-            arr(&self.stall_cycles),
-            self.hmma_steps,
-            self.hmma_busy_cycles,
-            self.fedp_stages,
-            self.l1_hits,
-            self.l1_misses,
-            self.l2_hits,
-            self.l2_misses,
-            self.dram_txns,
-            self.ipc(),
-            self.hmma_occupancy(),
-        )
+    /// Writes the summary into `w` as one JSON object (the `trace`
+    /// member of `LaunchStats::to_json`).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_u64("events", self.events);
+        w.field_u64("dropped", self.dropped);
+        w.field_u64("first_cycle", self.first_cycle);
+        w.field_u64("last_cycle", self.last_cycle);
+        w.field_u64("issues", self.issues);
+        w.key("issues_by_unit").u64s(&self.issues_by_unit);
+        w.field_u64("retires", self.retires);
+        w.key("stall_counts").u64s(&self.stall_counts);
+        w.key("stall_cycles").u64s(&self.stall_cycles);
+        w.field_u64("hmma_steps", self.hmma_steps);
+        w.field_u64("hmma_busy_cycles", self.hmma_busy_cycles);
+        w.field_u64("fedp_stages", self.fedp_stages);
+        w.field_u64("l1_hits", self.l1_hits);
+        w.field_u64("l1_misses", self.l1_misses);
+        w.field_u64("l2_hits", self.l2_hits);
+        w.field_u64("l2_misses", self.l2_misses);
+        w.field_u64("dram_txns", self.dram_txns);
+        w.field_f64("ipc", self.ipc());
+        w.field_f64("hmma_occupancy", self.hmma_occupancy());
+        w.end_object();
     }
 }
 
@@ -394,7 +378,12 @@ mod tests {
     #[test]
     fn summary_json_is_valid() {
         let s = TraceSummary::from_events(&[issue(0, TraceUnit::Sp), hmma(1, 5)], 2);
-        crate::jsonv::validate_json(&s.to_json()).unwrap();
-        assert!(s.to_json().contains("\"hmma_steps\":1"));
+        let mut w = JsonWriter::value();
+        s.write_json(&mut w);
+        let json = w.finish();
+        crate::json::validate_json(&json).unwrap();
+        assert!(json.starts_with("{\"events\":2,\"dropped\":2,"));
+        assert!(json.contains("\"issues_by_unit\":[1,0,0,0,0,0,0],"));
+        assert!(json.contains("\"hmma_steps\":1"));
     }
 }

@@ -46,6 +46,13 @@ echo "== tier-1: host reference GEMM and operand staging under the release profi
 # bit, raw random operands) must hold for the code the benchmark runs.
 cargo test -q --release --offline -p tcsim-nn -p tcsim-cutlass
 
+echo "== tier-1: JSON codec, content hash and their users under the release profile =="
+# The one JSON parser reads every wire line and .tcres file: its fuzz
+# test runs its full document count only in optimised builds (the debug
+# run above takes a smaller one), beside the serve and infer suites that
+# write and key everything through tcsim_trace::json and ::hash.
+cargo test -q --release --offline -p tcsim-trace -p tcsim-serve -p tcsim-infer
+
 echo "== perf: benchmark contract (five workloads, --smoke) =="
 # Every workload of BENCHMARK.json must run, verify its outputs and
 # print every declared metric; --smoke keeps it to seconds.

@@ -31,11 +31,11 @@ use tcsim::cutlass::microbench::{chase_chain, pointer_chase};
 use tcsim::cutlass::{run_gemm, GemmKernel, GemmPrecision, GemmProblem};
 use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, SimOptions};
 use tcsim::sm::SchedPolicy;
+use tcsim::trace::hash::fnv128_hex;
 use tcsim::trace::{chrome_trace, RingTracer};
 use tcsim_check::corpus::case_from_text;
 use tcsim_check::gen::{generate, Arch, GenConfig};
 use tcsim_check::oracle::{gpu_config, run_gpu, Case};
-use tcsim_serve::fnv128_hex;
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=256;
 

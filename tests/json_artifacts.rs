@@ -14,8 +14,8 @@ use tcsim::sim::{Gpu, GpuConfig, SimOptions};
 use tcsim::trace::RingTracer;
 use tcsim_check::corpus::case_from_text;
 use tcsim_nn::{InferenceReport, LayerReport};
-use tcsim_serve::json::parse;
 use tcsim_serve::{Event, InputSpec, JobSpec, Request, ServerStats};
+use tcsim_trace::json::{parse, validate_json};
 
 fn assert_round_trips(what: &str, text: &str) {
     let back = parse(text)
@@ -45,6 +45,7 @@ fn committed_artifacts_round_trip() {
         "BENCH_infer.json",
         "BENCH_model_corr.json",
         "tcsim_infer.json",
+        "prof_gemm64.trace.json",
         "BENCH_serve.json",
     ] {
         let path = results.join(name);
@@ -165,4 +166,16 @@ fn every_wire_line_kind_round_trips() {
         assert!(!line.contains('\n'), "a wire line holds no newline: {line}");
         assert_round_trips(&line, &line);
     }
+}
+
+#[test]
+fn validate_json_rejects_what_the_parser_always_rejected() {
+    // `validate_json` is `parse` with the tree dropped. The standalone
+    // validator it replaced checked syntax only and accepted both of
+    // these; neither has one meaning as a tree.
+    for bad in [r#"{"k":1,"k":2}"#, r#""\ud800""#, r#""\udc00x""#] {
+        assert!(parse(bad).is_err(), "parse accepted {bad}");
+        assert!(validate_json(bad).is_err(), "validate_json accepted {bad}");
+    }
+    validate_json(r#"{"k":1,"K":2,"s":"\ud83d\ude00"}"#).expect("a valid pair and distinct keys");
 }

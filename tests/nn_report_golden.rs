@@ -20,8 +20,8 @@
 use std::path::Path;
 use tcsim_nn::models::{encoder, input_for, lenet, mlp};
 use tcsim_nn::{run_chained, run_parallel, Graph};
-use tcsim_serve::fnv128_hex;
 use tcsim_sim::GpuConfig;
+use tcsim_trace::hash::fnv128_hex;
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=3;
 

@@ -10,7 +10,8 @@
 use tcsim::core::VOLTA_MIXED_CUMULATIVE;
 use tcsim::cutlass::{run_gemm, GemmKernel, GemmProblem};
 use tcsim::sim::{Gpu, GpuConfig, SimOptions, Sweep};
-use tcsim::trace::{chrome_trace, validate_json, EventKind, RingTracer, TraceEvent};
+use tcsim::trace::json::validate_json;
+use tcsim::trace::{chrome_trace, EventKind, RingTracer, TraceEvent};
 
 /// A mini GPU with a generously sized ring tracer installed at build time.
 fn traced_gpu() -> Gpu {
