@@ -170,9 +170,9 @@ fn every_wire_line_kind_round_trips() {
 
 #[test]
 fn validate_json_rejects_what_the_parser_always_rejected() {
-    // `validate_json` is `parse` with the tree dropped. The standalone
-    // validator it replaced checked syntax only and accepted both of
-    // these; neither has one meaning as a tree.
+    // `validate_json` is `parse` with the tree dropped, so it rejects a
+    // duplicate key and a lone surrogate: each is well-formed syntax, but
+    // neither has one meaning as a tree.
     for bad in [r#"{"k":1,"k":2}"#, r#""\ud800""#, r#""\udc00x""#] {
         assert!(parse(bad).is_err(), "parse accepted {bad}");
         assert!(validate_json(bad).is_err(), "validate_json accepted {bad}");
