@@ -128,6 +128,17 @@ echo "== smoke: nn_inference (tiny net, fixed seed, golden cycle counts) =="
 target/release/nn_inference --smoke --json results/nn_smoke.json
 cmp results/nn_smoke.json results/nn_smoke_golden.json
 
+echo "== golden: nn_inference and tcsim-infer artifacts (byte-compare) =="
+# nn_inference runs lenet and mlp traced through run_chained and asserts
+# that run_parallel reproduces every layer's cycles; tcsim-infer charges
+# each batch size the encoder block's composite stages. Both reports are
+# pure functions of their seeds, so they must reproduce the committed
+# files byte for byte.
+target/release/nn_inference --json target/ci/nn_inference.json
+cmp target/ci/nn_inference.json results/nn_inference.json
+target/release/tcsim-infer --json target/ci/tcsim_infer.json
+cmp target/ci/tcsim_infer.json results/tcsim_infer.json
+
 echo "== smoke: tcsim-infer serving simulator (golden byte-compare) =="
 # The serving trajectory is a pure function of the seed: the smoke run
 # must reproduce the committed artifact byte-for-byte.

@@ -57,6 +57,23 @@ fn regenerate() -> String {
         "parallel encoder_b1 seed 1 report={}\n",
         fnv128_hex(report.to_json().as_bytes())
     ));
+    // Traced runs add each launch's HMMA occupancy to the report: a
+    // single-launch layer's own trace window, and a batched composite
+    // stage's cycle-weighted mean over its launches.
+    for (name, net) in zoo(1) {
+        let report = run_chained(&net, &input_for(&net, 1), GpuConfig::titan_v(), true);
+        report.assert_within_tolerance();
+        text.push_str(&format!(
+            "chained-traced {name} seed 1 report={}\n",
+            fnv128_hex(report.to_json().as_bytes())
+        ));
+    }
+    let report = run_parallel(&net, &input_for(&net, 1), GpuConfig::titan_v(), true, 2);
+    report.assert_within_tolerance();
+    text.push_str(&format!(
+        "parallel-traced encoder_b1 seed 1 report={}\n",
+        fnv128_hex(report.to_json().as_bytes())
+    ));
     text
 }
 
