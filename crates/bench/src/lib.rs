@@ -5,13 +5,7 @@
 #![forbid(unsafe_code)]
 
 use tcsim_cutlass::{run_gemm, GemmKernel, GemmProblem, GemmRun};
-use tcsim_sim::{Gpu, GpuConfig, Sweep};
-
-// The deterministic xorshift64* generator the benchmark binaries use for
-// input data lived here historically; it is now the workspace-wide
-// canonical PRNG in `tcsim_check::rng` (bit-compatible, so every
-// committed golden result is unchanged). Re-exported under its old path.
-pub use tcsim_check::rng::XorShift64Star;
+use tcsim_sim::{GpuConfig, Sweep};
 
 pub mod model_report;
 
@@ -84,15 +78,10 @@ pub fn fnum(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
-/// Runs one GEMM on a fresh GPU of `cfg` and returns the run record.
-pub fn gemm_on(cfg: GpuConfig, problem: GemmProblem, kernel: GemmKernel, check: bool) -> GemmRun {
-    let mut gpu = Gpu::new(cfg);
-    run_gemm(&mut gpu, problem, kernel, check)
-}
-
 /// Runs a batch of GEMM points through the parallel sweep engine and
-/// returns the runs in submission order (identical to calling [`gemm_on`]
-/// per point — see the determinism contract of [`tcsim_sim::Sweep`]).
+/// returns the runs in submission order (identical to running each point
+/// on a fresh GPU of `cfg` — see the determinism contract of
+/// [`tcsim_sim::Sweep`]).
 ///
 /// Jobs are weighted by `m·n·k` so the scheduler starts the heaviest
 /// problems first; with skewed size sweeps (Fig 14/17) this is what makes
@@ -256,34 +245,6 @@ pub const FIG17_SIZES: [usize; 7] = [256, 512, 1024, 2048, 4096, 8192, 16384];
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn xorshift_is_deterministic_and_nondegenerate() {
-        let mut r = XorShift64Star::new(7);
-        let first: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
-        let mut r2 = XorShift64Star::new(7);
-        let second: Vec<u64> = (0..8).map(|_| r2.next_u64()).collect();
-        assert_eq!(first, second);
-        // All distinct, none zero (period 2^64 - 1, zero never output
-        // scaled by the odd multiplier only for the zero state).
-        for w in first.windows(2) {
-            assert_ne!(w[0], w[1]);
-        }
-        let mut r3 = XorShift64Star::new(0);
-        assert_ne!(r3.next_u64(), 0, "zero seed must be remapped");
-    }
-
-    #[test]
-    fn xorshift_bounds_respected() {
-        let mut r = XorShift64Star::new(123);
-        for _ in 0..1000 {
-            assert!(r.below(17) < 17);
-            let v = r.range_i64(-5, 6);
-            assert!((-5..6).contains(&v));
-            let f = r.next_f64();
-            assert!((0.0..1.0).contains(&f));
-        }
-    }
 
     #[test]
     fn fnum_formats() {

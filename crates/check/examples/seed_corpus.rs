@@ -14,7 +14,7 @@ use std::path::Path;
 use tcsim_check::corpus::{replay_case, write_case};
 use tcsim_check::gen::{generate, Arch, GenConfig, KindSel};
 use tcsim_check::oracle::{Case, Compare, DataKind};
-use tcsim_nn::kernels::{elems_grid, gelu_kernel, rowred_grid, softmax_kernel};
+use tcsim_nn::kernels::{elems_grid, gelu_kernel, softmax_kernel};
 
 fn main() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
@@ -47,16 +47,10 @@ fn main() {
     // (in, out) shape, on raw random words: the device and the reference
     // interpreter share the op semantics bit-for-bit (including the MUFU
     // ex2/lg2 paths and NaN/Inf inputs), so the comparison is exact.
-    let rows = 8usize;
     let nn_picks: &[(&str, tcsim_isa::Kernel, u32, u32, u32)] = &[
         // (name, kernel, grid_x, in_words, out_words)
-        (
-            "seed_nn_softmax",
-            softmax_kernel(32, 0.25),
-            rowred_grid(rows),
-            256,
-            256,
-        ),
+        // Softmax runs one warp-wide CTA per row: 8 rows of 32.
+        ("seed_nn_softmax", softmax_kernel(32, 0.25), 8, 256, 256),
         ("seed_nn_gelu", gelu_kernel(256), elems_grid(256), 256, 256),
     ];
     for (name, kernel, grid_x, in_words, out_words) in nn_picks {

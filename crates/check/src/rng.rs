@@ -1,7 +1,7 @@
 //! The workspace's canonical deterministic PRNG.
 //!
 //! One xorshift64* generator, shared by the fuzzer, the benchmark
-//! harness (re-exported as `tcsim_bench::XorShift64Star`) and every
+//! workloads and every
 //! randomized test in the workspace. It replaces the per-test copies
 //! that used to be re-declared in `tests/random_system.rs` and the
 //! `crates/*/tests/random_*.rs` files, and the `rand` crate, which is
@@ -184,6 +184,26 @@ mod tests {
         let zs: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn consecutive_outputs_differ() {
+        let mut r = XorShift64Star::new(7);
+        let xs: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
+        for w in xs.windows(2) {
+            assert_ne!(w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn ranges_and_unit_floats_stay_in_bounds() {
+        let mut r = XorShift64Star::new(123);
+        for _ in 0..1000 {
+            let v = r.range_i64(-5, 6);
+            assert!((-5..6).contains(&v));
+            let f = r.next_f64();
+            assert!((0.0..1.0).contains(&f));
+        }
     }
 
     #[test]

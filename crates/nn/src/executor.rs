@@ -1,38 +1,41 @@
 //! Graph executor: runs a lowered plan on the simulated GPU with a
 //! per-layer differential check against the f32 reference.
 //!
-//! Two modes:
+//! Two schedules share one step runner (`run_step`), which turns a
+//! lowered step into its launches, checks and report rows:
 //!
 //! * [`run_chained`] — the real inference schedule: every launch runs in
-//!   order on ONE [`Gpu`] inside a [`Session`], each layer consuming the
-//!   previous layer's device output. Per-layer trace windows give
-//!   cycles/IPC/tensor-occupancy per launch.
+//!   order on ONE [`Gpu`], each layer consuming the previous layer's
+//!   device output. Composites run on a private fresh GPU (see
+//!   `crate::block`). With `trace` set, each launch gets its own trace
+//!   window, giving cycles/IPC/tensor-occupancy per launch.
 //! * [`run_parallel`] — a what-if schedule for sweep-style throughput
-//!   studies: layer inputs are pre-computed host-side by the reference
-//!   executor, which breaks the data dependence and lets every launch run
+//!   studies: step inputs are pre-computed host-side by the reference
+//!   executor, which breaks the data dependence and lets every step run
 //!   as an independent [`Sweep`] job (fresh GPU each). Cycle counts per
-//!   layer are identical to the chained mode (launch boundaries are cold,
-//!   see `tcsim_sim::Session`); only wall-clock simulation time changes.
+//!   layer are identical to the chained mode (every launch boundary
+//!   flushes the caches); only wall-clock simulation time changes.
 //!
 //! Every device output is checked against the reference: GEMM layers
 //! within [`gemm_tolerance`] of the quantized-f16/f32-accumulate oracle,
 //! elementwise layers bit-exact.
 
-use crate::block::{exec_attention, exec_mlp, pack_c, read_f32, upload_f16, upload_f32, ExecMode};
+use crate::block::{exec_attention, exec_mlp};
 use crate::graph::Graph;
 use crate::kernels::{
     bias_grid, bias_kernel, elems_grid, gelu_kernel, layernorm_kernel, maxpool_grid,
-    maxpool_kernel, relu_grid, relu_kernel, rowred_grid, softmax_kernel, BLOCK,
+    maxpool_kernel, relu_kernel, softmax_kernel,
 };
+use crate::launch::{launch_f32, launch_gemm};
 use crate::lower::{
     gemm_tolerance, layernorm_tolerance, lower, softmax_tolerance, GemmOp, GemmSource,
     LoweredLayer, LoweredOp,
 };
 use crate::reference::run_layer;
 use crate::tensor::Tensor;
-use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, Session, Sweep};
+use tcsim_isa::{Dim3, Kernel};
+use tcsim_sim::{Gpu, GpuConfig, Sweep};
 use tcsim_trace::json::JsonWriter;
-use tcsim_trace::RingTracer;
 
 /// Per-layer execution record: timing, the kernel it dispatched to, and
 /// the differential-check result.
@@ -177,12 +180,14 @@ fn reference_span(graph: &Graph, span: &std::ops::Range<usize>, input: &Tensor) 
     act
 }
 
-/// Packs the A operand (padded `pm × pk`, f16): im2col for conv, the
-/// activation verbatim for linear. Padding rows/columns stay zero
-/// (untouched device memory reads 0).
-fn pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
-    let x = act.data();
-    match &g.source {
+/// The A operand (`m × k`) of a lowered GEMM read from the activation `x`:
+/// im2col for conv, the activation verbatim for linear. Both are two
+/// offset tables, element `(row, col)` sitting at `x[rows[row] +
+/// cols[col]]`. im2col is separable: row `oy·ow + ox` (an output pixel)
+/// and column `(c·kh + dy)·kw + dx` (a patch element) meet at
+/// `pixel + patch` of the `[c, h, w]` activation.
+fn operand_a<'a>(g: &'a GemmOp, x: &'a [f32]) -> impl Fn(usize, usize) -> f32 + 'a {
+    let (rows, cols): (Vec<usize>, Vec<usize>) = match &g.source {
         GemmSource::Conv {
             in_c,
             kh,
@@ -191,176 +196,101 @@ fn pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
             w,
             oh,
             ow,
-        } => {
-            // im2col is separable: row `oy·ow + ox` (an output pixel) and
-            // column `(c·kh + dy)·kw + dx` (a patch element) meet at
-            // `pixel_at[row] + patch_at[col]` of the `[c, h, w]` activation.
-            let pixel_at: Vec<usize> = (0..*oh)
+        } => (
+            (0..*oh)
                 .flat_map(|oy| (0..*ow).map(move |ox| oy * w + ox))
-                .collect();
-            let patch_at: Vec<usize> = (0..*in_c)
+                .collect(),
+            (0..*in_c)
                 .flat_map(|c| {
                     (0..*kh).flat_map(move |dy| (0..*kw).map(move |dx| (c * h + dy) * w + dx))
                 })
-                .collect();
-            upload_f16(gpu, g.pm, g.pk, g.m, g.k, |row, col| {
-                x[pixel_at[row] + patch_at[col]]
-            })
-        }
-        GemmSource::Linear => upload_f16(gpu, g.pm, g.pk, g.m, g.k, |r, c| x[r * g.k + c]),
-    }
+                .collect(),
+        ),
+        GemmSource::Linear => ((0..g.m).map(|r| r * g.k).collect(), (0..g.k).collect()),
+    };
+    move |row, col| x[rows[row] + cols[col]]
 }
 
-/// Packs the B operand (padded `pk × pn`, f16) from the lowered `[k, n]`
-/// weight.
-fn pack_b(gpu: &mut Gpu, g: &GemmOp) -> u64 {
+/// The B operand (`k × n`) of a lowered GEMM: its weight.
+fn operand_b(g: &GemmOp) -> impl Fn(usize, usize) -> f32 + '_ {
     let wt = g.weight.data();
-    upload_f16(gpu, g.pk, g.pn, g.k, g.n, |r, c| wt[r * g.n + c])
+    move |row, col| wt[row * g.n + col]
 }
 
-/// Reads the padded `pm × pn` D matrix back, cropping the padding and
-/// transposing implicit-GEMM output (`[pixel][filter]`) to `[c, h, w]`.
-fn read_gemm(gpu: &Gpu, g: &GemmOp, pd: u64, shape: &[usize]) -> Tensor {
-    let d = read_f32(gpu, pd, g.pm * g.pn);
-    let at = |row: usize, col: usize| d[row * g.pn + col];
+/// Shapes a lowered GEMM's cropped `m × n` output as the step's
+/// activation, transposing implicit-GEMM output (`[pixel][filter]`) to
+/// `[c, h, w]`.
+fn gemm_activation(g: &GemmOp, d: Vec<f32>, shape: &[usize]) -> Tensor {
     match &g.source {
-        GemmSource::Conv { oh, ow, .. } => Tensor::from_fn(shape.to_vec(), |i| {
-            let (f, rest) = (i / (oh * ow), i % (oh * ow));
-            at(rest, f)
-        }),
-        GemmSource::Linear => Tensor::from_fn(shape.to_vec(), |i| at(i / g.n, i % g.n)),
+        GemmSource::Conv { oh, ow, .. } => {
+            Tensor::from_fn(shape.to_vec(), |i| d[(i % (oh * ow)) * g.n + i / (oh * ow)])
+        }
+        GemmSource::Linear => Tensor::new(shape.to_vec(), d),
     }
 }
 
-/// Uploads, builds and describes one lowered launch. Returns the launch
-/// builder (without tracer), the output pointer, and the dims string.
-fn prepare_launch(
-    gpu: &mut Gpu,
-    op: &LoweredOp,
-    act: &Tensor,
-) -> (LaunchBuilder, u64, String, String) {
+/// The kernel, grid, inputs (in parameter order) and dims string of a
+/// step that launches one f32 kernel.
+fn f32_launch<'a>(op: &'a LoweredOp, act: &'a Tensor) -> (Kernel, Dim3, Vec<&'a [f32]>, String) {
+    let (x, len) = (act.data(), act.len());
     match op {
-        LoweredOp::Gemm(g) => {
-            let pa = pack_a(gpu, g, act);
-            let pb = pack_b(gpu, g);
-            let pc = pack_c(gpu, g.pm, g.pn, g.bias.as_ref().map(Tensor::data));
-            let pd = gpu.alloc((g.pm * g.pn * 4) as u64);
-            let kernel = g.tile.kernel(g.epilogue);
-            let kname = kernel.name().to_string();
-            let dims = format!(
-                "gemm {}x{}x{} pad {}x{}x{} ",
-                g.m, g.n, g.k, g.pm, g.pn, g.pk
-            );
-            let b = LaunchBuilder::new(kernel)
-                .grid(g.tile.grid(g.pm, g.pn))
-                .block(g.tile.block())
-                .param_u64(pa)
-                .param_u64(pb)
-                .param_u64(pc)
-                .param_u64(pd)
-                .param_u32(g.pn as u32)
-                .param_u32(g.pk as u32);
-            (b, pd, kname, dims + g.tile.name())
-        }
         LoweredOp::MaxPool(p) => {
             let (c, h, w) = (act.shape()[0], act.shape()[1], act.shape()[2]);
-            let pin = upload_f32(gpu, act.data());
-            let pout = gpu.alloc((c * (h / p.k) * (w / p.k) * 4) as u64);
             let kernel = maxpool_kernel(c, h, w, p.k);
-            let kname = kernel.name().to_string();
-            let b = LaunchBuilder::new(kernel)
-                .grid(maxpool_grid(c, h, w, p.k))
-                .block(BLOCK)
-                .param_u64(pin)
-                .param_u64(pout);
-            (b, pout, kname, format!("pool {c}x{h}x{w} k{}", p.k))
+            let grid = maxpool_grid(c, h, w, p.k).into();
+            (kernel, grid, vec![x], format!("pool {c}x{h}x{w} k{}", p.k))
         }
-        LoweredOp::Relu => {
-            let pin = upload_f32(gpu, act.data());
-            let pout = gpu.alloc((act.len() * 4) as u64);
-            let kernel = relu_kernel(act.len());
-            let kname = kernel.name().to_string();
-            let b = LaunchBuilder::new(kernel)
-                .grid(relu_grid(act.len()))
-                .block(BLOCK)
-                .param_u64(pin)
-                .param_u64(pout);
-            (b, pout, kname, format!("relu {}", act.len()))
-        }
+        LoweredOp::Relu => (
+            relu_kernel(len),
+            elems_grid(len).into(),
+            vec![x],
+            format!("relu {len}"),
+        ),
         LoweredOp::Bias(bias) => {
             let (rows, cols, per_row) = match act.shape() {
                 [c, h, w] => (*c, h * w, true),
                 [b, f] => (*b, *f, false),
                 other => panic!("bias on rank-{} activation", other.len()),
             };
-            let pin = upload_f32(gpu, act.data());
-            let pbias = upload_f32(gpu, bias.data());
-            let pout = gpu.alloc((act.len() * 4) as u64);
-            let kernel = bias_kernel(rows, cols, per_row);
-            let kname = kernel.name().to_string();
-            let b = LaunchBuilder::new(kernel)
-                .grid(bias_grid(rows, cols))
-                .block(BLOCK)
-                .param_u64(pin)
-                .param_u64(pbias)
-                .param_u64(pout);
-            (b, pout, kname, format!("bias {rows}x{cols}"))
+            let (kernel, grid) = (
+                bias_kernel(rows, cols, per_row),
+                bias_grid(rows, cols).into(),
+            );
+            (
+                kernel,
+                grid,
+                vec![x, bias.data()],
+                format!("bias {rows}x{cols}"),
+            )
         }
         LoweredOp::Softmax { cols, scale } => {
             let rows = act.shape()[0];
-            let pin = upload_f32(gpu, act.data());
-            let pout = gpu.alloc((act.len() * 4) as u64);
             let kernel = softmax_kernel(*cols, *scale);
-            let kname = kernel.name().to_string();
-            let b = LaunchBuilder::new(kernel)
-                .grid(rowred_grid(rows))
-                .block(BLOCK)
-                .param_u64(pin)
-                .param_u64(pout);
-            (b, pout, kname, format!("softmax {rows}x{cols}"))
+            (
+                kernel,
+                Dim3::from(rows as u32),
+                vec![x],
+                format!("softmax {rows}x{cols}"),
+            )
         }
         LoweredOp::LayerNorm(ln) => {
             let rows = act.shape()[0];
-            let pin = upload_f32(gpu, act.data());
-            let pgamma = upload_f32(gpu, ln.gamma.data());
-            let pbeta = upload_f32(gpu, ln.beta.data());
-            let pout = gpu.alloc((act.len() * 4) as u64);
             let kernel = layernorm_kernel(ln.dim, ln.eps);
-            let kname = kernel.name().to_string();
-            let b = LaunchBuilder::new(kernel)
-                .grid(rowred_grid(rows))
-                .block(BLOCK)
-                .param_u64(pin)
-                .param_u64(pgamma)
-                .param_u64(pbeta)
-                .param_u64(pout);
-            (b, pout, kname, format!("layernorm {rows}x{}", ln.dim))
+            let inputs = vec![x, ln.gamma.data(), ln.beta.data()];
+            (
+                kernel,
+                Dim3::from(rows as u32),
+                inputs,
+                format!("layernorm {rows}x{}", ln.dim),
+            )
         }
-        LoweredOp::Gelu => {
-            let pin = upload_f32(gpu, act.data());
-            let pout = gpu.alloc((act.len() * 4) as u64);
-            let kernel = gelu_kernel(act.len());
-            let kname = kernel.name().to_string();
-            let b = LaunchBuilder::new(kernel)
-                .grid(elems_grid(act.len()))
-                .block(BLOCK)
-                .param_u64(pin)
-                .param_u64(pout);
-            (b, pout, kname, format!("gelu {}", act.len()))
-        }
-        LoweredOp::Reshape => unreachable!("reshape never launches"),
-        LoweredOp::Attention(_) | LoweredOp::Mlp(_) => {
-            unreachable!("composite ops execute through crate::block")
-        }
-    }
-}
-
-/// Reads a lowered launch's output back into a host tensor.
-fn read_output(gpu: &Gpu, op: &LoweredOp, pout: u64, shape: &[usize]) -> Tensor {
-    match op {
-        LoweredOp::Gemm(g) => read_gemm(gpu, g, pout, shape),
-        LoweredOp::Reshape => unreachable!("reshape never launches"),
-        _ => Tensor::new(shape.to_vec(), read_f32(gpu, pout, shape.iter().product())),
+        LoweredOp::Gelu => (
+            gelu_kernel(len),
+            elems_grid(len).into(),
+            vec![x],
+            format!("gelu {len}"),
+        ),
+        other => unreachable!("not an f32 kernel step: {other:?}"),
     }
 }
 
@@ -373,88 +303,81 @@ fn tolerance_of(op: &LoweredOp) -> f32 {
     }
 }
 
-/// Runs a composite lowered op (attention / MLP) through its staged
-/// executor, returning the per-stage reports and the final activation.
-fn run_composite(
-    exec: &mut ExecMode,
-    ll: &LoweredLayer,
+/// Runs one lowered step on `gpu`: a host reshape, a composite's staged
+/// launches (each stage checked inside [`crate::block`]), or one launch
+/// held to `expected()`, the reference output, which is computed only for
+/// such a launch. Returns the step's report rows and output activation.
+fn run_step(
+    gpu: &mut Gpu,
+    step: &LoweredLayer,
     act: &Tensor,
+    expected: impl FnOnce() -> Tensor,
+    trace: bool,
 ) -> (Vec<LayerReport>, Tensor) {
-    match &ll.op {
-        LoweredOp::Attention(a) => exec_attention(exec, &ll.name, a, act),
-        LoweredOp::Mlp(m) => exec_mlp(exec, &ll.name, m, act),
-        other => unreachable!("not a composite op: {other:?}"),
-    }
-}
-
-fn is_composite(op: &LoweredOp) -> bool {
-    matches!(op, LoweredOp::Attention(_) | LoweredOp::Mlp(_))
-}
-
-fn host_report(ll: &LoweredLayer, act: &Tensor) -> LayerReport {
-    LayerReport {
-        name: ll.name.clone(),
-        kernel: "host".into(),
-        dims: format!("reshape {} elems", act.len()),
-        cycles: 0,
-        instructions: 0,
-        hmma_occupancy: None,
-        max_err: 0.0,
-        tolerance: 0.0,
-    }
-}
-
-fn report_from_stats(
-    ll: &LoweredLayer,
-    kname: String,
-    dims: String,
-    stats: &LaunchStats,
-    max_err: f32,
-) -> LayerReport {
-    LayerReport {
-        name: ll.name.clone(),
-        kernel: kname,
+    let shape = step.output_shape.clone();
+    let (stats, kernel, dims, out) = match &step.op {
+        LoweredOp::Reshape => {
+            let out = act.reshape(shape);
+            let report = LayerReport {
+                name: step.name.clone(),
+                kernel: "host".into(),
+                dims: format!("reshape {} elems", out.len()),
+                cycles: 0,
+                instructions: 0,
+                hmma_occupancy: None,
+                max_err: 0.0,
+                tolerance: 0.0,
+            };
+            return (vec![report], out);
+        }
+        LoweredOp::Attention(a) => return exec_attention(gpu, trace, &step.name, a, act),
+        LoweredOp::Mlp(m) => return exec_mlp(gpu, trace, &step.name, m, act),
+        LoweredOp::Gemm(g) => {
+            let (a, b) = (operand_a(g, act.data()), operand_b(g));
+            let bias = g.bias.as_ref().map(Tensor::data);
+            let (m, n, k) = (g.m, g.n, g.k);
+            let (stats, kernel, d) =
+                launch_gemm(gpu, trace, g.tile, g.epilogue, (m, n, k), a, b, bias);
+            let (pm, pn, pk) = (g.pm, g.pn, g.pk);
+            let dims = format!("gemm {m}x{n}x{k} pad {pm}x{pn}x{pk} {}", g.tile.name());
+            (stats, kernel, dims, gemm_activation(g, d, &shape))
+        }
+        op => {
+            let (kernel, grid, inputs, dims) = f32_launch(op, act);
+            let len = shape.iter().product();
+            let (stats, kernel, d) = launch_f32(gpu, trace, kernel, grid, &inputs, len);
+            (stats, kernel, dims, Tensor::new(shape, d))
+        }
+    };
+    let report = LayerReport {
+        name: step.name.clone(),
+        kernel,
         dims,
         cycles: stats.cycles,
         instructions: stats.instructions,
         hmma_occupancy: stats.trace.as_ref().map(|t| t.hmma_occupancy()),
-        max_err,
-        tolerance: tolerance_of(&ll.op),
-    }
+        max_err: out.max_abs_diff(&expected()),
+        tolerance: tolerance_of(&step.op),
+    };
+    (vec![report], out)
 }
 
 /// Runs the network as a real inference would: one GPU, launches in
 /// dependency order, device activations flowing layer to layer.
 pub fn run_chained(graph: &Graph, input: &Tensor, cfg: GpuConfig, trace: bool) -> InferenceReport {
-    let plan = lower(graph);
-    let mut session = Session::new(Gpu::new(cfg.clone())).with_tracing(trace);
+    let mut gpu = Gpu::new(cfg.clone());
     let mut act = input.clone();
-    let mut layers = Vec::with_capacity(plan.len());
-    for ll in &plan {
-        if !ll.op.is_launch() {
-            act = act.reshape(ll.output_shape.clone());
-            layers.push(host_report(ll, &act));
-            continue;
-        }
-        if is_composite(&ll.op) {
-            // Composite ops check each stage internally (against
-            // references computed from the device-produced stage inputs)
-            // and run on a private fresh GPU so their launch-address
-            // sequence — and thus the address-hashed partition mapping —
-            // matches parallel mode exactly (see `crate::block`).
-            let mut gpu = Gpu::new(cfg.clone());
-            let mut exec = ExecMode::new(&mut gpu, trace);
-            let (reports, out) = run_composite(&mut exec, ll, &act);
-            layers.extend(reports);
-            act = out;
-            continue;
-        }
-        let expected = reference_span(graph, &ll.span, &act);
-        let (builder, pout, kname, dims) = prepare_launch(session.gpu(), &ll.op, &act);
-        let stats = session.run(&ll.name, builder).stats.clone();
-        let out = read_output(session.gpu(), &ll.op, pout, &ll.output_shape);
-        let max_err = out.max_abs_diff(&expected);
-        layers.push(report_from_stats(ll, kname, dims, &stats, max_err));
+    let mut layers = Vec::new();
+    for step in lower(graph) {
+        let expected = || reference_span(graph, &step.span, &act);
+        // A composite runs on a private fresh GPU, as every step does in
+        // parallel mode (see `crate::block`).
+        let (reports, out) = if matches!(step.op, LoweredOp::Attention(_) | LoweredOp::Mlp(_)) {
+            run_step(&mut Gpu::new(cfg.clone()), &step, &act, expected, trace)
+        } else {
+            run_step(&mut gpu, &step, &act, expected, trace)
+        };
+        layers.extend(reports);
         act = out;
     }
     InferenceReport {
@@ -465,8 +388,8 @@ pub fn run_chained(graph: &Graph, input: &Tensor, cfg: GpuConfig, trace: bool) -
     }
 }
 
-/// Runs every launch as an independent sweep job (per-layer parallelism):
-/// layer inputs come from the host reference, so the jobs share nothing.
+/// Runs every step as an independent sweep job (per-layer parallelism):
+/// step inputs come from the host reference, so the jobs share nothing.
 /// `threads = 1` runs serially; per-layer cycle counts match
 /// [`run_chained`] either way.
 pub fn run_parallel(
@@ -485,35 +408,16 @@ pub fn run_parallel(
     }
 
     let mut sweep: Sweep<Vec<LayerReport>> = Sweep::new();
-    for (i, ll) in plan.iter().enumerate() {
-        if !ll.op.is_launch() {
-            continue;
-        }
-        let weight = match &ll.op {
+    for (i, step) in plan.into_iter().enumerate() {
+        let weight = match &step.op {
             LoweredOp::Gemm(g) => (g.pm * g.pn * g.pk) as u64,
             LoweredOp::Attention(a) => (acts[i].len() * a.d_model * 6) as u64,
             LoweredOp::Mlp(m) => (acts[i].len() * m.d_ff * 2) as u64,
             _ => acts[i].len() as u64,
         };
-        let (ll, act, expected) = (ll.clone(), acts[i].clone(), acts[i + 1].clone());
+        let (act, expected) = (acts[i].clone(), acts[i + 1].clone());
         sweep.add_weighted(cfg.clone(), weight, move |gpu| {
-            if is_composite(&ll.op) {
-                let mut exec = ExecMode::new(gpu, trace);
-                return run_composite(&mut exec, &ll, &act).0;
-            }
-            let (mut builder, pout, kname, dims) = prepare_launch(gpu, &ll.op, &act);
-            if trace {
-                builder = builder.tracer(RingTracer::new());
-            }
-            let stats = builder.launch(gpu);
-            let out = read_output(gpu, &ll.op, pout, &ll.output_shape);
-            vec![report_from_stats(
-                &ll,
-                kname,
-                dims,
-                &stats,
-                out.max_abs_diff(&expected),
-            )]
+            run_step(gpu, &step, &act, || expected, trace).0
         });
     }
     let outcome = if threads <= 1 {
@@ -521,22 +425,10 @@ pub fn run_parallel(
     } else {
         sweep.run_parallel(threads)
     };
-
-    // Re-interleave host-only steps with the sweep results (which come
-    // back in submission order).
-    let mut results = outcome.results.into_iter();
-    let mut layers = Vec::with_capacity(plan.len());
-    for (i, ll) in plan.iter().enumerate() {
-        if ll.op.is_launch() {
-            layers.extend(results.next().expect("one result per launch"));
-        } else {
-            layers.push(host_report(ll, &acts[i + 1]));
-        }
-    }
     InferenceReport {
         network: graph.name.clone(),
         mode: "parallel".into(),
-        layers,
+        layers: outcome.results.into_iter().flatten().collect(),
         output: acts.last().unwrap().data().to_vec(),
     }
 }
@@ -545,12 +437,23 @@ pub fn run_parallel(
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use crate::launch::{read_cropped, upload_f16};
     use crate::lower::{pad16, Tile};
     use crate::models;
     use tcsim_cutlass::Epilogue;
     use tcsim_f16::F16;
 
-    /// The element-at-a-time A packer `pack_a` replaced, kept verbatim as
+    /// Stages A the way `run_step` hands it to `launch_gemm`.
+    fn pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
+        upload_f16(gpu, g.pm, g.pk, g.m, g.k, operand_a(g, act.data()))
+    }
+
+    /// Stages B the way `run_step` hands it to `launch_gemm`.
+    fn pack_b(gpu: &mut Gpu, g: &GemmOp) -> u64 {
+        upload_f16(gpu, g.pk, g.pn, g.k, g.n, operand_b(g))
+    }
+
+    /// The element-at-a-time A packer the row-at-a-time staging replaced, kept verbatim as
     /// the staging reference: one `write_u16` per element, padding never
     /// touched.
     fn legacy_pack_a(gpu: &mut Gpu, g: &GemmOp, act: &Tensor) -> u64 {
@@ -597,7 +500,7 @@ mod tests {
         pa
     }
 
-    /// The element-at-a-time B packer `pack_b` replaced.
+    /// The element-at-a-time B packer the row-at-a-time staging replaced.
     fn legacy_pack_b(gpu: &mut Gpu, g: &GemmOp) -> u64 {
         let pb = gpu.alloc((g.pk * g.pn * 2) as u64);
         for r in 0..g.k {
@@ -723,7 +626,8 @@ mod tests {
                     (shape, want)
                 }
             };
-            assert_eq!(read_gemm(&gpu, &g, pd, &shape), want, "{:?}", g.source);
+            let d = read_cropped(&gpu, pd, g.m, g.n, g.pm, g.pn);
+            assert_eq!(gemm_activation(&g, d, &shape), want, "{:?}", g.source);
         }
     }
 

@@ -132,11 +132,6 @@ pub fn relu_kernel(len: usize) -> Kernel {
     b.build()
 }
 
-/// Grid for [`relu_kernel`].
-pub fn relu_grid(len: usize) -> u32 {
-    len.div_ceil(BLOCK as usize) as u32
-}
-
 /// `out[r][c] = in[r][c] + bias[r or c]` over a `rows × cols` f32 matrix.
 /// `per_row` selects the broadcast axis: `true` adds `bias[row]`
 /// (per-channel bias on a `[c, h·w]` view), `false` adds `bias[col]`
@@ -332,12 +327,6 @@ pub fn softmax_kernel(cols: usize, scale: f32) -> Kernel {
     b.build()
 }
 
-/// Grid for [`softmax_kernel`] (and [`layernorm_kernel`]): one warp-wide
-/// CTA per row.
-pub fn rowred_grid(rows: usize) -> u32 {
-    rows as u32
-}
-
 /// Row-wise layer normalization over a `rows × cols` f32 matrix:
 /// `out[r][c] = (x − μ_r) · rsqrt(σ²_r + eps) · gamma[c] + beta[c]`.
 /// Same warp-per-row / butterfly-reduce scheme as [`softmax_kernel`];
@@ -520,8 +509,8 @@ pub fn add_kernel(len: usize) -> Kernel {
     b.build()
 }
 
-/// Grid for the flat elementwise kernels ([`gelu_kernel`],
-/// [`add_kernel`]; same shape as [`relu_grid`]).
+/// Grid for the flat elementwise kernels ([`relu_kernel`],
+/// [`gelu_kernel`], [`add_kernel`]).
 pub fn elems_grid(len: usize) -> u32 {
     len.div_ceil(BLOCK as usize) as u32
 }
@@ -529,27 +518,20 @@ pub fn elems_grid(len: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::launch::launch_f32;
     use crate::layer::{Bias, Layer, MaxPool};
     use crate::reference::run_layer;
     use crate::tensor::Tensor;
-    use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder};
+    use tcsim_isa::Dim3;
+    use tcsim_sim::{Gpu, GpuConfig};
 
-    fn upload(gpu: &mut Gpu, t: &Tensor) -> u64 {
-        let p = gpu.alloc((t.len() * 4) as u64);
-        for (i, &v) in t.data().iter().enumerate() {
-            gpu.write_u32(p + (i * 4) as u64, v.to_bits());
-        }
-        p
-    }
-
-    fn download(gpu: &Gpu, p: u64, shape: Vec<usize>) -> Tensor {
-        let n: usize = shape.iter().product();
-        Tensor::new(
-            shape,
-            (0..n)
-                .map(|i| f32::from_bits(gpu.read_u32(p + (i * 4) as u64)))
-                .collect(),
-        )
+    /// Runs `kernel` on a fresh mini GPU through the crate's f32 launcher
+    /// and shapes its output like `want`.
+    fn run(kernel: Kernel, grid: impl Into<Dim3>, inputs: &[&Tensor], want: &Tensor) -> Tensor {
+        let mut gpu = Gpu::new(GpuConfig::mini());
+        let inputs: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+        let (_, _, out) = launch_f32(&mut gpu, false, kernel, grid, &inputs, want.len());
+        Tensor::new(want.shape().to_vec(), out)
     }
 
     #[test]
@@ -557,16 +539,12 @@ mod tests {
         // 3 channels of 6x6, window 2 — ow=3 exercises the imin clamp.
         let x = Tensor::from_fn(vec![3, 6, 6], |i| ((i * 37 % 19) as f32) - 9.0);
         let want = run_layer(&Layer::MaxPool(MaxPool { k: 2 }), &x);
-        let mut gpu = Gpu::new(GpuConfig::mini());
-        let pin = upload(&mut gpu, &x);
-        let pout = gpu.alloc((want.len() * 4) as u64);
-        LaunchBuilder::new(maxpool_kernel(3, 6, 6, 2))
-            .grid(maxpool_grid(3, 6, 6, 2))
-            .block(BLOCK)
-            .param_u64(pin)
-            .param_u64(pout)
-            .launch(&mut gpu);
-        let got = download(&gpu, pout, want.shape().to_vec());
+        let got = run(
+            maxpool_kernel(3, 6, 6, 2),
+            maxpool_grid(3, 6, 6, 2),
+            &[&x],
+            &want,
+        );
         assert_eq!(got.max_abs_diff(&want), 0.0);
     }
 
@@ -575,37 +553,23 @@ mod tests {
         // 70 elements: not a multiple of the 32-thread block.
         let x = Tensor::from_fn(vec![70], |i| (i as f32) - 35.5);
         let want = run_layer(&Layer::ReLU, &x);
-        let mut gpu = Gpu::new(GpuConfig::mini());
-        let pin = upload(&mut gpu, &x);
-        let pout = gpu.alloc((x.len() * 4) as u64);
-        LaunchBuilder::new(relu_kernel(70))
-            .grid(relu_grid(70))
-            .block(BLOCK)
-            .param_u64(pin)
-            .param_u64(pout)
-            .launch(&mut gpu);
-        let got = download(&gpu, pout, vec![70]);
+        let got = run(relu_kernel(70), elems_grid(70), &[&x], &want);
         assert_eq!(got.max_abs_diff(&want), 0.0);
     }
 
     #[test]
     fn bias_broadcasts_along_both_axes() {
-        let mut gpu = Gpu::new(GpuConfig::mini());
         // Per-channel ([c,h,w] viewed as rows=c, cols=h·w).
         let x = Tensor::from_fn(vec![2, 3, 3], |i| i as f32);
         let bias = Tensor::new(vec![2], vec![10.0, -10.0]);
         let want = run_layer(&Layer::Bias(Bias { bias: bias.clone() }), &x);
-        let pin = upload(&mut gpu, &x);
-        let pb = upload(&mut gpu, &bias);
-        let pout = gpu.alloc((x.len() * 4) as u64);
-        LaunchBuilder::new(bias_kernel(2, 9, true))
-            .grid(bias_grid(2, 9))
-            .block(BLOCK)
-            .param_u64(pin)
-            .param_u64(pb)
-            .param_u64(pout)
-            .launch(&mut gpu);
-        assert_eq!(download(&gpu, pout, vec![2, 3, 3]).max_abs_diff(&want), 0.0);
+        let got = run(
+            bias_kernel(2, 9, true),
+            bias_grid(2, 9),
+            &[&x, &bias],
+            &want,
+        );
+        assert_eq!(got.max_abs_diff(&want), 0.0);
 
         // Per-feature ([batch, f], bias indexed by column).
         let x2 = Tensor::from_fn(vec![3, 4], |i| i as f32);
@@ -616,17 +580,13 @@ mod tests {
             }),
             &x2,
         );
-        let pin2 = upload(&mut gpu, &x2);
-        let pb2 = upload(&mut gpu, &bias2);
-        let pout2 = gpu.alloc((x2.len() * 4) as u64);
-        LaunchBuilder::new(bias_kernel(3, 4, false))
-            .grid(bias_grid(3, 4))
-            .block(BLOCK)
-            .param_u64(pin2)
-            .param_u64(pb2)
-            .param_u64(pout2)
-            .launch(&mut gpu);
-        assert_eq!(download(&gpu, pout2, vec![3, 4]).max_abs_diff(&want2), 0.0);
+        let got2 = run(
+            bias_kernel(3, 4, false),
+            bias_grid(3, 4),
+            &[&x2, &bias2],
+            &want2,
+        );
+        assert_eq!(got2.max_abs_diff(&want2), 0.0);
     }
 
     #[test]
@@ -642,16 +602,7 @@ mod tests {
         for r in want.data_mut().chunks_mut(cols) {
             softmax_row(r, scale);
         }
-        let mut gpu = Gpu::new(GpuConfig::mini());
-        let pin = upload(&mut gpu, &x);
-        let pout = gpu.alloc((x.len() * 4) as u64);
-        LaunchBuilder::new(softmax_kernel(cols, scale))
-            .grid(rowred_grid(rows))
-            .block(BLOCK)
-            .param_u64(pin)
-            .param_u64(pout)
-            .launch(&mut gpu);
-        let got = download(&gpu, pout, vec![rows, cols]);
+        let got = run(softmax_kernel(cols, scale), rows as u32, &[&x], &want);
         let err = got.max_abs_diff(&want);
         assert!(err <= softmax_tolerance(cols), "err {err}");
         // Rows sum to ~1.
@@ -675,20 +626,8 @@ mod tests {
             eps: 1e-5,
         };
         let want = run_layer(&Layer::LayerNorm(ln), &x);
-        let mut gpu = Gpu::new(GpuConfig::mini());
-        let pin = upload(&mut gpu, &x);
-        let pg = upload(&mut gpu, &gamma);
-        let pb = upload(&mut gpu, &beta);
-        let pout = gpu.alloc((x.len() * 4) as u64);
-        LaunchBuilder::new(layernorm_kernel(cols, 1e-5))
-            .grid(rowred_grid(rows))
-            .block(BLOCK)
-            .param_u64(pin)
-            .param_u64(pg)
-            .param_u64(pb)
-            .param_u64(pout)
-            .launch(&mut gpu);
-        let got = download(&gpu, pout, vec![rows, cols]);
+        let kernel = layernorm_kernel(cols, 1e-5);
+        let got = run(kernel, rows as u32, &[&x, &gamma, &beta], &want);
         let err = got.max_abs_diff(&want);
         assert!(err <= layernorm_tolerance(cols), "err {err}");
     }
@@ -699,18 +638,10 @@ mod tests {
         // 70 elements: ragged tail past two 32-lane blocks.
         let x = Tensor::from_fn(vec![70], |i| (i as f32) / 8.0 - 4.0);
         let want = Tensor::new(vec![70], x.data().iter().map(|&v| gelu_ref(v)).collect());
-        let mut gpu = Gpu::new(GpuConfig::mini());
-        let pin = upload(&mut gpu, &x);
-        let pout = gpu.alloc((x.len() * 4) as u64);
-        LaunchBuilder::new(gelu_kernel(70))
-            .grid(elems_grid(70))
-            .block(BLOCK)
-            .param_u64(pin)
-            .param_u64(pout)
-            .launch(&mut gpu);
+        let got = run(gelu_kernel(70), elems_grid(70), &[&x], &want);
         // The device kernel and gelu_ref execute the same float ops in
         // the same order, so the match is exact, not approximate.
-        assert_eq!(download(&gpu, pout, vec![70]).max_abs_diff(&want), 0.0);
+        assert_eq!(got.max_abs_diff(&want), 0.0);
     }
 
     #[test]
@@ -725,17 +656,7 @@ mod tests {
                 .map(|(&x, &y)| x + y)
                 .collect(),
         );
-        let mut gpu = Gpu::new(GpuConfig::mini());
-        let pa = upload(&mut gpu, &a);
-        let pb = upload(&mut gpu, &b);
-        let pout = gpu.alloc((a.len() * 4) as u64);
-        LaunchBuilder::new(add_kernel(70))
-            .grid(elems_grid(70))
-            .block(BLOCK)
-            .param_u64(pa)
-            .param_u64(pb)
-            .param_u64(pout)
-            .launch(&mut gpu);
-        assert_eq!(download(&gpu, pout, vec![70]).max_abs_diff(&want), 0.0);
+        let got = run(add_kernel(70), elems_grid(70), &[&a, &b], &want);
+        assert_eq!(got.max_abs_diff(&want), 0.0);
     }
 }

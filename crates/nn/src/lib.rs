@@ -16,8 +16,11 @@
 //!   fuse;
 //! * a host-side f32 reference executor ([`mod@reference`]) mirroring the
 //!   device's numeric boundary (f16 operand quantization, f32
-//!   accumulation), and an executor ([`run_chained`] / [`run_parallel`])
-//!   that differentially checks every device launch against it;
+//!   accumulation), and an executor with two schedules ([`run_chained`] /
+//!   [`run_parallel`]) over one step runner, which differentially checks
+//!   every device launch against it. Every launch goes through one GEMM
+//!   launcher or one f32 launcher, each optionally in a trace window of
+//!   its own;
 //! * canned networks ([`models`]) with deterministic f16-exact weights.
 //!
 //! # Example
@@ -40,6 +43,7 @@ pub(crate) mod block;
 pub mod executor;
 pub mod graph;
 pub mod kernels;
+pub(crate) mod launch;
 pub mod layer;
 pub mod lower;
 pub mod models;

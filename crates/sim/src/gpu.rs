@@ -154,8 +154,9 @@ impl Gpu {
     /// times, DRAM bus clocks) is reset, as a fresh simulation in
     /// GPGPU-Sim would be. Device memory persists. All counters in the
     /// returned [`LaunchStats`] are per-launch deltas, so repeating an
-    /// identical launch on a reused GPU yields identical statistics
-    /// (the [`crate::Session`] determinism contract).
+    /// identical launch on a reused GPU yields identical statistics, and
+    /// a chain of dependent launches on one GPU costs what each launch
+    /// costs alone.
     ///
     /// # Panics
     ///
@@ -340,6 +341,7 @@ mod tests {
     use super::*;
     use crate::launch::LaunchBuilder;
     use tcsim_isa::{KernelBuilder, MemWidth, Operand, SpecialReg};
+    use tcsim_trace::RingTracer;
 
     fn ids_kernel() -> Kernel {
         let mut b = KernelBuilder::new("ids");
@@ -359,6 +361,69 @@ mod tests {
         b.st_global(MemWidth::B32, addr, 0, gid);
         b.exit();
         b.build()
+    }
+
+    /// out[gid] = out[gid] + 1 — accumulates across launches, proving
+    /// device memory persists while caches are flushed.
+    fn increment_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("incr");
+        let p = b.param_u64("out");
+        let base = b.reg_pair();
+        b.ld_param(MemWidth::B64, base, p);
+        let tid = b.reg();
+        b.mov(tid, Operand::Special(SpecialReg::TidX));
+        let addr = b.reg_pair();
+        b.imad_wide(addr, tid, Operand::Imm(4), base);
+        let v = b.reg();
+        b.ld_global(MemWidth::B32, v, addr, 0);
+        b.iadd(v, v, Operand::Imm(1));
+        b.st_global(MemWidth::B32, addr, 0, v);
+        b.exit();
+        b.build()
+    }
+
+    fn increment(out: u64) -> LaunchBuilder {
+        LaunchBuilder::new(increment_kernel())
+            .grid(1u32)
+            .block(32u32)
+            .param_u64(out)
+    }
+
+    #[test]
+    fn device_memory_persists_across_launches() {
+        let mut gpu = Gpu::new(GpuConfig::mini());
+        let out = gpu.alloc(32 * 4);
+        for _ in 0..3 {
+            increment(out).launch(&mut gpu);
+        }
+        assert_eq!(gpu.read_u32(out), 3, "three increments must accumulate");
+    }
+
+    #[test]
+    fn launches_are_cold_cache_and_order_independent() {
+        // The same kernel launched twice on one GPU must cost the same
+        // cycles both times: the L1/L2 flush at the launch boundary means
+        // the second run sees no warm cache from the first.
+        let mut gpu = Gpu::new(GpuConfig::mini());
+        let out = gpu.alloc(32 * 4);
+        let a = increment(out).launch(&mut gpu);
+        let b = increment(out).launch(&mut gpu);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.l1, b.l1);
+    }
+
+    #[test]
+    fn tracing_gives_each_launch_its_own_window() {
+        let mut gpu = Gpu::new(GpuConfig::mini());
+        let out = gpu.alloc(32 * 4);
+        let traced = |gpu: &mut Gpu| {
+            let stats = increment(out).tracer(RingTracer::new()).launch(gpu);
+            stats.trace.expect("traced")
+        };
+        let (a, b) = (traced(&mut gpu), traced(&mut gpu));
+        // Identical launches, separate windows: summaries match instead
+        // of the second accumulating the first's events.
+        assert_eq!(a.events, b.events);
     }
 
     #[test]

@@ -23,7 +23,6 @@ mod config;
 mod gpu;
 mod launch;
 mod options;
-mod session;
 mod stats;
 mod sweep;
 
@@ -31,7 +30,6 @@ pub use config::GpuConfig;
 pub use gpu::Gpu;
 pub use launch::{LaunchBuilder, LaunchError};
 pub use options::SimOptions;
-pub use session::{Session, SessionEntry};
 pub use stats::{pearson, Distribution, LaunchStats};
 pub use sweep::{HasLaunchStats, Sweep, SweepOutcome, SweepStats};
 /// Kept only for the benchmark crate (`tcsim-perf`), which imports it from

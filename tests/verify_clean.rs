@@ -20,7 +20,7 @@ use tcsim_cutlass::{
 use tcsim_isa::Kernel;
 use tcsim_nn::kernels::{
     add_kernel, bias_grid, bias_kernel, elems_grid, gelu_kernel, layernorm_kernel, maxpool_grid,
-    maxpool_kernel, relu_grid, relu_kernel, rowred_grid, softmax_kernel,
+    maxpool_kernel, relu_kernel, softmax_kernel,
 };
 use tcsim_nn::Tile;
 use tcsim_verify::{check, LaunchGeometry};
@@ -203,7 +203,7 @@ fn nn_lowered_kernels_are_verifier_clean() {
     lint(
         "relu",
         &relu_kernel(256),
-        &LaunchGeometry::new(relu_grid(256), 32u32),
+        &LaunchGeometry::new(elems_grid(256), 32u32),
         &mut failures,
     );
     for per_row in [false, true] {
@@ -221,17 +221,17 @@ fn nn_lowered_kernels_are_verifier_clean() {
     // and below the warp width exercises the strided accumulation loop
     // and the out-of-range clamp lanes.
     for cols in [16usize, 64] {
-        let rows = 8usize;
+        let rows = 8u32;
         lint(
             &format!("softmax(c{cols})"),
             &softmax_kernel(cols, 0.25),
-            &LaunchGeometry::new(rowred_grid(rows), 32u32),
+            &LaunchGeometry::new(rows, 32u32),
             &mut failures,
         );
         lint(
             &format!("layernorm(c{cols})"),
             &layernorm_kernel(cols, 1e-5),
-            &LaunchGeometry::new(rowred_grid(rows), 32u32),
+            &LaunchGeometry::new(rows, 32u32),
             &mut failures,
         );
     }
@@ -378,19 +378,19 @@ fn shipped_kernels_match_pinned_perf_goldens() {
     perf_lint(
         "relu",
         &relu_kernel(256),
-        &LaunchGeometry::new(relu_grid(256), 32u32),
+        &LaunchGeometry::new(elems_grid(256), 32u32),
         &mut found,
     );
     perf_lint(
         "softmax(c64)",
         &softmax_kernel(64, 0.25),
-        &LaunchGeometry::new(rowred_grid(8), 32u32),
+        &LaunchGeometry::new(8u32, 32u32),
         &mut found,
     );
     perf_lint(
         "layernorm(c64)",
         &layernorm_kernel(64, 1e-5),
-        &LaunchGeometry::new(rowred_grid(8), 32u32),
+        &LaunchGeometry::new(8u32, 32u32),
         &mut found,
     );
     perf_lint(
