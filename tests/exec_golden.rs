@@ -14,8 +14,9 @@
 //! records the FNV-1a/128 of the launch's Chrome trace, in which every
 //! issue, stall, retire and cache access appears with its cycle. They
 //! cover the corpus, the Fig 14a / Fig 17 GEMM families, pointer chases
-//! over L1-, L2- and DRAM-resident rings, and the corpus plus a WMMA
-//! and an SGEMM GEMM under the round-robin scheduler.
+//! over L1-, L2- and DRAM-resident rings, the corpus plus a WMMA and an
+//! SGEMM GEMM under the round-robin scheduler, and the Fig 14 CUTLASS
+//! tilings and FP16-output WMMA kernels.
 //!
 //! The run is cheap (a few seconds in debug) and always compares.
 //! After an *intended* behaviour change, rewrite the file with
@@ -28,7 +29,7 @@
 
 use std::path::{Path, PathBuf};
 use tcsim::cutlass::microbench::{chase_chain, pointer_chase};
-use tcsim::cutlass::{run_gemm, GemmKernel, GemmPrecision, GemmProblem};
+use tcsim::cutlass::{run_gemm, CutlassConfig, GemmKernel, GemmPrecision, GemmProblem};
 use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, SimOptions};
 use tcsim::sm::SchedPolicy;
 use tcsim::trace::hash::fnv128_hex;
@@ -88,13 +89,28 @@ fn traced_case(label: &str, case: &Case, cfg: GpuConfig) -> String {
     traced_line(label, &gpu, &stats, &out)
 }
 
-fn traced_gemm(label: &str, cfg: GpuConfig, kernel: GemmKernel, size: usize) -> String {
-    let precision = match kernel {
+/// The precision a family's traced rows run at: the FP32-accumulate
+/// mixed mode for the tensor-core families, the baselines' own types.
+fn native_precision(kernel: GemmKernel) -> GemmPrecision {
+    match kernel {
         GemmKernel::Sgemm => GemmPrecision::Fp32,
         GemmKernel::Hgemm => GemmPrecision::Fp16,
         GemmKernel::IgemmWmma => GemmPrecision::Int8,
         _ => GemmPrecision::MixedF32,
-    };
+    }
+}
+
+fn traced_gemm(label: &str, cfg: GpuConfig, kernel: GemmKernel, size: usize) -> String {
+    traced_gemm_at(label, cfg, kernel, native_precision(kernel), size)
+}
+
+fn traced_gemm_at(
+    label: &str,
+    cfg: GpuConfig,
+    kernel: GemmKernel,
+    precision: GemmPrecision,
+    size: usize,
+) -> String {
     let problem = GemmProblem {
         precision,
         ..GemmProblem::square(size)
@@ -234,6 +250,37 @@ fn regenerate() -> String {
             round_robin(Arch::Volta),
             kernel,
             64,
+        ));
+    }
+    // The CUTLASS tilings of Figs 14a-c and the FP16-output WMMA kernels.
+    text.push_str(&traced_gemm(
+        "mini",
+        GpuConfig::mini(),
+        GemmKernel::Cutlass(CutlassConfig::default_64x64()),
+        64,
+    ));
+    let fig14b_wide = CutlassConfig {
+        warp_n: 64,
+        ..CutlassConfig::default_64x64()
+    };
+    let fig14c = CutlassConfig {
+        cta_m: 128,
+        cta_n: 128,
+        warp_m: 64,
+        warp_n: 32,
+        stages: 2,
+    };
+    for cfg in [fig14b_wide, fig14c] {
+        let kernel = GemmKernel::Cutlass(cfg);
+        text.push_str(&traced_gemm("titan-v", GpuConfig::titan_v(), kernel, 128));
+    }
+    for kernel in [GemmKernel::WmmaSimple, GemmKernel::WmmaShared] {
+        text.push_str(&traced_gemm_at(
+            "mini-fp16",
+            GpuConfig::mini(),
+            kernel,
+            GemmPrecision::Fp16,
+            32,
         ));
     }
     text
