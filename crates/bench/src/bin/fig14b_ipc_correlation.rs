@@ -81,7 +81,8 @@ fn main() {
     let runnable: Vec<(GemmProblem, GemmKernel, KernelClass)> = workloads
         .into_iter()
         .filter(|(problem, kernel, _)| {
-            problem.m % kernel.granularity() == 0 && problem.n % kernel.granularity() == 0
+            let (gm, gn) = kernel.granularity_mn();
+            problem.m % gm == 0 && problem.n % gn == 0
         })
         .collect();
     let points: Vec<(GemmProblem, GemmKernel)> = runnable.iter().map(|&(p, k, _)| (p, k)).collect();
@@ -99,7 +100,7 @@ fn main() {
         hw_ipc.push(i_hw);
         rows.push(vec![
             format!("{}x{}x{}", problem.m, problem.n, problem.k),
-            format!("{kernel:?}").chars().take(24).collect(),
+            format!("{kernel:?}"),
             fnum(i_hw, 1),
             fnum(i_sim, 1),
         ]);

@@ -8,9 +8,9 @@
 //! counts plus Pearson correlations (raw and log10 — the corpus spans
 //! several orders of magnitude, so log-space is the honest metric). A
 //! second section cross-checks the closed-form tile search: for each
-//! problem size the analytical ranking of the `Simple`/`Shared`/
-//! `Cutlass` tile plans is compared against the simulator's cycle
-//! ranking.
+//! problem size tcsim-nn's analytical ranking of its three WMMA tile
+//! families (`tcsim_nn::rank_modeled`) is compared against the
+//! simulator's cycle ranking.
 //!
 //! Everything here is a pure function of the committed corpus and the
 //! GPU presets: the rendered JSON is byte-identical run to run and
@@ -22,12 +22,9 @@ use std::path::Path;
 use tcsim_check::corpus;
 use tcsim_check::gen::Arch;
 use tcsim_check::oracle;
-use tcsim_cutlass::{
-    cutlass_gemm, hgemm, sgemm, wmma_shared_gemm, wmma_simple_gemm, CutlassConfig, GemmKernel,
-    GemmPrecision, GemmProblem,
-};
-use tcsim_isa::Kernel;
-use tcsim_model::{estimate, gemm_roofline, TilePlan};
+use tcsim_cutlass::{Epilogue, GemmKernel, GemmPrecision, GemmProblem};
+use tcsim_model::estimate;
+use tcsim_nn::{rank_modeled, GEMM_TILES};
 use tcsim_sim::{pearson, GpuConfig, LaunchGeometry};
 use tcsim_trace::json::JsonWriter;
 
@@ -131,17 +128,6 @@ fn corpus_params() -> Vec<u8> {
     p
 }
 
-/// Parameter bytes matching `run_gemm`'s `[pa, pb, pc, pd, n, k]`.
-fn gemm_params(n: u32, k: u32) -> Vec<u8> {
-    let mut p = Vec::with_capacity(40);
-    for a in PARAM_ADDRS {
-        p.extend_from_slice(&a.to_le_bytes());
-    }
-    p.extend_from_slice(&n.to_le_bytes());
-    p.extend_from_slice(&k.to_le_bytes());
-    p
-}
-
 fn corpus_points(dir: &Path) -> Vec<ModelPoint> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .expect("read corpus directory")
@@ -184,28 +170,6 @@ const GEMM_FAMILIES: [(GemmKernel, GemmPrecision, &str); 3] = [
     ),
 ];
 
-/// Builds the kernel and launch geometry `run_gemm` would use for a
-/// square problem, mirroring `tcsim_cutlass::host`'s mapping.
-fn gemm_launch(kernel: GemmKernel, n: usize) -> (Kernel, LaunchGeometry) {
-    let (gx, gy, bx, by, k) = match kernel {
-        GemmKernel::Sgemm => (n / 16, n / 16, 16, 16, sgemm()),
-        GemmKernel::Hgemm => (n / 32, n / 16, 16, 16, hgemm()),
-        GemmKernel::WmmaShared => (n / 32, n / 32, 128, 1, wmma_shared_gemm(false)),
-        GemmKernel::WmmaSimple => (n / 16, n / 16, 32, 1, wmma_simple_gemm(false)),
-        GemmKernel::Cutlass(cfg) => (
-            n / cfg.cta_n,
-            n / cfg.cta_m,
-            cfg.threads(),
-            1,
-            cutlass_gemm(cfg),
-        ),
-        GemmKernel::IgemmWmma => unreachable!("igemm is not part of the correlation sweep"),
-    };
-    let mut geom = LaunchGeometry::new((gx as u32, gy as u32, 1), (bx as u32, by as u32, 1));
-    geom.gen = Arch::Volta.tensor_gen();
-    (k, geom)
-}
-
 fn family_points(spec: &ReportSpec, gpu: &GpuConfig, threads: usize) -> Vec<ModelPoint> {
     let mut points = Vec::new();
     for &(kernel, precision, _) in &GEMM_FAMILIES {
@@ -230,8 +194,11 @@ fn family_points(spec: &ReportSpec, gpu: &GpuConfig, threads: usize) -> Vec<Mode
                 .flat_map(|f| spec.gemm_sizes.iter().map(move |&s| (f.2, s))),
         )
         .map(|((run, &(_, kernel)), (family, size))| {
-            let (k, geom) = gemm_launch(kernel, size);
-            let est = estimate(&k, &geom, &gemm_params(size as u32, size as u32), gpu);
+            let (k, cfg, params) = kernel
+                .builder(false, Epilogue::None, (size, size, size), PARAM_ADDRS)
+                .into_parts();
+            let geom = LaunchGeometry::from_config(&cfg, Arch::Volta.tensor_gen());
+            let est = estimate(&k, &geom, &params, gpu);
             ModelPoint {
                 name: format!("{family}_{size}"),
                 family,
@@ -243,59 +210,19 @@ fn family_points(spec: &ReportSpec, gpu: &GpuConfig, threads: usize) -> Vec<Mode
         .collect()
 }
 
-/// The three tile plans the search ranks, mirroring tcsim-nn's
-/// `Tile::{Simple,Shared,Cutlass}`. Register and shared budgets come
-/// from the real kernels, not hand-entered numbers.
-pub fn tile_plans() -> Vec<(&'static str, TilePlan, GemmKernel)> {
-    let simple = wmma_simple_gemm(false);
-    let shared = wmma_shared_gemm(false);
-    let cfg = CutlassConfig::default_64x64();
-    let cutlass = cutlass_gemm(cfg);
-    vec![
-        (
-            "simple",
-            TilePlan {
-                cta_m: 16,
-                cta_n: 16,
-                threads: 32,
-                shared_bytes: simple.shared_bytes() as u64,
-                regs_per_thread: simple.num_regs() as u64,
-                staged: false,
-            },
-            GemmKernel::WmmaSimple,
-        ),
-        (
-            "shared",
-            TilePlan {
-                cta_m: 32,
-                cta_n: 32,
-                threads: 128,
-                shared_bytes: shared.shared_bytes() as u64,
-                regs_per_thread: shared.num_regs() as u64,
-                staged: true,
-            },
-            GemmKernel::WmmaShared,
-        ),
-        (
-            "cutlass",
-            TilePlan {
-                cta_m: cfg.cta_m as u64,
-                cta_n: cfg.cta_n as u64,
-                threads: cfg.threads() as u64,
-                shared_bytes: cutlass.shared_bytes() as u64,
-                regs_per_thread: cutlass.num_regs() as u64,
-                staged: true,
-            },
-            GemmKernel::Cutlass(cfg),
-        ),
-    ]
+/// A tile family's name in the search section.
+fn label(tile: GemmKernel) -> &'static str {
+    match tile {
+        GemmKernel::WmmaSimple => "simple",
+        GemmKernel::WmmaShared => "shared",
+        _ => "cutlass",
+    }
 }
 
 fn search_checks(spec: &ReportSpec, gpu: &GpuConfig, threads: usize) -> Vec<SearchCheck> {
-    let plans = tile_plans();
     let mut points = Vec::new();
     for &size in &spec.search_sizes {
-        for (_, _, kernel) in &plans {
+        for tile in GEMM_TILES {
             points.push((
                 GemmProblem {
                     m: size,
@@ -303,32 +230,29 @@ fn search_checks(spec: &ReportSpec, gpu: &GpuConfig, threads: usize) -> Vec<Sear
                     k: size,
                     precision: GemmPrecision::MixedF32,
                 },
-                *kernel,
+                tile,
             ));
         }
     }
     let runs = gemm_sweep(gpu, &points, false, threads);
     spec.search_sizes
         .iter()
-        .enumerate()
-        .map(|(si, &size)| {
-            let e = size as u64;
-            // Stable sorts keep the plan declaration order on ties.
-            let mut modeled: Vec<(u64, &'static str)> = plans
+        .zip(runs.chunks(GEMM_TILES.len()))
+        .map(|(&size, runs)| {
+            // A stable sort keeps the largest tile first on ties.
+            let mut simulated: Vec<(u64, GemmKernel)> = runs
                 .iter()
-                .map(|(name, plan, _)| (gemm_roofline(e, e, e, plan, gpu).cycles, *name))
-                .collect();
-            modeled.sort_by_key(|&(c, _)| c);
-            let mut simulated: Vec<(u64, &'static str)> = plans
-                .iter()
-                .enumerate()
-                .map(|(pi, (name, _, _))| (runs[si * plans.len() + pi].stats.cycles, *name))
+                .zip(GEMM_TILES)
+                .map(|(run, tile)| (run.stats.cycles, tile))
                 .collect();
             simulated.sort_by_key(|&(c, _)| c);
             SearchCheck {
                 size,
-                modeled: modeled.into_iter().map(|(_, n)| n).collect(),
-                simulated: simulated.into_iter().map(|(_, n)| n).collect(),
+                modeled: rank_modeled(size, size, size, gpu)
+                    .into_iter()
+                    .map(label)
+                    .collect(),
+                simulated: simulated.into_iter().map(|(_, t)| label(t)).collect(),
             }
         })
         .collect()

@@ -2,16 +2,19 @@
 //! variant on the simulated GPU, and verifies against the CPU reference.
 
 use crate::kernels::{
-    cutlass_gemm, hgemm, igemm_wmma, sgemm, wmma_shared_gemm, wmma_simple_gemm, CutlassConfig,
+    cutlass_gemm_ep, hgemm, igemm_wmma, sgemm, wmma_shared_gemm_ep, wmma_simple_gemm_ep,
+    CutlassConfig, Epilogue,
 };
 use crate::problem::{
     f16_matrix_bytes, f32_matrix_bytes, i32_matrix_bytes, i8_matrix_bytes, reference_gemm, verify,
     GemmPrecision, GemmProblem,
 };
 use tcsim_f16::F16;
+use tcsim_isa::Dim3;
 use tcsim_sim::{Gpu, HasLaunchStats, LaunchBuilder, LaunchStats};
 
-/// Which kernel implementation to run.
+/// The GEMM kernel families. Each variant's kernel, launch geometry,
+/// granularity and report name are known here and nowhere else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmKernel {
     /// One warp per 16×16 tile, global-memory operands.
@@ -29,12 +32,8 @@ pub enum GemmKernel {
 }
 
 impl GemmKernel {
-    /// Whether this kernel uses the tensor cores.
-    pub fn uses_tensor_cores(&self) -> bool {
-        !matches!(self, GemmKernel::Sgemm | GemmKernel::Hgemm)
-    }
-
-    /// Smallest (m, n) granularity the kernel supports.
+    /// The `(m, n)` output tile one CTA computes: a problem must be a
+    /// multiple of it.
     pub fn granularity_mn(&self) -> (usize, usize) {
         match self {
             GemmKernel::WmmaSimple | GemmKernel::Sgemm | GemmKernel::IgemmWmma => (16, 16),
@@ -44,10 +43,60 @@ impl GemmKernel {
         }
     }
 
-    /// Largest single-dimension granularity (coarse compatibility check).
-    pub fn granularity(&self) -> usize {
-        let (m, n) = self.granularity_mn();
-        m.max(n)
+    /// Name in reports: `wmma_simple`, `wmma_shared`, `cutlass_64x64`
+    /// (the CTA tile), `sgemm`, `hgemm` or `igemm_wmma`.
+    pub fn name(&self) -> String {
+        match self {
+            GemmKernel::WmmaSimple => "wmma_simple".into(),
+            GemmKernel::WmmaShared => "wmma_shared".into(),
+            GemmKernel::Cutlass(cfg) => format!("cutlass_{}x{}", cfg.cta_m, cfg.cta_n),
+            GemmKernel::Sgemm => "sgemm".into(),
+            GemmKernel::Hgemm => "hgemm".into(),
+            GemmKernel::IgemmWmma => "igemm_wmma".into(),
+        }
+    }
+
+    /// A launch of this family over an `m×n×k` problem: the kernel (FP16
+    /// output for `fp16_out` on the two plain WMMA kernels, `ep` fused on
+    /// the three FP32-accumulate WMMA kernels), one CTA per output tile of
+    /// the kernel's granularity, and the parameters `[a, b, c, d, n, k]`
+    /// (device pointers, then the problem's `n` and `k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the problem is not a multiple of the kernel's
+    /// granularity (and `k` of 16), or if `ep` is asked of a SIMT or INT8
+    /// kernel.
+    pub fn builder(
+        &self,
+        fp16_out: bool,
+        ep: Epilogue,
+        (m, n, k): (usize, usize, usize),
+        [a, b, c, d]: [u64; 4],
+    ) -> LaunchBuilder {
+        let (gm, gn) = self.granularity_mn();
+        assert!(
+            m % gm == 0 && n % gn == 0 && k % 16 == 0,
+            "problem {m}x{n}x{k} not a multiple of kernel granularity {gm}x{gn}"
+        );
+        let (kernel, block) = match *self {
+            GemmKernel::WmmaSimple => (wmma_simple_gemm_ep(fp16_out, ep), Dim3::x(32)),
+            GemmKernel::WmmaShared => (wmma_shared_gemm_ep(fp16_out, ep), Dim3::x(128)),
+            GemmKernel::Cutlass(cfg) => (cutlass_gemm_ep(cfg, ep), Dim3::x(cfg.threads() as u32)),
+            _ if ep != Epilogue::None => panic!("{self:?} fuses no epilogue"),
+            GemmKernel::Sgemm => (sgemm(), Dim3::xy(16, 16)),
+            GemmKernel::Hgemm => (hgemm(), Dim3::xy(16, 16)),
+            GemmKernel::IgemmWmma => (igemm_wmma(), Dim3::x(32)),
+        };
+        LaunchBuilder::new(kernel)
+            .grid(((n / gn) as u32, (m / gm) as u32))
+            .block(block)
+            .param_u64(a)
+            .param_u64(b)
+            .param_u64(c)
+            .param_u64(d)
+            .param_u32(n as u32)
+            .param_u32(k as u32)
     }
 }
 
@@ -85,12 +134,6 @@ impl HasLaunchStats for GemmRun {
 /// granularity, or if verification fails.
 pub fn run_gemm(gpu: &mut Gpu, problem: GemmProblem, kernel: GemmKernel, check: bool) -> GemmRun {
     let (m, n, k) = (problem.m, problem.n, problem.k);
-    let (gm, gn) = kernel.granularity_mn();
-    assert!(
-        m % gm == 0 && n % gn == 0 && k % 16 == 0,
-        "problem {m}x{n}x{k} not a multiple of kernel granularity {gm}x{gn}"
-    );
-
     let fp16_out = problem.precision == GemmPrecision::Fp16;
     let int8 = problem.precision == GemmPrecision::Int8;
     match (&kernel, problem.precision) {
@@ -140,34 +183,8 @@ pub fn run_gemm(gpu: &mut Gpu, problem: GemmProblem, kernel: GemmKernel, check: 
     gpu.memcpy_h2d(pb, &b_bytes);
     gpu.memcpy_h2d(pc, &c_bytes);
 
-    let builder = match kernel {
-        GemmKernel::WmmaSimple => LaunchBuilder::new(wmma_simple_gemm(fp16_out))
-            .grid(((n / 16) as u32, (m / 16) as u32))
-            .block(32u32),
-        GemmKernel::WmmaShared => LaunchBuilder::new(wmma_shared_gemm(fp16_out))
-            .grid(((n / 32) as u32, (m / 32) as u32))
-            .block(128u32),
-        GemmKernel::Cutlass(cfg) => LaunchBuilder::new(cutlass_gemm(cfg))
-            .grid(((n / cfg.cta_n) as u32, (m / cfg.cta_m) as u32))
-            .block(cfg.threads() as u32),
-        GemmKernel::Sgemm => LaunchBuilder::new(sgemm())
-            .grid(((n / 16) as u32, (m / 16) as u32))
-            .block((16u32, 16u32)),
-        GemmKernel::Hgemm => LaunchBuilder::new(hgemm())
-            .grid(((n / 32) as u32, (m / 16) as u32))
-            .block((16u32, 16u32)),
-        GemmKernel::IgemmWmma => LaunchBuilder::new(igemm_wmma())
-            .grid(((n / 16) as u32, (m / 16) as u32))
-            .block(32u32),
-    };
-
-    let stats = builder
-        .param_u64(pa)
-        .param_u64(pb)
-        .param_u64(pc)
-        .param_u64(pd)
-        .param_u32(n as u32)
-        .param_u32(k as u32)
+    let stats = kernel
+        .builder(fp16_out, Epilogue::None, (m, n, k), [pa, pb, pc, pd])
         .launch(gpu);
 
     let max_abs_err = if check {
@@ -293,7 +310,6 @@ mod tests {
         // relu(A×B + bias) in one launch, for all three WMMA kernels: the
         // `c` parameter carries a length-n bias vector instead of an m×n
         // matrix, broadcast over rows by the stride-0 C-fragment load.
-        use crate::kernels::{cutlass_gemm_ep, wmma_shared_gemm_ep, wmma_simple_gemm_ep, Epilogue};
         use crate::problem::operand_value;
 
         let (m, n, k) = (64usize, 64usize, 32usize);
@@ -311,26 +327,12 @@ mod tests {
             }
             d
         };
-        let cfg = CutlassConfig::default_64x64();
-        let kernels = [
-            (
-                wmma_simple_gemm_ep(false, Epilogue::BiasRelu),
-                (n / 16, m / 16),
-                32usize,
-            ),
-            (
-                wmma_shared_gemm_ep(false, Epilogue::BiasRelu),
-                (n / 32, m / 32),
-                128,
-            ),
-            (
-                cutlass_gemm_ep(cfg, Epilogue::BiasRelu),
-                (n / cfg.cta_n, m / cfg.cta_m),
-                cfg.threads(),
-            ),
-        ];
-        for (kernel, grid, block) in kernels {
-            let name = kernel.name().to_string();
+        for kernel in [
+            GemmKernel::WmmaSimple,
+            GemmKernel::WmmaShared,
+            GemmKernel::Cutlass(CutlassConfig::default_64x64()),
+        ] {
+            let name = kernel.name();
             let mut gpu = Gpu::new(GpuConfig::mini());
             let pa = gpu.alloc((m * k * 2) as u64);
             let pb = gpu.alloc((k * n * 2) as u64);
@@ -342,15 +344,8 @@ mod tests {
                 .flat_map(|j| operand_value(seed_bias, j).to_le_bytes())
                 .collect();
             gpu.memcpy_h2d(pbias, &bias);
-            LaunchBuilder::new(kernel)
-                .grid((grid.0 as u32, grid.1 as u32))
-                .block(block as u32)
-                .param_u64(pa)
-                .param_u64(pb)
-                .param_u64(pbias)
-                .param_u64(pd)
-                .param_u32(n as u32)
-                .param_u32(k as u32)
+            kernel
+                .builder(false, Epilogue::BiasRelu, (m, n, k), [pa, pb, pbias, pd])
                 .launch(&mut gpu);
             let raw = gpu.memcpy_d2h(pd, m * n * 4);
             let tol = 1e-3 + k as f32 * 1e-4;

@@ -11,7 +11,8 @@
 //! parameter convention:
 //!
 //! `a, b, c, d : u64` (device pointers), `n, k : u32` (leading
-//! dimensions; `m` is implied by the grid).
+//! dimensions; `m` is implied by the grid). [`crate::GemmKernel`] is the
+//! table of families: each one's kernel, grid, block and granularity.
 
 use tcsim_isa::{
     CmpOp, DataType, FragmentKind, Kernel, KernelBuilder, Layout, MemSpace, MemWidth, Operand,
@@ -100,7 +101,7 @@ fn declare_gemm_params(b: &mut KernelBuilder) -> (Reg, Reg, Reg, Reg, Reg, Reg) 
 /// output tile with operands loaded straight from global memory (the
 /// "without shared memory" configuration of Fig 16).
 ///
-/// Launch with `grid = (n/16, m/16)`, `block = 32`.
+/// [`GemmKernel::builder`](crate::GemmKernel::builder) sets its launch geometry.
 pub fn wmma_simple_gemm(fp16_output: bool) -> Kernel {
     wmma_simple_gemm_ep(fp16_output, Epilogue::None)
 }
@@ -247,7 +248,7 @@ pub fn wmma_simple_gemm_ep(fp16_output: bool, ep: Epilogue) -> Kernel {
 /// warp per 16×16 INT32 output tile, S8 multiplicands, S32 accumulation.
 /// Requires a Turing GPU configuration (Volta has no integer mode).
 ///
-/// Launch with `grid = (n/16, m/16)`, `block = 32`.
+/// [`GemmKernel::builder`](crate::GemmKernel::builder) sets its launch geometry.
 pub fn igemm_wmma() -> Kernel {
     let mut b = KernelBuilder::new("igemm_wmma");
     let (pa, pb, pc, pd, n, k) = declare_gemm_params(&mut b);
@@ -351,7 +352,7 @@ pub fn igemm_wmma() -> Kernel {
 /// "with shared memory"): each CTA of four warps computes a 32×32 output
 /// tile, staging 32×16 A / 16×32 B panels in shared memory per k-step.
 ///
-/// Launch with `grid = (n/32, m/32)`, `block = 128`.
+/// [`GemmKernel::builder`](crate::GemmKernel::builder) sets its launch geometry.
 pub fn wmma_shared_gemm(fp16_output: bool) -> Kernel {
     wmma_shared_gemm_ep(fp16_output, Epilogue::None)
 }
@@ -583,7 +584,7 @@ pub struct CutlassConfig {
 
 impl CutlassConfig {
     /// The default 64×64 CTA tile with 32×32 warp tiles, double buffered.
-    pub fn default_64x64() -> CutlassConfig {
+    pub const fn default_64x64() -> CutlassConfig {
         CutlassConfig {
             cta_m: 64,
             cta_n: 64,
@@ -627,7 +628,7 @@ impl CutlassConfig {
 /// (optionally double buffered), warp tiles of multiple WMMA fragments,
 /// k-strip-mined 16 at a time.
 ///
-/// Launch with `grid = (n/cta_n, m/cta_m)`, `block = cfg.threads()`.
+/// [`GemmKernel::builder`](crate::GemmKernel::builder) sets its launch geometry.
 pub fn cutlass_gemm(cfg: CutlassConfig) -> Kernel {
     cutlass_gemm_ep(cfg, Epilogue::None)
 }
@@ -953,7 +954,7 @@ pub fn cutlass_gemm_ep(cfg: CutlassConfig, ep: Epilogue) -> Kernel {
 /// FFMA SGEMM baseline (no tensor cores): classic 16×16 shared-memory
 /// tiling, one FP32 output element per thread.
 ///
-/// Launch with `grid = (n/16, m/16)`, `block = (16, 16)`.
+/// [`GemmKernel::builder`](crate::GemmKernel::builder) sets its launch geometry.
 pub fn sgemm(/* no options */) -> Kernel {
     let mut b = KernelBuilder::new("sgemm");
     let (pa, pb, pc, pd, n, k) = declare_gemm_params(&mut b);
@@ -1043,7 +1044,7 @@ pub fn sgemm(/* no options */) -> Kernel {
 /// packed-half math — each thread computes **two** adjacent output
 /// columns per HFMA2, giving the 2× per-instruction FP16 rate.
 ///
-/// Launch with `grid = (n/32, m/16)`, `block = (16, 16)`.
+/// [`GemmKernel::builder`](crate::GemmKernel::builder) sets its launch geometry.
 pub fn hgemm() -> Kernel {
     let mut b = KernelBuilder::new("hgemm");
     let (pa, pb, pc, pd, n, k) = declare_gemm_params(&mut b);

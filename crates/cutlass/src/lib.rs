@@ -12,6 +12,11 @@
 //! the tensor-core speedup comparisons of Fig 17, the microbenchmark
 //! kernels of §III, and a host-side runner that launches and verifies
 //! everything against a CPU reference.
+//!
+//! [`GemmKernel`] is the one table of GEMM families: each family's
+//! kernel, grid, block, granularity and report name. [`run_gemm`],
+//! tcsim-nn's lowering and the benches all launch a GEMM through
+//! [`GemmKernel::builder`].
 
 mod host;
 mod kernels;

@@ -20,7 +20,6 @@
 //! in for run-to-run hardware variation.
 
 use crate::KernelClass;
-use tcsim_isa::Dim3;
 
 /// Datasheet + calibration constants of the modeled GPU.
 #[derive(Clone, Debug)]
@@ -167,11 +166,6 @@ impl HwModel {
     /// shared-memory GEMM (Fig 15): 125, 70 and 120 cycles.
     pub fn wmma_min_latencies(&self) -> (u64, u64, u64) {
         (125, 70, 120)
-    }
-
-    /// Grid size heuristic used by the correlation studies.
-    pub fn gemm_grid(m: usize, n: usize, tile: usize) -> Dim3 {
-        Dim3::xy((n / tile) as u32, (m / tile) as u32)
     }
 }
 

@@ -140,7 +140,7 @@ pub fn gemm_roofline(m: u64, n: u64, k: u64, plan: &TilePlan, gpu: &GpuConfig) -
 mod tests {
     use super::*;
 
-    /// Plans mirroring tcsim-nn's `Tile::{Simple,Shared,Cutlass}`.
+    /// Plans shaped like tcsim-nn's three WMMA `GemmKernel` families.
     fn simple() -> TilePlan {
         TilePlan {
             cta_m: 16,

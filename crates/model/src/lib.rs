@@ -17,8 +17,8 @@
 //!    and the max of issue, per-unit throughput, MIO, DRAM and
 //!    latency bounds for a whole [`tcsim_sim::GpuConfig`].
 //! 3. [`gemm`] — a **closed-form roofline for tiled WMMA GEMM** used to
-//!    rank CTA-tile candidates (`Tile::{Simple,Shared,Cutlass}` in
-//!    tcsim-nn) without building the kernels at all.
+//!    rank CTA-tile candidates (tcsim-nn's three WMMA `GemmKernel`
+//!    families) without simulating them.
 //! 4. [`limits`] — the bridge pinning `tcsim_verify::perf::PerfLimits`
 //!    (which cannot see `tcsim-sm`) to the real [`tcsim_sm::SmConfig`]
 //!    presets.

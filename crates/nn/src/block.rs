@@ -29,7 +29,7 @@ use crate::executor::LayerReport;
 use crate::kernels::{add_kernel, elems_grid, gelu_kernel, softmax_kernel};
 use crate::launch::{launch_f32, launch_gemm};
 use crate::layer::{Attention, Mlp};
-use crate::lower::{gemm_tolerance, pad16, softmax_tolerance, Tile};
+use crate::lower::{gemm_tolerance, pad16, select, softmax_tolerance};
 use crate::reference::{gelu_ref, ref_gemm, softmax_row};
 use crate::tensor::{max_abs_err, Tensor};
 use tcsim_cutlass::Epilogue;
@@ -85,7 +85,7 @@ fn gemm_stage(
     b: impl Fn(usize, usize, usize) -> f32,
     bias: Option<&[f32]>,
 ) -> (LayerReport, Vec<f32>) {
-    let tile = Tile::select(pad16(m), pad16(n));
+    let tile = select(pad16(m), pad16(n));
     let epilogue = if bias.is_some() {
         Epilogue::Bias
     } else {
@@ -110,7 +110,7 @@ fn gemm_stage(
     }
     let tolerance = gemm_tolerance(k);
     (
-        stage_report(name, tile.name().into(), dims, &stats, err, tolerance),
+        stage_report(name, tile.name(), dims, &stats, err, tolerance),
         out,
     )
 }

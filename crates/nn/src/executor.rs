@@ -438,7 +438,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::launch::{read_cropped, upload_f16};
-    use crate::lower::{pad16, Tile};
+    use crate::lower::{pad16, select};
     use crate::models;
     use tcsim_cutlass::Epilogue;
     use tcsim_f16::F16;
@@ -529,7 +529,7 @@ mod tests {
             pm,
             pn,
             pk,
-            tile: Tile::select(pm, pn),
+            tile: select(pm, pn),
             epilogue: Epilogue::None,
             weight: ramp(vec![k, n]),
             bias: None,

@@ -1,7 +1,7 @@
 //! The crate's two device launchers and the operand staging under them.
 //!
-//! Every launch tcsim-nn makes goes through [`launch_gemm`] (the WMMA tile
-//! kernels of [`Tile`]) or [`launch_f32`] (the SIMT kernels of
+//! Every launch tcsim-nn makes goes through [`launch_gemm`] (the WMMA
+//! kernels of [`crate::GEMM_TILES`]) or [`launch_f32`] (the SIMT kernels of
 //! [`crate::kernels`]). With `trace` set, each launch records into its own
 //! [`RingTracer`], so its `LaunchStats::trace` covers exactly that kernel.
 //!
@@ -14,8 +14,8 @@
 //! out are those of an element-at-a-time loop.
 
 use crate::kernels::BLOCK;
-use crate::lower::{pad16, Tile};
-use tcsim_cutlass::Epilogue;
+use crate::lower::pad16;
+use tcsim_cutlass::{Epilogue, GemmKernel};
 use tcsim_f16::F16;
 use tcsim_isa::{Dim3, Kernel};
 use tcsim_sim::{Gpu, LaunchBuilder, LaunchStats};
@@ -104,7 +104,7 @@ fn run(gpu: &mut Gpu, trace: bool, builder: LaunchBuilder) -> LaunchStats {
 pub(crate) fn launch_gemm(
     gpu: &mut Gpu,
     trace: bool,
-    tile: Tile,
+    tile: GemmKernel,
     epilogue: Epilogue,
     (m, n, k): (usize, usize, usize),
     a: impl Fn(usize, usize) -> f32,
@@ -123,17 +123,8 @@ pub(crate) fn launch_gemm(
         None => gpu.alloc((pm * pn * 4) as u64),
     };
     let pd = gpu.alloc((pm * pn * 4) as u64);
-    let kernel = tile.kernel(epilogue);
-    let name = kernel.name().to_string();
-    let builder = LaunchBuilder::new(kernel)
-        .grid(tile.grid(pm, pn))
-        .block(tile.block())
-        .param_u64(pa)
-        .param_u64(pb)
-        .param_u64(pc)
-        .param_u64(pd)
-        .param_u32(pn as u32)
-        .param_u32(pk as u32);
+    let builder = tile.builder(false, epilogue, (pm, pn, pk), [pa, pb, pc, pd]);
+    let name = builder.kernel().name().to_string();
     let stats = run(gpu, trace, builder);
     (stats, name, read_cropped(gpu, pd, m, n, pm, pn))
 }

@@ -11,7 +11,10 @@
 //! * a lowering pass ([`mod@lower`]) that maps `Conv2d` to implicit GEMM via
 //!   host-side im2col and `Linear` to a batched GEMM, greedily fusing
 //!   trailing bias/ReLU layers into the GEMM kernels' [`Epilogue`] — a
-//!   `conv → bias → relu` triple is ONE launch;
+//!   `conv → bias → relu` triple is ONE launch — and picks each GEMM's
+//!   kernel among the three WMMA `tcsim_cutlass::GemmKernel` families in
+//!   [`GEMM_TILES`] ([`select`], or [`select_modeled`] by the analytical
+//!   roofline);
 //! * dedicated elementwise kernels ([`kernels`]) for layers that don't
 //!   fuse;
 //! * a host-side f32 reference executor ([`mod@reference`]) mirroring the
@@ -54,8 +57,9 @@ pub use executor::{run_chained, run_parallel, InferenceReport, LayerReport};
 pub use graph::{Graph, GraphBuilder, GraphError};
 pub use layer::{Attention, Bias, Conv2d, Layer, LayerNorm, Linear, MaxPool, Mlp};
 pub use lower::{
-    gemm_tolerance, layernorm_tolerance, lower, lower_modeled, pad16, softmax_tolerance, GemmOp,
-    GemmSource, LoweredLayer, LoweredOp, Tile,
+    candidates, gemm_tolerance, layernorm_tolerance, lower, lower_modeled, pad16, plan,
+    rank_modeled, select, select_modeled, softmax_tolerance, GemmOp, GemmSource, LoweredLayer,
+    LoweredOp, GEMM_TILES,
 };
 pub use tcsim_cutlass::Epilogue;
 pub use tensor::Tensor;

@@ -15,10 +15,7 @@
 use crate::graph::Graph;
 use crate::layer::{Attention, Conv2d, Layer, LayerNorm, Linear, MaxPool, Mlp};
 use crate::tensor::Tensor;
-use tcsim_cutlass::{
-    cutlass_gemm_ep, wmma_shared_gemm_ep, wmma_simple_gemm_ep, CutlassConfig, Epilogue,
-};
-use tcsim_isa::Kernel;
+use tcsim_cutlass::{CutlassConfig, Epilogue, GemmKernel};
 use tcsim_model::{gemm_roofline, TilePlan};
 use tcsim_sim::GpuConfig;
 
@@ -57,106 +54,66 @@ pub fn layernorm_tolerance(cols: usize) -> f32 {
     1e-5 + cols as f32 * 1e-6
 }
 
-/// Which WMMA GEMM kernel family a lowered GEMM dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tile {
-    /// One 16×16 tile per warp, global loads only.
-    Simple,
-    /// 32×32 CTA tiles staged through shared memory.
-    Shared,
-    /// CUTLASS-style 64×64 CTA tiles, double-buffered.
-    Cutlass,
+/// The WMMA GEMM families a lowered GEMM dispatches to, largest tile
+/// first: CUTLASS-style 64×64 CTA tiles (double-buffered), 32×32 CTA tiles
+/// staged through shared memory, one 16×16 tile per warp from global
+/// memory.
+pub const GEMM_TILES: [GemmKernel; 3] = [
+    GemmKernel::Cutlass(CutlassConfig::default_64x64()),
+    GemmKernel::WmmaShared,
+    GemmKernel::WmmaSimple,
+];
+
+/// The [`GEMM_TILES`] whose tile divides the padded `pm × pn` problem,
+/// largest first: the heuristic's preference order, which also breaks
+/// roofline ties in [`rank_modeled`].
+pub fn candidates(pm: usize, pn: usize) -> Vec<GemmKernel> {
+    GEMM_TILES
+        .into_iter()
+        .filter(|t| {
+            let (gm, gn) = t.granularity_mn();
+            pm.is_multiple_of(gm) && pn.is_multiple_of(gn)
+        })
+        .collect()
 }
 
-impl Tile {
-    /// Picks the largest tile that divides the padded problem.
-    pub fn select(pm: usize, pn: usize) -> Tile {
-        if pm.is_multiple_of(64) && pn.is_multiple_of(64) {
-            Tile::Cutlass
-        } else if pm.is_multiple_of(32) && pn.is_multiple_of(32) {
-            Tile::Shared
-        } else {
-            Tile::Simple
-        }
-    }
+/// Picks the largest tile that divides the padded problem.
+pub fn select(pm: usize, pn: usize) -> GemmKernel {
+    candidates(pm, pn)[0]
+}
 
-    /// Candidate tiles whose edge divides the padded problem, largest
-    /// first — the heuristic's preference order, which also breaks
-    /// roofline ties in [`Tile::select_modeled`].
-    pub fn candidates(pm: usize, pn: usize) -> Vec<Tile> {
-        [Tile::Cutlass, Tile::Shared, Tile::Simple]
-            .into_iter()
-            .filter(|t| pm.is_multiple_of(t.edge()) && pn.is_multiple_of(t.edge()))
-            .collect()
+/// The resource shape `tcsim-model`'s closed-form GEMM roofline scores
+/// for a tile family: the CTA tile and block of its launch, and the
+/// register and shared-memory budgets of its real kernel.
+pub fn plan(tile: GemmKernel) -> TilePlan {
+    let (gm, gn) = tile.granularity_mn();
+    let (kernel, cfg, _) = tile
+        .builder(false, Epilogue::None, (gm, gn, 16), [0; 4])
+        .into_parts();
+    TilePlan {
+        cta_m: gm as u64,
+        cta_n: gn as u64,
+        threads: cfg.threads_per_cta() as u64,
+        shared_bytes: kernel.shared_bytes() as u64,
+        regs_per_thread: kernel.num_regs() as u64,
+        staged: kernel.shared_bytes() > 0,
     }
+}
 
-    /// The resource shape `tcsim-model`'s closed-form GEMM roofline
-    /// scores for this tile family. CTA dimensions come from the tile
-    /// edge; register and shared-memory budgets are read off the real
-    /// kernel rather than hand-entered.
-    pub fn plan(&self) -> TilePlan {
-        let k = self.kernel(Epilogue::None);
-        let e = self.edge() as u64;
-        TilePlan {
-            cta_m: e,
-            cta_n: e,
-            threads: self.block() as u64,
-            shared_bytes: k.shared_bytes() as u64,
-            regs_per_thread: k.num_regs() as u64,
-            staged: !matches!(self, Tile::Simple),
-        }
-    }
+/// The candidates for the padded `pm×pn×pk` problem on `gpu`, fastest
+/// first under the analytical roofline; ties keep the largest tile first.
+pub fn rank_modeled(pm: usize, pn: usize, pk: usize, gpu: &GpuConfig) -> Vec<GemmKernel> {
+    let mut tiles = candidates(pm, pn);
+    tiles.sort_by_cached_key(|t| {
+        gemm_roofline(pm as u64, pn as u64, pk as u64, &plan(*t), gpu).cycles
+    });
+    tiles
+}
 
-    /// Picks the candidate the analytical roofline ranks fastest for the
-    /// padded `pm×pn×pk` problem on `gpu`. Ties go to the largest tile
-    /// (the [`Tile::select`] heuristic's choice).
-    pub fn select_modeled(pm: usize, pn: usize, pk: usize, gpu: &GpuConfig) -> Tile {
-        Tile::candidates(pm, pn)
-            .into_iter()
-            .min_by_key(|t| gemm_roofline(pm as u64, pn as u64, pk as u64, &t.plan(), gpu).cycles)
-            .expect("the 16-element tile always divides a padded problem")
-    }
-
-    /// Kernel-family name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Tile::Simple => "wmma_simple",
-            Tile::Shared => "wmma_shared",
-            Tile::Cutlass => "cutlass_64x64",
-        }
-    }
-
-    /// Builds the FP32-accumulate kernel with the fused epilogue.
-    pub fn kernel(&self, ep: Epilogue) -> Kernel {
-        match self {
-            Tile::Simple => wmma_simple_gemm_ep(false, ep),
-            Tile::Shared => wmma_shared_gemm_ep(false, ep),
-            Tile::Cutlass => cutlass_gemm_ep(CutlassConfig::default_64x64(), ep),
-        }
-    }
-
-    /// Grid dimensions for a padded `pm × pn` problem.
-    pub fn grid(&self, pm: usize, pn: usize) -> (u32, u32) {
-        let t = self.edge();
-        ((pn / t) as u32, (pm / t) as u32)
-    }
-
-    /// CTA size in threads.
-    pub fn block(&self) -> u32 {
-        match self {
-            Tile::Simple => 32,
-            Tile::Shared => 128,
-            Tile::Cutlass => CutlassConfig::default_64x64().threads() as u32,
-        }
-    }
-
-    fn edge(&self) -> usize {
-        match self {
-            Tile::Simple => 16,
-            Tile::Shared => 32,
-            Tile::Cutlass => 64,
-        }
-    }
+/// Picks the candidate the analytical roofline ranks fastest (ties go to
+/// the largest tile, the [`select`] heuristic's choice).
+pub fn select_modeled(pm: usize, pn: usize, pk: usize, gpu: &GpuConfig) -> GemmKernel {
+    rank_modeled(pm, pn, pk, gpu)[0]
 }
 
 /// How the A operand of a lowered GEMM is produced from the input
@@ -203,8 +160,8 @@ pub struct GemmOp {
     pub pn: usize,
     /// Padded reduction depth.
     pub pk: usize,
-    /// Kernel family the problem dispatches to.
-    pub tile: Tile,
+    /// Kernel family the problem dispatches to (one of [`GEMM_TILES`]).
+    pub tile: GemmKernel,
     /// Fused epilogue.
     pub epilogue: Epilogue,
     /// B operand in logical `[k, n]` layout (conv weights are transposed
@@ -310,20 +267,23 @@ fn fuse_epilogue(
 }
 
 /// Lowers a validated graph into an ordered launch plan using the
-/// largest-divisor tile heuristic ([`Tile::select`]).
+/// largest-divisor tile heuristic ([`select`]).
 pub fn lower(graph: &Graph) -> Vec<LoweredLayer> {
-    lower_with(graph, &|pm, pn, _pk| Tile::select(pm, pn))
+    lower_with(graph, &|pm, pn, _pk| select(pm, pn))
 }
 
 /// Lowers a validated graph picking each GEMM's tile with the
-/// analytical performance model ([`Tile::select_modeled`]) instead of
-/// the largest-divisor heuristic.
+/// analytical performance model ([`select_modeled`]) instead of the
+/// largest-divisor heuristic.
 pub fn lower_modeled(graph: &Graph, gpu: &GpuConfig) -> Vec<LoweredLayer> {
-    lower_with(graph, &|pm, pn, pk| Tile::select_modeled(pm, pn, pk, gpu))
+    lower_with(graph, &|pm, pn, pk| select_modeled(pm, pn, pk, gpu))
 }
 
-/// Lowering with a pluggable `(pm, pn, pk) → Tile` chooser.
-fn lower_with(graph: &Graph, select: &dyn Fn(usize, usize, usize) -> Tile) -> Vec<LoweredLayer> {
+/// Lowering with a pluggable `(pm, pn, pk) → GemmKernel` chooser.
+fn lower_with(
+    graph: &Graph,
+    choose: &dyn Fn(usize, usize, usize) -> GemmKernel,
+) -> Vec<LoweredLayer> {
     let layers = graph.layers();
     let mut plan = Vec::new();
     let mut i = 0;
@@ -357,7 +317,7 @@ fn lower_with(graph: &Graph, select: &dyn Fn(usize, usize, usize) -> Tile) -> Ve
                     pm,
                     pn,
                     pk: pad16(k),
-                    tile: select(pm, pn, pad16(k)),
+                    tile: choose(pm, pn, pad16(k)),
                     epilogue: ep,
                     weight: conv_weight_to_b(c),
                     bias,
@@ -385,7 +345,7 @@ fn lower_with(graph: &Graph, select: &dyn Fn(usize, usize, usize) -> Tile) -> Ve
                     pm,
                     pn,
                     pk: pad16(k),
-                    tile: select(pm, pn, pad16(k)),
+                    tile: choose(pm, pn, pad16(k)),
                     epilogue: ep,
                     weight: weight.clone(),
                     bias,
@@ -456,7 +416,7 @@ mod tests {
         assert_eq!((g.m, g.n, g.k), (196, 8, 9));
         assert_eq!((g.pm, g.pn, g.pk), (208, 16, 16));
         assert_eq!(g.epilogue, Epilogue::BiasRelu);
-        assert_eq!(g.tile, Tile::Simple);
+        assert_eq!(g.tile, GemmKernel::WmmaSimple);
         assert_eq!(plan[0].span, 0..3);
         assert_eq!(plan[0].output_shape, vec![8, 14, 14]);
         let LoweredOp::Gemm(l) = &plan[3].op else {
@@ -468,11 +428,9 @@ mod tests {
 
     #[test]
     fn tile_selection_prefers_the_largest_divisor() {
-        assert_eq!(Tile::select(64, 128), Tile::Cutlass);
-        assert_eq!(Tile::select(32, 64), Tile::Shared);
-        assert_eq!(Tile::select(208, 16), Tile::Simple);
-        assert_eq!(Tile::Cutlass.grid(64, 128), (2, 1));
-        assert_eq!(Tile::Cutlass.block(), 128);
+        assert_eq!(select(64, 128), GEMM_TILES[0]);
+        assert_eq!(select(32, 64), GemmKernel::WmmaShared);
+        assert_eq!(select(208, 16), GemmKernel::WmmaSimple);
     }
 
     #[test]

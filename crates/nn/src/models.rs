@@ -136,7 +136,8 @@ pub fn encoder(seed: u64, batch: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::{lower, LoweredOp, Tile};
+    use crate::lower::{lower, LoweredOp, GEMM_TILES};
+    use tcsim_cutlass::GemmKernel;
     use tcsim_f16::F16;
 
     #[test]
@@ -168,13 +169,14 @@ mod tests {
     #[test]
     fn mlp_hits_the_cutlass_tile() {
         let plan = lower(&mlp(0));
-        let tiles: Vec<Tile> = plan
+        let tiles: Vec<GemmKernel> = plan
             .iter()
             .filter_map(|l| match &l.op {
                 LoweredOp::Gemm(g) => Some(g.tile),
                 _ => None,
             })
             .collect();
-        assert_eq!(tiles, vec![Tile::Cutlass, Tile::Cutlass, Tile::Simple]);
+        let cutlass = GEMM_TILES[0];
+        assert_eq!(tiles, vec![cutlass, cutlass, GemmKernel::WmmaSimple]);
     }
 }

@@ -10,18 +10,10 @@
 
 use std::collections::BTreeSet;
 
-use tcsim_cutlass::{run_gemm, CutlassConfig, GemmKernel, GemmPrecision, GemmProblem};
+use tcsim_cutlass::{run_gemm, GemmPrecision, GemmProblem};
 use tcsim_nn::models::{encoder, lenet, mlp};
-use tcsim_nn::{lower, lower_modeled, pad16, Graph, LoweredOp, Tile};
+use tcsim_nn::{lower, lower_modeled, pad16, select, select_modeled, Graph, LoweredOp};
 use tcsim_sim::{Gpu, GpuConfig};
-
-fn kernel_for(tile: Tile) -> GemmKernel {
-    match tile {
-        Tile::Simple => GemmKernel::WmmaSimple,
-        Tile::Shared => GemmKernel::WmmaShared,
-        Tile::Cutlass => GemmKernel::Cutlass(CutlassConfig::default_64x64()),
-    }
-}
 
 /// Every padded GEMM shape the graph's launch plan contains.
 fn gemm_shapes(graph: &Graph) -> Vec<(usize, usize, usize)> {
@@ -60,8 +52,8 @@ fn modeled_tiles_never_regress_the_heuristic() {
 
     let mut disagreements = 0;
     for (pm, pn, pk) in shapes {
-        let heuristic = Tile::select(pm, pn);
-        let modeled = Tile::select_modeled(pm, pn, pk, &gpu);
+        let heuristic = select(pm, pn);
+        let modeled = select_modeled(pm, pn, pk, &gpu);
         if heuristic == modeled {
             continue;
         }
@@ -74,9 +66,7 @@ fn modeled_tiles_never_regress_the_heuristic() {
         };
         let sim = |tile| {
             let mut g = Gpu::new(gpu.clone());
-            run_gemm(&mut g, problem, kernel_for(tile), false)
-                .stats
-                .cycles
+            run_gemm(&mut g, problem, tile, false).stats.cycles
         };
         let (hc, mc) = (sim(heuristic), sim(modeled));
         assert!(

@@ -246,6 +246,11 @@ impl LaunchBuilder {
         }
     }
 
+    /// The kernel this builder launches.
+    pub fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+
     /// Sets the grid dimensions (`u32`, `(u32, u32)` or `(u32, u32, u32)`).
     pub fn grid(mut self, g: impl Into<Dim3>) -> LaunchBuilder {
         self.grid = Some(g.into());
@@ -439,8 +444,11 @@ impl LaunchBuilder {
         Ok((self.kernel, cfg, self.params))
     }
 
-    /// Fallible [`LaunchBuilder::into_parts`] with two additional checks
-    /// the legacy panicking path never enforced:
+    /// Fallible [`LaunchBuilder::into_parts`]: the geometry and parameter
+    /// validation plus two strict checks. [`LaunchBuilder::launch`] and
+    /// [`LaunchBuilder::into_parts`] go through here, so they enforce both
+    /// as well; only the static-analyzer gate is [`LaunchBuilder::try_launch`]'s
+    /// alone.
     ///
     /// * **zero-dimension geometry** — a grid or block extent of zero
     ///   launches nothing and is always a caller bug;

@@ -10,10 +10,10 @@
 //!
 //! Run with: `cargo run --release --example conv2d_im2col`
 
-use tcsim::cutlass::wmma_shared_gemm;
+use tcsim::cutlass::{Epilogue, GemmKernel};
 use tcsim::f16::F16;
 use tcsim::isa::ByteMemory;
-use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder};
+use tcsim::sim::{Gpu, GpuConfig};
 
 /// Layer shape: input `c × h × w`, `f` filters of `c × kh × kw`, stride 1,
 /// no padding (choosing sizes so the GEMM dimensions are tile-aligned).
@@ -105,15 +105,8 @@ fn main() {
     }
 
     // Launch the shared-memory WMMA GEMM.
-    let stats = LaunchBuilder::new(wmma_shared_gemm(false))
-        .grid(((n / 32) as u32, (m / 32) as u32))
-        .block(128u32)
-        .param_u64(pa)
-        .param_u64(pb)
-        .param_u64(pc)
-        .param_u64(pd)
-        .param_u32(n as u32)
-        .param_u32(k as u32)
+    let stats = GemmKernel::WmmaShared
+        .builder(false, Epilogue::None, (m, n, k), [pa, pb, pc, pd])
         .launch(&mut gpu);
     let flops = 2.0 * (m * n * k_raw) as f64;
     println!(

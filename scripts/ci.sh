@@ -124,6 +124,11 @@ echo "== smoke: fig14a sweep (--json) =="
 target/release/fig14a_gemm_cycles --json results/fig14a.json
 test -s results/fig14a.json
 
+echo "== example: conv2d_im2col (im2col GEMM checked against a direct convolution) =="
+# Launches its GEMM through GemmKernel::builder on the Titan V preset and
+# asserts every output element against a direct CPU convolution.
+cargo run --release --offline --example conv2d_im2col
+
 echo "== smoke: nn_inference (tiny net, fixed seed, golden cycle counts) =="
 target/release/nn_inference --smoke --json results/nn_smoke.json
 cmp results/nn_smoke.json results/nn_smoke_golden.json

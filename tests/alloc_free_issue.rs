@@ -22,11 +22,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tcsim::cutlass::{
-    f16_matrix_bytes, f32_matrix_bytes, sgemm, wmma_shared_gemm, wmma_simple_gemm,
-};
+use tcsim::cutlass::{f16_matrix_bytes, f32_matrix_bytes, Epilogue, GemmKernel};
 use tcsim::isa::UnitClass;
-use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
+use tcsim::sim::{Gpu, GpuConfig, LaunchStats};
 use tcsim::sm::{unit_index, SmConfig};
 
 struct Counting;
@@ -95,47 +93,13 @@ static GLOBAL: Counting = Counting;
 const M: usize = 64;
 const N: usize = 64;
 
-/// Which `M×N×k` GEMM to launch.
-#[derive(Clone, Copy)]
-enum Gemm {
-    /// FFMA SGEMM: the SIMT issue path.
-    Simt,
-    /// Shared-memory WMMA GEMM: operand `wmma.load`s from shared memory
-    /// (tile footprints through the bank-conflict count), accumulator
-    /// load and store in global memory.
-    WmmaShared,
-    /// One warp per output tile, every `wmma.load`/`wmma.store` on
-    /// global memory: tile footprints through the sector list and the
-    /// cache walk.
-    WmmaGlobal,
-}
-
 /// Uploads the operands of an `M×N×k` GEMM to a fresh GPU, then counts
 /// the heap allocations made inside `LaunchBuilder::launch` alone.
-fn launch_allocations(gemm: Gemm, k: usize) -> (u64, LaunchStats) {
+fn launch_allocations(kernel: GemmKernel, k: usize) -> (u64, LaunchStats) {
     let mut gpu = Gpu::new(GpuConfig::titan_v());
-    let (a, b, builder) = match gemm {
-        Gemm::Simt => (
-            f32_matrix_bytes(0xA, M, k),
-            f32_matrix_bytes(0xB, k, N),
-            LaunchBuilder::new(sgemm())
-                .grid(((N / 16) as u32, (M / 16) as u32))
-                .block((16u32, 16u32)),
-        ),
-        Gemm::WmmaShared => (
-            f16_matrix_bytes(0xA, M, k),
-            f16_matrix_bytes(0xB, k, N),
-            LaunchBuilder::new(wmma_shared_gemm(false))
-                .grid(((N / 32) as u32, (M / 32) as u32))
-                .block(128u32),
-        ),
-        Gemm::WmmaGlobal => (
-            f16_matrix_bytes(0xA, M, k),
-            f16_matrix_bytes(0xB, k, N),
-            LaunchBuilder::new(wmma_simple_gemm(false))
-                .grid(((N / 16) as u32, (M / 16) as u32))
-                .block(32u32),
-        ),
+    let (a, b) = match kernel {
+        GemmKernel::Sgemm => (f32_matrix_bytes(0xA, M, k), f32_matrix_bytes(0xB, k, N)),
+        _ => (f16_matrix_bytes(0xA, M, k), f16_matrix_bytes(0xB, k, N)),
     };
     let c = f32_matrix_bytes(0xC, M, N);
     let pa = gpu.alloc(a.len() as u64);
@@ -145,13 +109,7 @@ fn launch_allocations(gemm: Gemm, k: usize) -> (u64, LaunchStats) {
     gpu.memcpy_h2d(pa, &a);
     gpu.memcpy_h2d(pb, &b);
     gpu.memcpy_h2d(pc, &c);
-    let builder = builder
-        .param_u64(pa)
-        .param_u64(pb)
-        .param_u64(pc)
-        .param_u64(pd)
-        .param_u32(N as u32)
-        .param_u32(k as u32);
+    let builder = kernel.builder(false, Epilogue::None, (M, N, k), [pa, pb, pc, pd]);
 
     let (allocated, stats) = measure(|| builder.launch(&mut gpu));
     (allocated.calls, stats)
@@ -159,7 +117,7 @@ fn launch_allocations(gemm: Gemm, k: usize) -> (u64, LaunchStats) {
 
 /// Launches `gemm` at a shallow and a four times deeper reduction on one
 /// grid and requires the same number of heap allocations from both.
-fn assert_depth_costs_no_allocations(gemm: Gemm) -> (LaunchStats, LaunchStats) {
+fn assert_depth_costs_no_allocations(gemm: GemmKernel) -> (LaunchStats, LaunchStats) {
     // What the process builds once on first use (the fragment plans) is
     // not a per-instruction cost: let a first launch pay for it.
     launch_allocations(gemm, 16);
@@ -187,7 +145,7 @@ fn assert_depth_costs_no_allocations(gemm: Gemm) -> (LaunchStats, LaunchStats) {
 #[test]
 fn issuing_instructions_allocates_nothing() {
     // Memory instructions and barriers included.
-    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::Simt);
+    let (shallow, deep) = assert_depth_costs_no_allocations(GemmKernel::Sgemm);
     assert!(deep.instructions > 3 * shallow.instructions);
     assert!(deep.sm.global_txns > 2 * shallow.sm.global_txns);
     assert!(deep.sm.barriers > 2 * shallow.sm.barriers);
@@ -199,14 +157,14 @@ fn executing_wmma_instructions_allocates_nothing() {
     // fragment map or an access list on the heap per instruction would
     // show.
     let tensor = |s: &LaunchStats| s.sm.issued_by_unit[unit_index(UnitClass::Tensor)];
-    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::WmmaShared);
+    let (shallow, deep) = assert_depth_costs_no_allocations(GemmKernel::WmmaShared);
     assert_eq!(tensor(&deep), 4 * tensor(&shallow));
     assert!(deep.sm.barriers > 2 * shallow.sm.barriers);
     assert!(deep.sm.shared_conflict_passes > 2 * shallow.sm.shared_conflict_passes);
 
     // And with the operand tiles in global memory: a sector list per
     // tile, a cache walk per sector.
-    let (shallow, deep) = assert_depth_costs_no_allocations(Gemm::WmmaGlobal);
+    let (shallow, deep) = assert_depth_costs_no_allocations(GemmKernel::WmmaSimple);
     assert_eq!(tensor(&deep), 4 * tensor(&shallow));
     // (The accumulator load and the store do not grow with `k`.)
     assert!(deep.sm.global_txns >= 2 * shallow.sm.global_txns);

@@ -13,16 +13,12 @@
 use std::path::Path;
 use tcsim_check::corpus::{self, case_from_text};
 use tcsim_check::gen::Arch;
-use tcsim_cutlass::{
-    cutlass_gemm_ep, hgemm, igemm_wmma, sgemm, wmma_shared_gemm_ep, wmma_simple_gemm_ep,
-    CutlassConfig, Epilogue,
-};
+use tcsim_cutlass::{CutlassConfig, Epilogue, GemmKernel};
 use tcsim_isa::Kernel;
 use tcsim_nn::kernels::{
     add_kernel, bias_grid, bias_kernel, elems_grid, gelu_kernel, layernorm_kernel, maxpool_grid,
     maxpool_kernel, relu_kernel, softmax_kernel,
 };
-use tcsim_nn::Tile;
 use tcsim_verify::{check, LaunchGeometry};
 
 /// Lints one kernel and formats any diagnostics for the failure report.
@@ -31,6 +27,19 @@ fn lint(name: &str, kernel: &Kernel, geom: &LaunchGeometry, failures: &mut Vec<S
         failures.push(format!("{name}: {d}"));
     }
 }
+
+/// A GEMM family's kernel and the geometry `GemmKernel::builder` gives it
+/// for a 64×64 problem.
+fn gemm_64(kernel: GemmKernel, fp16: bool, ep: Epilogue) -> (Kernel, LaunchGeometry) {
+    let (k, cfg, _) = kernel.builder(fp16, ep, (64, 64, 64), [0; 4]).into_parts();
+    let geom = LaunchGeometry::new(cfg.grid, cfg.block);
+    match kernel {
+        GemmKernel::IgemmWmma => (k, geom.turing()),
+        _ => (k, geom),
+    }
+}
+
+const CUTLASS_64X64: GemmKernel = GemmKernel::Cutlass(CutlassConfig::default_64x64());
 
 #[test]
 fn committed_corpus_is_verifier_clean() {
@@ -107,60 +116,33 @@ fn generated_corpus_seeds_are_verifier_clean() {
 #[test]
 fn cutlass_family_is_verifier_clean() {
     let mut failures = Vec::new();
-    let eps = [
-        Epilogue::None,
-        Epilogue::Bias,
-        Epilogue::Relu,
-        Epilogue::BiasRelu,
-    ];
-
-    for ep in eps {
-        for fp16 in [false, true] {
-            // Epilogues are FP32-accumulate only.
-            if fp16 && ep != Epilogue::None {
-                continue;
-            }
-            lint(
-                &format!("wmma_simple_gemm(fp16={fp16}, {ep:?})"),
-                &wmma_simple_gemm_ep(fp16, ep),
-                &LaunchGeometry::new((4u32, 4u32), 32u32),
-                &mut failures,
-            );
-            lint(
-                &format!("wmma_shared_gemm(fp16={fp16}, {ep:?})"),
-                &wmma_shared_gemm_ep(fp16, ep),
-                &LaunchGeometry::new((2u32, 2u32), 128u32),
-                &mut failures,
-            );
+    // The three FP32-accumulate WMMA kernels (tcsim-nn's GEMM tiles) with
+    // every fused epilogue, then the FP16-output and epilogue-free rest.
+    for kernel in [
+        GemmKernel::WmmaSimple,
+        GemmKernel::WmmaShared,
+        CUTLASS_64X64,
+    ] {
+        for ep in [
+            Epilogue::None,
+            Epilogue::Bias,
+            Epilogue::Relu,
+            Epilogue::BiasRelu,
+        ] {
+            let (k, geom) = gemm_64(kernel, false, ep);
+            lint(k.name(), &k, &geom, &mut failures);
         }
-        let cfg = CutlassConfig::default_64x64();
-        lint(
-            &format!("cutlass_gemm({ep:?})"),
-            &cutlass_gemm_ep(cfg, ep),
-            &LaunchGeometry::new((1u32, 1u32), cfg.threads() as u32),
-            &mut failures,
-        );
     }
-
-    lint(
-        "sgemm",
-        &sgemm(),
-        &LaunchGeometry::new((4u32, 4u32), (16u32, 16u32)),
-        &mut failures,
-    );
-    lint(
-        "hgemm",
-        &hgemm(),
-        &LaunchGeometry::new((2u32, 4u32), (16u32, 16u32)),
-        &mut failures,
-    );
-    lint(
-        "igemm_wmma",
-        &igemm_wmma(),
-        &LaunchGeometry::new((4u32, 4u32), 32u32).turing(),
-        &mut failures,
-    );
-
+    for (kernel, fp16) in [
+        (GemmKernel::WmmaSimple, true),
+        (GemmKernel::WmmaShared, true),
+        (GemmKernel::Sgemm, false),
+        (GemmKernel::Hgemm, false),
+        (GemmKernel::IgemmWmma, false),
+    ] {
+        let (k, geom) = gemm_64(kernel, fp16, Epilogue::None);
+        lint(k.name(), &k, &geom, &mut failures);
+    }
     assert!(
         failures.is_empty(),
         "cutlass kernels flagged:\n{}",
@@ -170,29 +152,9 @@ fn cutlass_family_is_verifier_clean() {
 
 #[test]
 fn nn_lowered_kernels_are_verifier_clean() {
+    // The GEMM tiles tcsim-nn lowers onto are linted with every epilogue
+    // in `cutlass_family_is_verifier_clean`; these are its SIMT kernels.
     let mut failures = Vec::new();
-
-    // The GEMM tiles tcsim-nn lowers linear/conv layers onto, with every
-    // fused epilogue.
-    let eps = [
-        Epilogue::None,
-        Epilogue::Bias,
-        Epilogue::Relu,
-        Epilogue::BiasRelu,
-    ];
-    for tile in [Tile::Simple, Tile::Shared, Tile::Cutlass] {
-        let (pm, pn) = (64usize, 64usize);
-        for ep in eps {
-            lint(
-                &format!("{}({ep:?})", tile.name()),
-                &tile.kernel(ep),
-                &LaunchGeometry::new(tile.grid(pm, pn), tile.block()),
-                &mut failures,
-            );
-        }
-    }
-
-    // The SIMT helper kernels.
     let (c, h, w, k) = (2usize, 8usize, 8usize, 2usize);
     lint(
         "maxpool",
@@ -328,44 +290,18 @@ fn shipped_kernels_match_pinned_perf_goldens() {
         );
     }
 
-    // The GEMM family under representative launch geometries.
-    perf_lint(
-        "wmma_simple_gemm",
-        &wmma_simple_gemm_ep(false, Epilogue::None),
-        &LaunchGeometry::new((4u32, 4u32), 32u32),
-        &mut found,
-    );
-    perf_lint(
-        "wmma_shared_gemm",
-        &wmma_shared_gemm_ep(false, Epilogue::None),
-        &LaunchGeometry::new((2u32, 2u32), 128u32),
-        &mut found,
-    );
-    let cfg = CutlassConfig::default_64x64();
-    perf_lint(
-        "cutlass_gemm",
-        &cutlass_gemm_ep(cfg, Epilogue::None),
-        &LaunchGeometry::new((1u32, 1u32), cfg.threads() as u32),
-        &mut found,
-    );
-    perf_lint(
-        "sgemm",
-        &sgemm(),
-        &LaunchGeometry::new((4u32, 4u32), (16u32, 16u32)),
-        &mut found,
-    );
-    perf_lint(
-        "hgemm",
-        &hgemm(),
-        &LaunchGeometry::new((2u32, 4u32), (16u32, 16u32)),
-        &mut found,
-    );
-    perf_lint(
-        "igemm_wmma",
-        &igemm_wmma(),
-        &LaunchGeometry::new((4u32, 4u32), 32u32).turing(),
-        &mut found,
-    );
+    // The GEMM family under a 64×64 problem's launch geometry.
+    for kernel in [
+        GemmKernel::WmmaSimple,
+        GemmKernel::WmmaShared,
+        CUTLASS_64X64,
+        GemmKernel::Sgemm,
+        GemmKernel::Hgemm,
+        GemmKernel::IgemmWmma,
+    ] {
+        let (k, geom) = gemm_64(kernel, false, Epilogue::None);
+        perf_lint(k.name(), &k, &geom, &mut found);
+    }
 
     // The nn helper kernels.
     let (c, h, w, k) = (2usize, 8usize, 8usize, 2usize);
