@@ -447,8 +447,8 @@ impl LaunchBuilder {
     /// Fallible [`LaunchBuilder::into_parts`]: the geometry and parameter
     /// validation plus two strict checks. [`LaunchBuilder::launch`] and
     /// [`LaunchBuilder::into_parts`] go through here, so they enforce both
-    /// as well; only the static-analyzer gate is [`LaunchBuilder::try_launch`]'s
-    /// alone.
+    /// too; only the static-analyzer gate belongs to
+    /// [`LaunchBuilder::try_launch`] alone.
     ///
     /// * **zero-dimension geometry** — a grid or block extent of zero
     ///   launches nothing and is always a caller bug;
