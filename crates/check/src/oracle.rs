@@ -27,7 +27,7 @@ use tcsim_isa::exec::{step, ExecEnv, MemAccess, StepAction, TileFootprint, WarpE
 use tcsim_isa::{mma_sync_a_shape, FragmentKind, Layout, WmmaDirective, WmmaType};
 use tcsim_isa::{ByteMemory, Dim3, Kernel, Op, Reg, VecMemory, WarpRegFile};
 use tcsim_nn::gemm_tolerance;
-use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats};
+use tcsim_sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, SimOptions};
 use tcsim_sm::SmConfig;
 use tcsim_trace::RingTracer;
 
@@ -598,10 +598,17 @@ pub struct DiffReport {
     pub stats: LaunchStats,
 }
 
-/// Runs `case` on the device model, returning the launch stats and the
-/// output buffer.
+/// Runs `case` on the device model, traced into a default-sized ring,
+/// returning the launch stats and the output buffer.
 pub fn run_gpu(case: &Case) -> (LaunchStats, Vec<u8>) {
-    let mut gpu = Gpu::new(gpu_config(case.arch));
+    let mut gpu = Gpu::new(SimOptions::new(gpu_config(case.arch)).tracer(RingTracer::new()));
+    launch_case(&mut gpu, case)
+}
+
+/// Launches `case` on `gpu` with whatever tracer it holds: the input and
+/// output buffers are its first two allocations, and the kernel takes
+/// their addresses as its two parameters.
+pub fn launch_case(gpu: &mut Gpu, case: &Case) -> (LaunchStats, Vec<u8>) {
     let in_addr = gpu.alloc(u64::from(case.in_words) * 4);
     let out_addr = gpu.alloc(u64::from(case.out_words) * 4);
     gpu.memcpy_h2d(in_addr, &case.input_bytes());
@@ -610,8 +617,7 @@ pub fn run_gpu(case: &Case) -> (LaunchStats, Vec<u8>) {
         .block(case.block_x)
         .param_u64(in_addr)
         .param_u64(out_addr)
-        .tracer(RingTracer::new())
-        .launch(&mut gpu);
+        .launch(gpu);
     let out = gpu.memcpy_d2h(out_addr, case.out_words as usize * 4);
     (stats, out)
 }

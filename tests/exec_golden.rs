@@ -18,8 +18,15 @@
 //! SGEMM GEMM under the round-robin scheduler, and the Fig 14 CUTLASS
 //! tilings and FP16-output WMMA kernels.
 //!
+//! The same runs also write `tests/schedule_golden.txt`: one row per
+//! run with the stats and Chrome-trace digests taken after every `Stall`
+//! event is left out (the trace summary inside the stats rebuilt from
+//! the events that remain). It pins the schedule itself — every issue,
+//! retire, HMMA step and cache access with its cycle — apart from how
+//! the stall episodes between issues are reported.
+//!
 //! The run is cheap (a few seconds in debug) and always compares.
-//! After an *intended* behaviour change, rewrite the file with
+//! After an *intended* behaviour change, rewrite both files with
 //!
 //! ```text
 //! TCSIM_GOLDEN=1 cargo test --test exec_golden
@@ -33,10 +40,10 @@ use tcsim::cutlass::{run_gemm, CutlassConfig, GemmKernel, GemmPrecision, GemmPro
 use tcsim::sim::{Gpu, GpuConfig, LaunchBuilder, LaunchStats, SimOptions};
 use tcsim::sm::SchedPolicy;
 use tcsim::trace::hash::fnv128_hex;
-use tcsim::trace::{chrome_trace, RingTracer};
+use tcsim::trace::{chrome_trace, EventKind, RingTracer, TraceEvent, TraceSummary};
 use tcsim_check::corpus::case_from_text;
 use tcsim_check::gen::{generate, Arch, GenConfig};
-use tcsim_check::oracle::{gpu_config, run_gpu, Case};
+use tcsim_check::oracle::{gpu_config, launch_case, Case};
 
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=256;
 
@@ -44,13 +51,51 @@ fn repo() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn digest_line(label: &str, case: &Case) -> String {
-    let (stats, out) = run_gpu(case);
+/// Golden rows, of one run or of all: `exec` for `exec_golden.txt`,
+/// `schedule` for `schedule_golden.txt`.
+struct Rows {
+    exec: String,
+    schedule: String,
+}
+
+impl Rows {
+    fn push(&mut self, rows: Rows) {
+        self.exec.push_str(&rows.exec);
+        self.schedule.push_str(&rows.schedule);
+    }
+}
+
+/// The schedule row of a run: its stats and Chrome-trace digests with
+/// every `Stall` event left out.
+fn schedule_line(label: &str, gpu: &Gpu, stats: &LaunchStats) -> String {
+    let dropped = gpu.tracer().dropped();
+    assert_eq!(dropped, 0, "{label}: the tracer dropped events");
+    let events: Vec<TraceEvent> = gpu
+        .trace_events()
+        .into_iter()
+        .filter(|e| !matches!(e.kind, EventKind::Stall { .. }))
+        .collect();
+    let mut stats = stats.clone();
+    stats.trace = Some(TraceSummary::from_events(&events, dropped));
     format!(
-        "{label} out={} stats={}\n",
-        fnv128_hex(&out),
-        fnv128_hex(stats.to_json().as_bytes())
+        "{label} stats={} trace={}\n",
+        fnv128_hex(stats.to_json().as_bytes()),
+        fnv128_hex(chrome_trace(&events).as_bytes())
     )
+}
+
+/// A case launched as the oracle's `run_gpu` launches it.
+fn digest_line(label: &str, case: &Case) -> Rows {
+    let mut gpu = Gpu::new(SimOptions::new(gpu_config(case.arch)).tracer(RingTracer::new()));
+    let (stats, out) = launch_case(&mut gpu, case);
+    Rows {
+        exec: format!(
+            "{label} out={} stats={}\n",
+            fnv128_hex(&out),
+            fnv128_hex(stats.to_json().as_bytes())
+        ),
+        schedule: schedule_line(label, &gpu, &stats),
+    }
 }
 
 /// A fresh GPU whose ring tracer holds every event of the largest traced
@@ -59,33 +104,23 @@ fn traced_gpu(cfg: GpuConfig) -> Gpu {
     Gpu::new(SimOptions::new(cfg).tracer(RingTracer::with_capacity(1 << 20)))
 }
 
-fn traced_line(label: &str, gpu: &Gpu, stats: &LaunchStats, out: &[u8]) -> String {
-    assert_eq!(
-        gpu.tracer().dropped(),
-        0,
-        "{label}: the tracer dropped events"
-    );
-    format!(
-        "traced {label} out={} stats={} trace={}\n",
-        fnv128_hex(out),
-        fnv128_hex(stats.to_json().as_bytes()),
-        fnv128_hex(chrome_trace(&gpu.trace_events()).as_bytes())
-    )
+fn traced_line(label: &str, gpu: &Gpu, stats: &LaunchStats, out: &[u8]) -> Rows {
+    let label = format!("traced {label}");
+    Rows {
+        exec: format!(
+            "{label} out={} stats={} trace={}\n",
+            fnv128_hex(out),
+            fnv128_hex(stats.to_json().as_bytes()),
+            fnv128_hex(chrome_trace(&gpu.trace_events()).as_bytes())
+        ),
+        schedule: schedule_line(&label, gpu, stats),
+    }
 }
 
 /// A corpus case on `cfg`, launched as the oracle's `run_gpu` does.
-fn traced_case(label: &str, case: &Case, cfg: GpuConfig) -> String {
+fn traced_case(label: &str, case: &Case, cfg: GpuConfig) -> Rows {
     let mut gpu = traced_gpu(cfg);
-    let in_addr = gpu.alloc(u64::from(case.in_words) * 4);
-    let out_addr = gpu.alloc(u64::from(case.out_words) * 4);
-    gpu.memcpy_h2d(in_addr, &case.input_bytes());
-    let stats = LaunchBuilder::new(case.kernel.clone())
-        .grid(case.grid_x)
-        .block(case.block_x)
-        .param_u64(in_addr)
-        .param_u64(out_addr)
-        .launch(&mut gpu);
-    let out = gpu.memcpy_d2h(out_addr, case.out_words as usize * 4);
+    let (stats, out) = launch_case(&mut gpu, case);
     traced_line(label, &gpu, &stats, &out)
 }
 
@@ -100,7 +135,7 @@ fn native_precision(kernel: GemmKernel) -> GemmPrecision {
     }
 }
 
-fn traced_gemm(label: &str, cfg: GpuConfig, kernel: GemmKernel, size: usize) -> String {
+fn traced_gemm(label: &str, cfg: GpuConfig, kernel: GemmKernel, size: usize) -> Rows {
     traced_gemm_at(label, cfg, kernel, native_precision(kernel), size)
 }
 
@@ -110,7 +145,7 @@ fn traced_gemm_at(
     kernel: GemmKernel,
     precision: GemmPrecision,
     size: usize,
-) -> String {
+) -> Rows {
     let problem = GemmProblem {
         precision,
         ..GemmProblem::square(size)
@@ -135,7 +170,7 @@ const CHASE_WARPS: u64 = 20 * 256 / 32;
 
 /// A pointer chase of 96 dependent hops per warp over a ring of `elems`
 /// 8-byte links at stride 33; warp `w` enters at element `w * spread`.
-fn traced_chase(label: &str, elems: usize, spread: u32) -> String {
+fn traced_chase(label: &str, elems: usize, spread: u32) -> Rows {
     let mut gpu = traced_gpu(GpuConfig::titan_v());
     let buf = gpu.alloc(elems as u64 * 8);
     let out = gpu.alloc(CHASE_WARPS * 8);
@@ -159,10 +194,16 @@ fn even_spread(elems: usize) -> u32 {
     ((33 * (elems as u64 / CHASE_WARPS)).max(33) & (elems as u64 - 1)) as u32
 }
 
-fn regenerate() -> String {
-    let mut text = String::from(
-        "# tcsim executor golden v1: FNV-1a/128 of the output buffer and of LaunchStats::to_json\n",
-    );
+/// Both golden files' contents, `(exec, schedule)`.
+fn regenerate() -> (String, String) {
+    let mut text = Rows {
+        exec: String::from(
+            "# tcsim executor golden v1: FNV-1a/128 of the output buffer and of LaunchStats::to_json\n",
+        ),
+        schedule: String::from(
+            "# tcsim schedule golden v1: FNV-1a/128 of LaunchStats::to_json and of chrome_trace, Stall events left out\n",
+        ),
+    };
     let mut corpus: Vec<PathBuf> = std::fs::read_dir(repo().join("tests/corpus"))
         .expect("tests/corpus is committed")
         .map(|e| e.expect("readable corpus entry").path())
@@ -179,7 +220,7 @@ fn regenerate() -> String {
         })
         .collect();
     for (name, case) in &corpus {
-        text.push_str(&digest_line(&format!("corpus {name}"), case));
+        text.push(digest_line(&format!("corpus {name}"), case));
     }
     for arch in [Arch::Volta, Arch::Turing, Arch::Ampere] {
         let cfg = GenConfig {
@@ -189,14 +230,15 @@ fn regenerate() -> String {
         for seed in SEEDS {
             let case = Case::from_program(&generate(seed, &cfg), seed.wrapping_mul(97));
             let label = format!("gen {} {seed}", arch.qualifier());
-            text.push_str(&digest_line(&label, &case));
+            text.push(digest_line(&label, &case));
         }
     }
 
-    text.push_str("# traced rows add trace=: FNV-1a/128 of chrome_trace of every event\n");
+    text.exec
+        .push_str("# traced rows add trace=: FNV-1a/128 of chrome_trace of every event\n");
     for (name, case) in &corpus {
         let label = format!("corpus {name}");
-        text.push_str(&traced_case(&label, case, gpu_config(case.arch)));
+        text.push(traced_case(&label, case, gpu_config(case.arch)));
     }
     let mini = GpuConfig::mini();
     for kernel in [
@@ -206,19 +248,19 @@ fn regenerate() -> String {
         GemmKernel::Hgemm,
     ] {
         for size in [32, 64] {
-            text.push_str(&traced_gemm("mini", mini.clone(), kernel, size));
+            text.push(traced_gemm("mini", mini.clone(), kernel, size));
         }
     }
     // INT8 WMMA needs Turing tensor cores.
     let turing = gpu_config(Arch::Turing);
-    text.push_str(&traced_gemm(
+    text.push(traced_gemm(
         "mini-turing",
         turing,
         GemmKernel::IgemmWmma,
         32,
     ));
     for kernel in [GemmKernel::WmmaShared, GemmKernel::Sgemm] {
-        text.push_str(&traced_gemm("titan-v", GpuConfig::titan_v(), kernel, 64));
+        text.push(traced_gemm("titan-v", GpuConfig::titan_v(), kernel, 64));
     }
     // The warps of one SM overlap on the 16 KiB ring, so hops hit in L1.
     // With a spread of an eighth of the 256 KiB ring every SM chases the
@@ -230,7 +272,7 @@ fn regenerate() -> String {
         ("L2 256KiB", l2, (l2 / 8) as u32),
         ("DRAM 8MiB", 1 << 20, even_spread(1 << 20)),
     ] {
-        text.push_str(&traced_chase(label, elems, spread));
+        text.push(traced_chase(label, elems, spread));
     }
     let round_robin = |arch| {
         let mut cfg = gpu_config(arch);
@@ -242,18 +284,13 @@ fn regenerate() -> String {
     // each sub-core and are where the two walks differ.
     for (name, case) in &corpus {
         let label = format!("rr corpus {name}");
-        text.push_str(&traced_case(&label, case, round_robin(case.arch)));
+        text.push(traced_case(&label, case, round_robin(case.arch)));
     }
     for kernel in [GemmKernel::WmmaShared, GemmKernel::Sgemm] {
-        text.push_str(&traced_gemm(
-            "rr-mini",
-            round_robin(Arch::Volta),
-            kernel,
-            64,
-        ));
+        text.push(traced_gemm("rr-mini", round_robin(Arch::Volta), kernel, 64));
     }
     // The CUTLASS tilings of Figs 14a-c and the FP16-output WMMA kernels.
-    text.push_str(&traced_gemm(
+    text.push(traced_gemm(
         "mini",
         GpuConfig::mini(),
         GemmKernel::Cutlass(CutlassConfig::default_64x64()),
@@ -272,10 +309,10 @@ fn regenerate() -> String {
     };
     for cfg in [fig14b_wide, fig14c] {
         let kernel = GemmKernel::Cutlass(cfg);
-        text.push_str(&traced_gemm("titan-v", GpuConfig::titan_v(), kernel, 128));
+        text.push(traced_gemm("titan-v", GpuConfig::titan_v(), kernel, 128));
     }
     for kernel in [GemmKernel::WmmaSimple, GemmKernel::WmmaShared] {
-        text.push_str(&traced_gemm_at(
+        text.push(traced_gemm_at(
             "mini-fp16",
             GpuConfig::mini(),
             kernel,
@@ -283,26 +320,33 @@ fn regenerate() -> String {
             32,
         ));
     }
-    text
+    (text.exec, text.schedule)
 }
 
-#[test]
-fn executor_digests_match_the_committed_golden() {
-    let path = repo().join("tests/exec_golden.txt");
-    let got = regenerate();
+/// Compares `got` with the committed file `name`, or rewrites it under
+/// `TCSIM_GOLDEN=1`.
+fn check_golden(name: &str, got: &str) {
+    let path = repo().join("tests").join(name);
     if std::env::var("TCSIM_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write tests/exec_golden.txt");
+        std::fs::write(&path, got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         eprintln!("rewrote {}", path.display());
         return;
     }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read committed golden {}: {e}", path.display()));
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "tests/exec_golden.txt diverges at line {}", i + 1);
+        assert_eq!(g, w, "tests/{name} diverges at line {}", i + 1);
     }
     assert_eq!(
         got.lines().count(),
         want.lines().count(),
-        "tests/exec_golden.txt changed length"
+        "tests/{name} changed length"
     );
+}
+
+#[test]
+fn executor_digests_match_the_committed_golden() {
+    let (exec, schedule) = regenerate();
+    check_golden("exec_golden.txt", &exec);
+    check_golden("schedule_golden.txt", &schedule);
 }
