@@ -246,10 +246,10 @@ impl Gpu {
     ///
     /// Stepping every resident SM at every visited cycle would give the
     /// same result: the loop skips only SM steps that are provably no-ops.
-    /// A step before an SM's wake time finds every warp still blocked
-    /// (`block_until` values only change when a warp is actually retried,
-    /// issued, launched or released), so it emits no events, mutates
-    /// nothing and returns the same hint.
+    /// `Sm::step` returns the earliest `block_until` of the SM's
+    /// schedulable warps (never before the next cycle), and a step before
+    /// it finds every warp still blocked, so it emits no events, mutates
+    /// nothing and returns the same cycle.
     fn run_loop(&mut self, spec: &LaunchSpec, req: &CtaRequirements) -> u64 {
         let total_ctas = spec.launch.total_ctas();
         let mut next_cta: u64 = 0;
@@ -289,16 +289,12 @@ impl Gpu {
                 resident[live] = i;
                 live += 1;
                 if wake[i] <= cycle {
-                    wake[i] = match sm.step(
+                    wake[i] = sm.step(
                         cycle,
                         &mut self.device,
                         &mut self.mem_sys,
                         self.tracer.as_mut(),
-                    ) {
-                        // Issued: the SM may issue again next cycle.
-                        None => cycle + 1,
-                        Some(h) => h.max(cycle + 1),
-                    };
+                    );
                 }
                 next = next.min(wake[i]);
             }

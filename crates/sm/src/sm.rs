@@ -17,7 +17,7 @@ use std::sync::Arc;
 use tcsim_core::{trace_mma, TensorCoreModel};
 use tcsim_isa::exec::{step_into, ExecEnv, MemAccess, MemOp, StepAction, WarpExec, FULL_MASK};
 use tcsim_isa::{
-    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, UnitClass, WmmaDirective, WARP_SIZE,
+    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, UnitClass, UopStream, WmmaDirective, WARP_SIZE,
 };
 use tcsim_mem::{
     coalesce_into, conflict_passes_in, tile_conflict_passes, tile_sectors_into, DeviceMemory,
@@ -90,7 +90,9 @@ struct SubCore {
     /// walks the list as is and never sorts.
     by_age: Vec<usize>,
     /// No warp of this sub-core can issue before this cycle, so a step
-    /// before it skips the sub-core (0 = must look).
+    /// before it skips the sub-core (0 = must look): the earliest
+    /// `block_until` of its schedulable warps, and after an issue never
+    /// earlier than the next cycle.
     wake: u64,
 }
 
@@ -340,22 +342,24 @@ impl Sm {
         self.live_ctas += 1;
     }
 
-    /// Advances the SM by one cycle. Returns `None` if at least one warp
-    /// instruction issued, otherwise `Some(hint)` — the earliest future
-    /// cycle at which something could issue (`u64::MAX` if the SM is
-    /// fully idle), enabling event-skipping in the GPU loop.
+    /// Advances the SM by one cycle and returns the next cycle at which
+    /// a warp could issue (`u64::MAX` if none can before a new CTA
+    /// arrives): stepping the SM any earlier would do nothing, so the GPU
+    /// loop skips straight to it.
     ///
-    /// Issue attempts run against the decode-once μop tables and the
-    /// scoreboard, warps are walked lazily in policy order, and neither a
-    /// blocked attempt nor an issue allocates.
+    /// Issue attempts run against the decode-once μop tables, warps are
+    /// walked lazily in policy order, and neither a blocked attempt nor
+    /// an issue allocates.
     pub fn step(
         &mut self,
         now: u64,
         global: &mut DeviceMemory,
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
-    ) -> Option<u64> {
-        let (issued_any, hint) = self.issue(now, global, sys, tracer);
+    ) -> u64 {
+        if self.issue(now, global, sys, tracer) {
+            self.stats.active_cycles += 1;
+        }
 
         // Barrier release: a CTA whose live warps have all arrived. With
         // no warp parked at a barrier the pass cannot release anything,
@@ -417,33 +421,26 @@ impl Sm {
             self.retire_check = false;
         }
 
-        if issued_any {
-            self.stats.active_cycles += 1;
-            None
-        } else {
-            Some(hint)
-        }
+        self.sub.iter().map(|s| s.wake).min().unwrap_or(u64::MAX)
     }
 
-    /// One issue slot per sub-core. Returns whether anything issued and
-    /// the earliest cycle something could.
+    /// One issue slot per sub-core. Returns whether anything issued.
     ///
     /// Nothing is collected or sorted: each sub-core is walked lazily in
     /// policy order over the compact [`WarpMeta`] and the walk stops at
-    /// the first issue. A sub-core whose last walk found every warp
-    /// blocked is not walked again before the earliest of those blocks
-    /// expires: `block_until` only moves when a warp is tried, issued,
-    /// launched or released from a barrier, so the skipped walk would try
-    /// nothing, emit nothing and report the same wake cycle.
+    /// the first issue. A sub-core is not walked before its `wake`, the
+    /// earliest `block_until` of its schedulable warps: `block_until`
+    /// only moves when a warp is tried, issued, launched or released from
+    /// a barrier, so the skipped walk would try nothing, emit nothing and
+    /// report the same wake cycle.
     fn issue(
         &mut self,
         now: u64,
         global: &mut DeviceMemory,
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
-    ) -> (bool, u64) {
+    ) -> bool {
         let mut issued_any = false;
-        let mut hint = u64::MAX;
         let mut walk = Walk {
             sc: 0,
             now,
@@ -455,7 +452,6 @@ impl Sm {
 
         for sc in 0..self.cfg.sub_cores {
             if self.sub[sc].wake > now {
-                hint = hint.min(self.sub[sc].wake);
                 continue;
             }
             walk.sc = sc;
@@ -464,18 +460,26 @@ impl Sm {
                 SchedPolicy::Gto => self.walk_gto(&mut walk),
                 SchedPolicy::RoundRobin => self.walk_round_robin(&mut walk),
             };
+            let meta = &self.meta;
             let sub = &mut self.sub[sc];
             match issued {
                 Some(wi) => {
+                    // The walk stopped at the issuer, so the warps after
+                    // it were not looked at: take the earliest wake of all.
                     sub.last_issued = Some(wi);
-                    sub.wake = 0;
+                    sub.wake = sub
+                        .by_age
+                        .iter()
+                        .filter(|&&w| meta.flags[w] == WARP_LIVE)
+                        .map(|&w| meta.block_until[w].max(now + 1))
+                        .min()
+                        .unwrap_or(u64::MAX);
                     issued_any = true;
                 }
                 None => sub.wake = walk.hint,
             }
-            hint = hint.min(walk.hint);
         }
-        (issued_any, hint)
+        issued_any
     }
 
     /// GTO order: the last-issued warp first, then oldest first.
@@ -559,17 +563,19 @@ impl Sm {
         }
     }
 
-    /// Parks warp `wi` until `until` and reports why.
+    /// Parks warp `wi` from cycle `from` until `until` and reports why:
+    /// one `Stall` event per stall episode.
     fn park(
         &mut self,
         wi: usize,
         walk: &mut Walk<'_>,
+        from: u64,
         reason: StallReason,
         until: u64,
     ) -> IssueResult {
         self.meta.block_until[wi] = until;
         emit(walk.tracer, || TraceEvent {
-            cycle: walk.now,
+            cycle: from,
             sm: self.id,
             kind: EventKind::Stall {
                 sub_core: walk.sc as u8,
@@ -581,11 +587,12 @@ impl Sm {
         IssueResult::Blocked(until)
     }
 
-    /// Tries to issue warp `wi`'s next instruction. The blocked paths
-    /// (unit busy, scoreboard hazard, barrier fence) read the μop's
-    /// pre-expanded operand spans and the scoreboard, and an issue
-    /// borrows the kernel and parameters from the CTA slot and refills
-    /// the SM's [`Scratch`] — no `Arc` clone, no `Vec`, no hashing.
+    /// Tries to issue warp `wi`'s next instruction. Only a busy unit can
+    /// block it: its scoreboard hazard was resolved when it last issued.
+    /// An issue borrows the kernel and parameters from the CTA slot and
+    /// refills the SM's [`Scratch`] — no `Arc` clone, no `Vec`, no
+    /// hashing — and then resolves the hazard of the warp's next
+    /// instruction.
     fn try_issue(&mut self, wi: usize, walk: &mut Walk<'_>) -> IssueResult {
         let (sc, now) = (walk.sc, walk.now);
         let (cta_idx, pc) = {
@@ -606,40 +613,26 @@ impl Sm {
         match unit {
             UnitClass::Mem => {
                 if self.mio_free > now {
-                    return self.park(wi, walk, StallReason::Structural, self.mio_free);
+                    return self.park(wi, walk, now, StallReason::Structural, self.mio_free);
                 }
             }
             UnitClass::Control => {}
             u => {
                 let free = self.sub[sc].unit_free[unit_index(u)];
                 if free > now {
-                    return self.park(wi, walk, StallReason::Structural, free);
+                    return self.park(wi, walk, now, StallReason::Structural, free);
                 }
             }
         }
 
-        // Scoreboard RAW/WAW over the pre-expanded spans; a barrier also
-        // fences on every outstanding write.
-        let blocked = {
-            let uops = self.ctas[cta_idx]
-                .as_ref()
-                .expect("cta exists")
-                .decoded
-                .uops();
-            let w = self.warps[wi].as_mut().expect("warp exists");
-            match w.scoreboard.check(uops.uses(pc), uops.defs(pc), now) {
-                Err(hazard) if hazard.from_mem => Some((StallReason::Memory, hazard.ready)),
-                Err(hazard) => Some((StallReason::Raw, hazard.ready)),
-                Ok(()) if uop.is_bar => {
-                    let clear = w.scoreboard.all_clear_at(now);
-                    (clear > now).then_some((StallReason::Barrier, clear))
-                }
-                Ok(()) => None,
-            }
-        };
-        if let Some((reason, until)) = blocked {
-            return self.park(wi, walk, reason, until);
-        }
+        debug_assert!(
+            {
+                let cta = self.ctas[cta_idx].as_ref().expect("cta exists");
+                let w = self.warps[wi].as_ref().expect("warp exists");
+                hazard(&w.scoreboard, cta.decoded.uops(), pc, now).is_none()
+            },
+            "scoreboard hazard left unresolved at the warp's last issue"
+        );
 
         // --- Issue: execute functionally, then account timing. ---
 
@@ -715,9 +708,10 @@ impl Sm {
 
         let cta = self.ctas[cta_idx].as_mut().expect("cta exists");
         let w = self.warps[wi].as_mut().expect("warp exists");
+        let uops = cta.decoded.uops();
         w.scoreboard
-            .issue(cta.decoded.uops().defs(pc), ready, unit == UnitClass::Mem);
-        match action {
+            .issue(uops.defs(pc), ready, unit == UnitClass::Mem);
+        let episode = match action {
             StepAction::Exited => {
                 self.meta.flags[wi] |= WARP_DONE;
                 self.retire_check = true;
@@ -730,16 +724,26 @@ impl Sm {
                         warp: wi as u16,
                     },
                 });
+                None
             }
+            // The barrier fenced every pending write, so the release
+            // leaves nothing to resolve.
             StepAction::Barrier => {
                 self.meta.flags[wi] |= WARP_AT_BARRIER;
                 self.barrier_waiters += 1;
+                None
             }
-            StepAction::Continue => {}
-        }
+            // Only this warp writes its scoreboard, so the hazard its next
+            // instruction meets is known now: one stall episode from the
+            // next cycle until it clears.
+            StepAction::Continue => hazard(&w.scoreboard, uops, w.exec.pc, now + 1),
+        };
 
         self.stats.issued += 1;
         self.stats.issued_by_unit[unit_index(unit)] += 1;
+        if let Some((reason, until)) = episode {
+            self.park(wi, walk, now + 1, reason, until);
+        }
         IssueResult::Issued
     }
 
@@ -888,6 +892,22 @@ enum IssueResult {
     Blocked(u64),
 }
 
+/// The scoreboard hazard the μop at `pc` meets at cycle `at`: RAW/WAW on
+/// its operands or, for a `bar`, any pending write. Between two issues of
+/// its warp the scoreboard does not change, so the cycle this returns is
+/// the same from any `at` before it.
+fn hazard(sb: &Scoreboard, uops: &UopStream, pc: usize, at: u64) -> Option<(StallReason, u64)> {
+    match sb.check(uops.uses(pc), uops.defs(pc), at) {
+        Err(h) if h.from_mem => Some((StallReason::Memory, h.ready)),
+        Err(h) => Some((StallReason::Raw, h.ready)),
+        Ok(()) if uops.uop(pc).is_bar => {
+            let clear = sb.all_clear_at(at);
+            (clear > at).then_some((StallReason::Barrier, clear))
+        }
+        Ok(()) => None,
+    }
+}
+
 /// One sub-core's issue slot: where and when, the earliest wake cycle
 /// seen so far, and the machine the issue acts on.
 struct Walk<'a> {
@@ -908,26 +928,27 @@ mod tests {
     use tcsim_trace::{NullTracer, RingTracer};
 
     fn run_to_completion(sm: &mut Sm, global: &mut DeviceMemory, sys: &mut MemSystem) -> u64 {
-        run_traced(sm, global, sys, &mut NullTracer)
+        run_traced(sm, global, sys, &mut NullTracer).0
     }
 
+    /// Steps `sm` at each wake it returns until it is idle; returns the
+    /// final cycle and the number of steps.
     fn run_traced(
         sm: &mut Sm,
         global: &mut DeviceMemory,
         sys: &mut MemSystem,
         tracer: &mut dyn Tracer,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let mut now = 0u64;
         let mut steps = 0u64;
         while !sm.idle() {
-            match sm.step(now, global, sys, tracer) {
-                None => now += 1,
-                Some(hint) => now = hint.max(now + 1).min(now + 100_000),
-            }
+            let wake = sm.step(now, global, sys, tracer);
+            assert!(wake > now, "the next wake is in the future");
+            now = wake.min(now + 100_000);
             steps += 1;
             assert!(steps < 10_000_000, "SM did not finish");
         }
-        now
+        (now, steps)
     }
 
     fn spec(kernel: Kernel, launch: LaunchConfig, params: Vec<u8>) -> LaunchSpec {
@@ -1107,12 +1128,20 @@ mod tests {
                 )
             })
             .collect();
-        assert!(!raw_stalls.is_empty(), "dependent chain must stall");
+        // One episode per dependent iadd, reported from the cycle after
+        // the issue it waits on.
+        assert_eq!(raw_stalls.len(), 4, "dependent chain must stall");
         for e in &raw_stalls {
             let EventKind::Stall { until, .. } = e.kind else {
                 unreachable!()
             };
             assert!(until > e.cycle, "stalls resolve in the future");
+            assert!(
+                events.iter().any(
+                    |i| i.cycle + 1 == e.cycle && matches!(i.kind, EventKind::WarpIssue { .. })
+                ),
+                "a stall episode starts the cycle after an issue"
+            );
         }
     }
 
@@ -1140,16 +1169,79 @@ mod tests {
         let mut tr = RingTracer::with_capacity(4096);
         run_traced(&mut sm, &mut global, &mut sys, &mut tr);
         let events = tr.snapshot();
-        assert!(events.iter().any(|e| matches!(
-            e.kind,
-            EventKind::Stall {
-                reason: StallReason::Memory,
-                ..
-            }
-        )));
+        // ld.param, ld.global, iadd, exit: the iadd's one stall episode
+        // starts the cycle after the ld.global issued.
+        let issues: Vec<u64> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::WarpIssue { .. }))
+            .map(|e| e.cycle)
+            .collect();
+        let stalls: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Stall { .. }))
+            .collect();
+        assert_eq!(issues.len(), 4);
+        assert!(stalls.iter().any(|e| e.cycle == issues[1] + 1
+            && matches!(
+                e.kind,
+                EventKind::Stall {
+                    reason: StallReason::Memory,
+                    ..
+                }
+            )));
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::CacheAccess { .. })));
+    }
+
+    #[test]
+    fn blocked_warps_are_not_polled() {
+        // Two warps per sub-core, each a chain of global loads with a
+        // dependent add after every one. A warp's scoreboard hazard is
+        // resolved when it issues, so the SM is stepped only at cycles
+        // where something can issue, and every RAW, memory or barrier
+        // stall is one episode between two issues of its warp.
+        let mut b = KernelBuilder::new("t");
+        let base = b.reg_pair();
+        b.ld_param(MemWidth::B64, base, 0);
+        let (v, sum) = (b.reg(), b.reg());
+        b.mov(sum, Operand::Imm(0));
+        for _ in 0..6 {
+            b.ld_global(MemWidth::B32, v, base, 0);
+            b.iadd(sum, sum, Operand::Reg(v));
+        }
+        b.exit();
+        let mut global = DeviceMemory::new();
+        let buf = global.alloc(128);
+        let spec = spec(
+            b.build(),
+            LaunchConfig::new(1u32, 256u32),
+            buf.to_le_bytes().to_vec(),
+        );
+        let mut sm = Sm::new(SmConfig::volta());
+        let mut sys = tiny_sys();
+        sm.launch_cta(&spec, Dim3::new(0, 0, 0), 0);
+        let mut tr = RingTracer::with_capacity(1 << 16);
+        let (_, steps) = run_traced(&mut sm, &mut global, &mut sys, &mut tr);
+        let issued = sm.stats().issued;
+        assert_eq!(issued, 8 * 15);
+        assert!(steps <= issued, "{steps} SM steps for {issued} issues");
+        let mut open = [false; 8];
+        for e in tr.snapshot().iter() {
+            match e.kind {
+                EventKind::WarpIssue { warp, .. } => open[warp as usize] = false,
+                EventKind::Stall {
+                    warp,
+                    reason: StallReason::Raw | StallReason::Memory | StallReason::Barrier,
+                    ..
+                } => {
+                    let w = warp as usize;
+                    assert!(!open[w], "warp {w}: a second stall episode at {}", e.cycle);
+                    open[w] = true;
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]

@@ -159,11 +159,12 @@ echo "== model: estimator-vs-sim correlation gate (golden byte-compare) =="
 target/release/tcsim-model --json results/BENCH_model_corr_check.json
 cmp results/BENCH_model_corr_check.json results/BENCH_model_corr.json
 
-echo "== smoke: tcsim-prof trace export =="
+echo "== golden: tcsim-prof trace export (byte-compare) =="
 # The binary itself asserts the export is valid JSON and contains HMMA
-# set/step events; here we only require that it succeeds and writes.
-target/release/tcsim-prof --out results/prof_gemm64.trace.json
-test -s results/prof_gemm64.trace.json
+# set/step events; the trace is a pure function of the fixed GEMM, so it
+# must reproduce the committed file byte for byte.
+target/release/tcsim-prof --out target/ci/prof_gemm64.trace.json
+cmp target/ci/prof_gemm64.trace.json results/prof_gemm64.trace.json
 
 echo "== guard: tracing does not perturb timing =="
 target/release/tcsim-prof --overhead-guard
