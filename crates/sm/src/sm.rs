@@ -91,8 +91,8 @@ struct SubCore {
     by_age: Vec<usize>,
     /// No warp of this sub-core can issue before this cycle, so a step
     /// before it skips the sub-core (0 = must look): the earliest
-    /// `block_until` of its schedulable warps, and after an issue never
-    /// earlier than the next cycle.
+    /// `block_until` of its schedulable warps, never earlier than the
+    /// cycle after its last walk.
     wake: u64,
 }
 
@@ -444,7 +444,6 @@ impl Sm {
         let mut walk = Walk {
             sc: 0,
             now,
-            hint: u64::MAX,
             global,
             sys,
             tracer,
@@ -455,29 +454,25 @@ impl Sm {
                 continue;
             }
             walk.sc = sc;
-            walk.hint = u64::MAX;
             let issued = match self.cfg.scheduler {
                 SchedPolicy::Gto => self.walk_gto(&mut walk),
                 SchedPolicy::RoundRobin => self.walk_round_robin(&mut walk),
             };
             let meta = &self.meta;
             let sub = &mut self.sub[sc];
-            match issued {
-                Some(wi) => {
-                    // The walk stopped at the issuer, so the warps after
-                    // it were not looked at: take the earliest wake of all.
-                    sub.last_issued = Some(wi);
-                    sub.wake = sub
-                        .by_age
-                        .iter()
-                        .filter(|&&w| meta.flags[w] == WARP_LIVE)
-                        .map(|&w| meta.block_until[w].max(now + 1))
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    issued_any = true;
-                }
-                None => sub.wake = walk.hint,
+            if let Some(wi) = issued {
+                sub.last_issued = Some(wi);
+                issued_any = true;
             }
+            // Every schedulable warp's `block_until` is exact, so nothing
+            // here can issue before the earliest of them.
+            sub.wake = sub
+                .by_age
+                .iter()
+                .filter(|&&w| meta.flags[w] == WARP_LIVE)
+                .map(|&w| meta.block_until[w].max(now + 1))
+                .min()
+                .unwrap_or(u64::MAX);
         }
         issued_any
     }
@@ -504,16 +499,10 @@ impl Sm {
     /// steps with a ready warp, so skipped steps cannot desynchronize it.
     fn walk_round_robin(&mut self, walk: &mut Walk<'_>) -> Option<usize> {
         let (sc, now) = (walk.sc, walk.now);
-        let mut ready = 0;
-        for wi in (sc..self.meta.flags.len()).step_by(self.cfg.sub_cores) {
-            if self.meta.flags[wi] == WARP_LIVE {
-                if self.meta.block_until[wi] > now {
-                    walk.hint = walk.hint.min(self.meta.block_until[wi]);
-                } else {
-                    ready += 1;
-                }
-            }
-        }
+        let ready = (sc..self.meta.flags.len())
+            .step_by(self.cfg.sub_cores)
+            .filter(|&wi| self.meta.flags[wi] == WARP_LIVE && self.meta.block_until[wi] <= now)
+            .count();
         if ready == 0 {
             return None;
         }
@@ -541,15 +530,9 @@ impl Sm {
     }
 
     /// Tries to issue from warp slot `wi` if it holds a schedulable warp
-    /// that is not known to be blocked; otherwise folds its wake cycle
-    /// into the walk's hint.
+    /// that is not known to be blocked.
     fn attempt(&mut self, wi: usize, walk: &mut Walk<'_>) -> bool {
-        if self.meta.flags[wi] != WARP_LIVE {
-            return false;
-        }
-        let until = self.meta.block_until[wi];
-        if until > walk.now {
-            walk.hint = walk.hint.min(until);
+        if self.meta.flags[wi] != WARP_LIVE || self.meta.block_until[wi] > walk.now {
             return false;
         }
         match self.try_issue(wi, walk) {
@@ -557,7 +540,6 @@ impl Sm {
             IssueResult::Blocked(until) => {
                 // What the sub-core wake cache relies on.
                 debug_assert!(until > walk.now, "blocked until a past cycle");
-                walk.hint = walk.hint.min(until);
                 false
             }
         }
@@ -908,12 +890,11 @@ fn hazard(sb: &Scoreboard, uops: &UopStream, pc: usize, at: u64) -> Option<(Stal
     }
 }
 
-/// One sub-core's issue slot: where and when, the earliest wake cycle
-/// seen so far, and the machine the issue acts on.
+/// One sub-core's issue slot: where and when, and the machine the issue
+/// acts on.
 struct Walk<'a> {
     sc: usize,
     now: u64,
-    hint: u64,
     global: &'a mut DeviceMemory,
     sys: &'a mut MemSystem,
     tracer: &'a mut dyn Tracer,
