@@ -17,10 +17,7 @@ use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
-    println!(
-        "Fig 14a: WMMA shared-memory GEMM cycles vs matrix size ({} threads)",
-        cli.threads
-    );
+    println!("Fig 14a: WMMA shared-memory GEMM cycles vs matrix size");
     let hw = HwModel::titan_v();
     // The main series: the shared-memory kernel needs 32-granular tiles;
     // the paper's smallest sizes run on the simple kernel. Alongside it,

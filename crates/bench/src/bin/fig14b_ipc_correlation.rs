@@ -15,10 +15,7 @@ use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
-    println!(
-        "Fig 14b: CUTLASS GEMM IPC correlation (sim vs hardware surrogate, {} threads)",
-        cli.threads
-    );
+    println!("Fig 14b: CUTLASS GEMM IPC correlation (sim vs hardware surrogate)");
     let hw = HwModel::titan_v();
     let cfg64 = CutlassConfig::default_64x64();
     let cfg_single = CutlassConfig {

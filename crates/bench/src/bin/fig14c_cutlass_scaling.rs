@@ -10,10 +10,7 @@ use tcsim_trace::json::JsonWriter;
 
 fn main() {
     let cli = parse_cli();
-    println!(
-        "Fig 14c: CUTLASS GEMM scaling (IPC vs matrix size, {} threads)",
-        cli.threads
-    );
+    println!("Fig 14c: CUTLASS GEMM scaling (IPC vs matrix size)");
     let hw = HwModel::titan_v();
     // Large-tile configuration (CUTLASS uses 128×128 CTA tiles at these
     // sizes to keep DRAM traffic low enough for the tensor cores).

@@ -113,10 +113,7 @@ fn main() {
     // across the size sweep too. All kernel×size points run concurrently
     // through the sweep engine.
     const SIM_SIZES: [usize; 5] = [64, 128, 192, 256, 320];
-    println!(
-        "\nSimulator cross-check (achieved TFLOPS at 1.53 GHz, {} threads):",
-        cli.threads
-    );
+    println!("\nSimulator cross-check (achieved TFLOPS at 1.53 GHz):");
     let variants = [
         (GemmKernel::Sgemm, GemmPrecision::Fp32, "SGEMM (FFMA)"),
         (GemmKernel::Hgemm, GemmPrecision::Fp16, "HGEMM (HFMA2)"),

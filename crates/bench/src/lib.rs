@@ -155,8 +155,9 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Writes `content` to `path`, creating parent directories (the binaries
-/// default to `results/*.json`), and prints the destination.
+/// Writes `content` to `path`, creating parent directories, and prints
+/// the destination on stderr, so a binary's stdout is the same with or
+/// without `--json`.
 pub fn write_results(path: &str, content: &str) {
     let p = std::path::Path::new(path);
     if let Some(dir) = p.parent() {
@@ -165,7 +166,7 @@ pub fn write_results(path: &str, content: &str) {
         }
     }
     std::fs::write(p, content).expect("write results file");
-    println!("wrote {path}");
+    eprintln!("wrote {path}");
 }
 
 /// Renders a multi-series chart as ASCII art: one column per x position,
