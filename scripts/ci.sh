@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build+test, lint wall, and a figure smoke run that
-# exercises the parallel sweep engine end to end.
+# CI gate: tier-1 build+test, lint wall, fuzz and lint canaries, the
+# golden-artifact gate over results/, and the serve cache smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,54 +117,19 @@ echo "== fuzz: corpus replay =="
 # Replays committed minimized cases; failing kernel text is echoed.
 target/release/tcsim-fuzz --replay tests/corpus
 
-echo "== golden figures: regenerate and diff committed artifacts =="
+echo "== golden artifacts: regenerate and byte-compare everything in results/ =="
+# One run per row of tests/figures_golden.rs: every table and figure's
+# stdout, fig14a's JSON, the nn_inference and tcsim-infer reports (full
+# and --smoke), the tcsim-model correlation report and the tcsim-prof
+# trace. Each run must also exit zero, so the binaries' own asserts run
+# (tcsim-model's 0.9 log-correlation floor, tcsim-prof's HMMA events,
+# nn_inference's chained-vs-parallel cycles).
 TCSIM_GOLDEN=1 cargo test -q --offline --test figures_golden
-
-echo "== smoke: fig14a sweep (--json) =="
-target/release/fig14a_gemm_cycles --json results/fig14a.json
-test -s results/fig14a.json
 
 echo "== example: conv2d_im2col (im2col GEMM checked against a direct convolution) =="
 # Launches its GEMM through GemmKernel::builder on the Titan V preset and
 # asserts every output element against a direct CPU convolution.
 cargo run --release --offline --example conv2d_im2col
-
-echo "== smoke: nn_inference (tiny net, fixed seed, golden cycle counts) =="
-target/release/nn_inference --smoke --json results/nn_smoke.json
-cmp results/nn_smoke.json results/nn_smoke_golden.json
-
-echo "== golden: nn_inference and tcsim-infer artifacts (byte-compare) =="
-# nn_inference runs lenet and mlp traced through run_chained and asserts
-# that run_parallel reproduces every layer's cycles; tcsim-infer charges
-# each batch size the encoder block's composite stages. Both reports are
-# pure functions of their seeds, so they must reproduce the committed
-# files byte for byte.
-target/release/nn_inference --json target/ci/nn_inference.json
-cmp target/ci/nn_inference.json results/nn_inference.json
-target/release/tcsim-infer --json target/ci/tcsim_infer.json
-cmp target/ci/tcsim_infer.json results/tcsim_infer.json
-
-echo "== smoke: tcsim-infer serving simulator (golden byte-compare) =="
-# The serving trajectory is a pure function of the seed: the smoke run
-# must reproduce the committed artifact byte-for-byte.
-target/release/tcsim-infer --smoke --json results/BENCH_infer_smoke.json
-cmp results/BENCH_infer_smoke.json results/BENCH_infer.json
-
-echo "== model: estimator-vs-sim correlation gate (golden byte-compare) =="
-# Sweeps the committed corpus + fig17 GEMM families through both the
-# cycle-level simulator and the analytical estimator. The binary exits
-# non-zero below 0.9 log10 correlation; the report is a pure function of
-# the committed corpus and GPU presets, so it must reproduce the
-# committed artifact byte-for-byte (threads included).
-target/release/tcsim-model --json results/BENCH_model_corr_check.json
-cmp results/BENCH_model_corr_check.json results/BENCH_model_corr.json
-
-echo "== golden: tcsim-prof trace export (byte-compare) =="
-# The binary itself asserts the export is valid JSON and contains HMMA
-# set/step events; the trace is a pure function of the fixed GEMM, so it
-# must reproduce the committed file byte for byte.
-target/release/tcsim-prof --out target/ci/prof_gemm64.trace.json
-cmp target/ci/prof_gemm64.trace.json results/prof_gemm64.trace.json
 
 echo "== guard: tracing does not perturb timing =="
 target/release/tcsim-prof --overhead-guard
