@@ -13,17 +13,16 @@ use tcsim_hw::HwModel;
 use tcsim_sim::{Distribution, Gpu, GpuConfig, SimOptions};
 use tcsim_sm::WmmaKind;
 
+/// The paper's GEMM size.
+const SIZE: usize = 1024;
+
 fn main() {
-    let size = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024usize);
-    println!("Fig 15: wmma instruction latency distributions ({size}x{size} shared-memory GEMM)");
+    println!("Fig 15: wmma instruction latency distributions ({SIZE}x{SIZE} shared-memory GEMM)");
 
     let mut gpu = Gpu::new(SimOptions::new(GpuConfig::titan_v()).profile_wmma(true));
     let run = run_gemm(
         &mut gpu,
-        GemmProblem::square(size),
+        GemmProblem::square(SIZE),
         GemmKernel::WmmaShared,
         false,
     );

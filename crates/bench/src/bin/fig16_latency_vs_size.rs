@@ -27,15 +27,11 @@ fn medians(size: usize, kernel: GemmKernel) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let max_size = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2048usize);
     println!("Fig 16: median wmma latencies vs matrix size (with vs without shared memory)");
 
     let mut rows = Vec::new();
     let mut last_ratio = 0.0;
-    for &size in FIG16_SIZES.iter().filter(|&&s| s <= max_size) {
+    for &size in &FIG16_SIZES {
         let (l_g, m_g, s_g) = medians(size, GemmKernel::WmmaSimple);
         let (l_s, m_s, s_s) = medians(size, GemmKernel::WmmaShared);
         last_ratio = l_g as f64 / l_s.max(1) as f64;

@@ -1,6 +1,6 @@
 //! `tcsim-prof` — cycle-level trace profiler for the simulator.
 //!
-//! Runs a WMMA GEMM (64×64×64 by default) with a [`RingTracer`]
+//! Runs a 64×64×64 WMMA GEMM with a [`RingTracer`]
 //! installed and emits:
 //!
 //! * a Chrome `trace_event` JSON file (`--out`, default
@@ -13,7 +13,8 @@
 //! `--overhead-guard` instead runs the same GEMM twice — untraced
 //! (NullTracer, the default) and traced — and asserts the timing model
 //! is byte-identical in both, i.e. observation never perturbs the
-//! simulation. CI runs both modes (`scripts/ci.sh`).
+//! simulation. CI runs both modes: the export through
+//! `tests/figures_golden.rs`, the guard in `scripts/ci.sh`.
 
 use tcsim_bench::{fnum, print_table};
 use tcsim_cutlass::{run_gemm, GemmKernel, GemmProblem};
@@ -23,29 +24,23 @@ use tcsim_trace::{
     TraceSummary,
 };
 
+/// The traced GEMM's size.
+const SIZE: usize = 64;
+
 struct ProfArgs {
     out: String,
-    size: usize,
     overhead_guard: bool,
 }
 
 fn parse_args() -> ProfArgs {
     let mut out = ProfArgs {
         out: String::from("results/prof_gemm64.trace.json"),
-        size: 64,
         overhead_guard: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out.out = args.next().expect("--out requires a path"),
-            "--size" => {
-                out.size = args
-                    .next()
-                    .expect("--size requires a value")
-                    .parse()
-                    .expect("--size must be a number");
-            }
             "--overhead-guard" => out.overhead_guard = true,
             _ => {}
         }
@@ -55,7 +50,7 @@ fn parse_args() -> ProfArgs {
 
 fn main() {
     let args = parse_args();
-    let problem = GemmProblem::square(args.size);
+    let problem = GemmProblem::square(SIZE);
     let kernel = GemmKernel::WmmaShared;
 
     if args.overhead_guard {
