@@ -1,6 +1,7 @@
-//! Microbenchmarks of the tensor-core model primitives: FEDP evaluation,
-//! atomic vs stepwise MMA, fragment mapping construction, and the full
-//! register-level `wmma.mma` functional path.
+//! Microbenchmarks of the tensor-core model primitives: binary16
+//! conversion and fused multiply-add, FEDP evaluation, atomic vs stepwise
+//! MMA, fragment mapping construction, and the full register-level
+//! `wmma.mma` functional path.
 //!
 //! Uses the hand-rolled `tcsim_bench::bench_case` harness (criterion is
 //! not available offline).
@@ -32,6 +33,29 @@ fn tiles() -> (Tile, Tile, Tile) {
 fn main() {
     println!("== tensorcore ==");
     const MS: u64 = 800;
+
+    {
+        let vals: Vec<f32> = (0..1024).map(|i| (i as f32) * 0.37 - 180.0).collect();
+        bench_case("f16_from_f32_conversion", MS, move || {
+            let mut acc = 0u16;
+            for &v in &vals {
+                acc = acc.wrapping_add(F16::from_f32(black_box(v)).to_bits());
+            }
+            acc
+        });
+    }
+
+    {
+        let x = F16::from_f32(1.5);
+        let y = F16::from_f32(0.333);
+        bench_case("f16_arithmetic", MS, move || {
+            let mut acc = F16::ZERO;
+            for _ in 0..256 {
+                acc = acc.mul_add(black_box(x), black_box(y));
+            }
+            acc
+        });
+    }
 
     let qa = [
         F16::from_f32(1.5),
