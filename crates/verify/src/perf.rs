@@ -353,6 +353,104 @@ fn active_lanes(geom: &LaunchGeometry) -> i64 {
     (geom.threads_per_cta() as i64).clamp(1, 32)
 }
 
+/// A shared or global load/store whose lane addresses in warp 0 of
+/// CTA 0 the lint recovered exactly, with the cost the lint assigns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AccessCost {
+    /// Index of the instruction in `Kernel::instrs()`.
+    pub pc: usize,
+    /// [`MemSpace::Shared`] or [`MemSpace::Global`].
+    pub space: MemSpace,
+    /// Bank-conflict passes (shared) or 32-byte sectors (global).
+    pub count: u32,
+}
+
+/// The cost of every shared and global load/store of `kernel` under
+/// `geom` whose lane addresses are exactly recoverable, in walk order
+/// (an instruction appears once per reachable block holding it).
+pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
+    let cfg = Cfg::build(kernel);
+    let taint = Taint::compute(kernel, geom, &cfg);
+    let max = sym_max(geom);
+    let envs = env_fixpoint(kernel, geom, &cfg, &taint, &max);
+    let penvs = pair_fixpoint(kernel, geom, &cfg, &envs, &max);
+    let lanes = active_lanes(geom);
+    let mut costs = Vec::new();
+
+    for b in 0..cfg.num_blocks() {
+        if !cfg.block_reachable(b) {
+            continue;
+        }
+        let (Some(mut env), Some(mut penv)) = (envs[b].clone(), penvs[b].clone()) else {
+            continue;
+        };
+        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
+            let i = &kernel.instrs()[pc];
+            match i.op {
+                Op::Ld {
+                    space: MemSpace::Shared,
+                    ..
+                }
+                | Op::St {
+                    space: MemSpace::Shared,
+                    ..
+                } => {
+                    let addr = i
+                        .srcs
+                        .first()
+                        .zip(i.srcs.get(1))
+                        .and_then(|(a, o)| eval(a, &env, geom).zip(eval(o, &env, geom)))
+                        .and_then(|(a, o)| shmem::val_add(&a, &o));
+                    let addrs: Option<Vec<i64>> =
+                        addr.and_then(|v| (0..lanes).map(|l| lane_addr(&v.a, l, geom)).collect());
+                    if let Some((degree, _)) = addrs.as_deref().and_then(conflict_degree) {
+                        costs.push(AccessCost {
+                            pc,
+                            space: MemSpace::Shared,
+                            count: degree as u32,
+                        });
+                    }
+                }
+                Op::Ld {
+                    space: MemSpace::Global,
+                    width,
+                }
+                | Op::St {
+                    space: MemSpace::Global,
+                    width,
+                } => {
+                    let addr = i.srcs.first().and_then(|a| match a {
+                        Operand::RegPair(r) => penv.get(&r.0).copied(),
+                        _ => None,
+                    });
+                    let off = i
+                        .srcs
+                        .get(1)
+                        .and_then(|o| eval(o, &env, geom))
+                        .filter(|v| v.t.is_none())
+                        .map(|v| v.a);
+                    if let (Some(p), Some(off)) = (addr, off) {
+                        let form = p.off.add(&off);
+                        let addrs: Option<Vec<i64>> =
+                            (0..lanes).map(|l| lane_addr(&form, l, geom)).collect();
+                        if let Some(addrs) = addrs {
+                            costs.push(AccessCost {
+                                pc,
+                                space: MemSpace::Global,
+                                count: sector_count(&addrs, width.bytes() as i64) as u32,
+                            });
+                        }
+                    }
+                }
+                _ => {}
+            }
+            pair_transfer(&mut penv, &env, i, geom);
+            transfer(&mut env, i, geom, &max);
+        }
+    }
+    costs
+}
+
 /// Runs all performance lints on `kernel` under `geom` and `lim`,
 /// returning warning diagnostics in the same shape as
 /// [`crate::Verifier::check`]. Never reports errors and never gates a

@@ -228,7 +228,7 @@ fn corpus_header_is_the_lint_sniff_marker() {
 fn perf_lint(name: &str, kernel: &Kernel, geom: &LaunchGeometry, found: &mut Vec<String>) {
     use tcsim_verify::perf::{check_perf, PerfLimits};
     for d in check_perf(kernel, geom, &PerfLimits::for_gen(geom.gen)) {
-        found.push(format!("{name}: {} @{}", d.rule, d.index));
+        found.push(format!("{name}: {} @{}: {}", d.rule, d.index, d.message));
     }
 }
 
@@ -241,31 +241,31 @@ fn shipped_kernels_match_pinned_perf_goldens() {
     // conflicts on the column dimension), and the 64×64 CUTLASS tile's
     // register appetite caps residency on a single-CTA launch.
     let expected: Vec<&str> = vec![
-        "seed_mma_sparse.case: global-uncoalesced @22",
-        "seed_simt_a.case: global-uncoalesced @15",
-        "seed_simt_a.case: global-uncoalesced @56",
-        "seed_simt_a.case: global-uncoalesced @59",
-        "seed_simt_a.case: global-uncoalesced @62",
-        "seed_simt_a.case: global-uncoalesced @65",
-        "seed_simt_a.case: global-uncoalesced @68",
-        "seed_simt_a.case: global-uncoalesced @71",
-        "seed_simt_b.case: global-uncoalesced @51",
-        "seed_simt_b.case: global-uncoalesced @54",
-        "seed_simt_b.case: global-uncoalesced @57",
-        "seed_simt_b.case: global-uncoalesced @60",
-        "seed_simt_b.case: global-uncoalesced @63",
-        "seed_simt_b.case: global-uncoalesced @66",
-        "seed_wmma_b.case: global-uncoalesced @15",
-        "wmma_shared_gemm: shared-bank-conflict @43",
-        "cutlass_gemm: low-occupancy @0",
-        "cutlass_gemm: shared-bank-conflict @91",
-        "cutlass_gemm: shared-bank-conflict @94",
-        "cutlass_gemm: shared-bank-conflict @97",
-        "cutlass_gemm: shared-bank-conflict @100",
-        "cutlass_gemm: shared-bank-conflict @108",
-        "cutlass_gemm: shared-bank-conflict @111",
-        "cutlass_gemm: shared-bank-conflict @114",
-        "cutlass_gemm: shared-bank-conflict @117",
+        "seed_mma_sparse.case: global-uncoalesced @22: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @15: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @56: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @59: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @62: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @65: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @68: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_a.case: global-uncoalesced @71: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_b.case: global-uncoalesced @51: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_b.case: global-uncoalesced @54: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_b.case: global-uncoalesced @57: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_b.case: global-uncoalesced @60: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_b.case: global-uncoalesced @63: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_simt_b.case: global-uncoalesced @66: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "seed_wmma_b.case: global-uncoalesced @15: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
+        "wmma_shared_gemm: shared-bank-conflict @43: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: low-occupancy @0: only 12/64 warps resident per SM (3 CTAs, limited by registers); too few warps to hide ALU and memory latency",
+        "cutlass_gemm: shared-bank-conflict @91: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @94: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @97: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @100: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @108: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @111: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @114: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @117: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
     ];
     let mut found = Vec::new();
 
