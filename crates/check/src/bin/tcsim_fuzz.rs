@@ -228,8 +228,7 @@ fn verifier_canary(args: &Args, m: VerifyMutation) -> ExitCode {
             // Perf defects are warnings from the perf lints, pinned to
             // the planted instruction (the kernel may carry incidental
             // perf findings elsewhere).
-            let lim = tcsim_verify::perf::PerfLimits::for_gen(geom.gen);
-            tcsim_verify::perf::check_perf(&mutated.kernel, &geom, &lim)
+            tcsim_verify::perf::check_perf(&mutated.kernel, &geom)
                 .iter()
                 .any(|d| d.index == mutated.pc && d.rule.starts_with(m.expected_rule_prefix()))
         } else {

@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use tcsim_check::corpus;
 use tcsim_check::gen::Arch;
 use tcsim_trace::json::JsonWriter;
-use tcsim_verify::perf::{check_perf, PerfLimits};
+use tcsim_verify::perf::check_perf;
 use tcsim_verify::{check, Diagnostic, LaunchGeometry};
 
 struct Args {
@@ -96,8 +96,7 @@ fn parse_args() -> Result<Args, String> {
 fn lint_kernel(kernel: &tcsim_isa::Kernel, geom: &LaunchGeometry, args: &Args) -> Vec<Diagnostic> {
     let mut diags = check(kernel, geom);
     if args.perf {
-        let lim = PerfLimits::for_gen(geom.gen);
-        diags.extend(check_perf(kernel, geom, &lim));
+        diags.extend(check_perf(kernel, geom));
     }
     diags
 }

@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn perf_mutations_trip_the_perf_lints() {
-        use tcsim_verify::perf::{check_perf, PerfLimits};
+        use tcsim_verify::perf::check_perf;
         use tcsim_verify::LaunchGeometry;
         for m in [VerifyMutation::BankStride, VerifyMutation::Uncoalesce] {
             let cfg = GenConfig {
@@ -464,7 +464,6 @@ mod tests {
                 let volta = p.arch == Arch::Volta;
                 let mut geom = LaunchGeometry::new(p.grid_x, p.block_x);
                 geom.gen = p.arch.tensor_gen();
-                let lim = PerfLimits::for_gen(geom.gen);
                 let Some(mutated) = apply(&k, m, volta) else {
                     continue;
                 };
@@ -472,7 +471,7 @@ mod tests {
                 // The generated kernel may have perf findings of its own
                 // (strided output stores); the canary demands one at the
                 // planted instruction specifically.
-                if check_perf(&mutated.kernel, &geom, &lim)
+                if check_perf(&mutated.kernel, &geom)
                     .iter()
                     .any(|d| d.index == mutated.pc && d.rule.starts_with(m.expected_rule_prefix()))
                 {

@@ -43,6 +43,7 @@ pub mod emit;
 pub mod exec;
 mod instr;
 mod kernel;
+mod occupancy;
 pub mod ptx;
 mod traits;
 mod types;
@@ -51,6 +52,7 @@ mod wmma;
 
 pub use instr::{AtomOp, CmpOp, Instr, Op, Operand, PredReg, Reg, ShflMode, UnitClass};
 pub use kernel::{Kernel, KernelBuilder, Label, ParamDesc, Program};
+pub use occupancy::{CtaRequirements, Limiter, SmResources};
 pub use traits::{ByteMemory, Row, VecMemory, WarpRegFile, WarpRegisters};
 pub use types::{DataType, Dim3, LaunchConfig, MemSpace, MemWidth, SpecialReg};
 pub use uop::{Uop, UopStream};

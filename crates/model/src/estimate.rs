@@ -20,7 +20,6 @@ use tcsim_sm::DecodedKernel;
 use tcsim_verify::perf::{occupancy, Occupancy};
 use tcsim_verify::LaunchGeometry;
 
-use crate::limits::limits_for;
 use crate::walk::{walk_kernel, WalkSummary};
 
 /// A static whole-launch cycle estimate and its decomposition.
@@ -51,6 +50,30 @@ pub fn mem_latency(gpu: &GpuConfig) -> u64 {
     2 * gpu.mem.noc_latency + gpu.mem.dram_latency / 2
 }
 
+/// How a launch spreads over the GPU: CTA waves, and the warps one SM
+/// and one of its schedulers process over the whole launch (throughput
+/// bounds integrate over all waves).
+pub(crate) struct Spread {
+    /// Rounds of concurrently resident CTAs.
+    pub waves: u64,
+    /// Warps per SM over the launch.
+    pub warps_per_sm: u64,
+    /// Warps per sub-core scheduler over the launch.
+    pub warps_per_sched: u64,
+}
+
+/// The [`Spread`] of `ctas` CTAs of `warps_per_cta` warps on `gpu` when
+/// `resident` of them fit on an SM at once (at least one is assumed).
+pub(crate) fn spread(gpu: &GpuConfig, ctas: u64, warps_per_cta: u64, resident: u32) -> Spread {
+    let sms = gpu.num_sms.max(1) as u64;
+    let warps_per_sm = (ctas * warps_per_cta).div_ceil(sms);
+    Spread {
+        waves: ctas.div_ceil(sms * (resident as u64).max(1)),
+        warps_per_sm,
+        warps_per_sched: warps_per_sm.div_ceil(gpu.sm.sub_cores.max(1) as u64),
+    }
+}
+
 /// Short lower-case name of a unit class, for the `bound` field.
 fn unit_name(u: UnitClass) -> &'static str {
     match u {
@@ -77,20 +100,15 @@ pub fn estimate(
     let mem_lat = mem_latency(gpu);
     let walk = walk_kernel(kernel, &dk, geom, sm, params, mem_lat);
 
-    let lim = limits_for(sm);
-    let occ = occupancy(kernel, geom, &lim);
-
+    let occ = occupancy(kernel, geom, &sm.resources);
     let ctas = geom.grid.count().max(1);
     let warps_per_cta = geom.warps_per_cta().max(1) as u64;
     let total_warps = ctas * warps_per_cta;
-    let sms = gpu.num_sms.max(1) as u64;
-    let concurrent = (sms * (occ.ctas_per_sm as u64).max(1)).max(1);
-    let waves = ctas.div_ceil(concurrent);
-    // Warps one SM processes over the whole launch (not just one wave):
-    // throughput bounds integrate over all waves.
-    let warps_per_sm = total_warps.div_ceil(sms);
-    let sched = sm.sub_cores.max(1) as u64;
-    let warps_per_sched = warps_per_sm.div_ceil(sched);
+    let Spread {
+        waves,
+        warps_per_sm,
+        warps_per_sched,
+    } = spread(gpu, ctas, warps_per_cta, occ.ctas_per_sm);
 
     // Issue bound: each scheduler retires one warp instruction per cycle.
     let mut cycles = walk.steps * warps_per_sched;

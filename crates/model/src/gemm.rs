@@ -11,11 +11,10 @@
 //! the tcsim-nn lowering; the cycle-level simulator stays the validator.
 
 use tcsim_core::mma_timing;
-use tcsim_isa::{Layout, WmmaDirective, WmmaShape, WmmaType};
+use tcsim_isa::{CtaRequirements, Layout, WmmaDirective, WmmaShape, WmmaType};
 use tcsim_sim::GpuConfig;
 
-use crate::estimate::mem_latency;
-use crate::limits::limits_for;
+use crate::estimate::{mem_latency, spread, Spread};
 
 /// The resource shape of one CTA-tile GEMM candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,20 +70,18 @@ pub fn gemm_roofline(m: u64, n: u64, k: u64, plan: &TilePlan, gpu: &GpuConfig) -
     let tiles_per_cta = (plan.cta_m.div_ceil(16)) * (plan.cta_n.div_ceil(16));
     let mma_per_warp = tiles_per_cta.div_ceil(warps) * ksteps;
 
-    // Occupancy from the plan's resources.
-    let lim = limits_for(sm);
-    let regs_per_cta = plan.regs_per_thread.max(1) as u32 * 32 * warps as u32;
-    let mut ctas_per_sm = lim.max_ctas.min(lim.max_warps / warps as u32);
-    ctas_per_sm = ctas_per_sm.min(lim.registers / regs_per_cta.max(1));
-    if plan.shared_bytes > 0 {
-        ctas_per_sm = ctas_per_sm.min(lim.shared_bytes / plan.shared_bytes as u32);
-    }
-    let sms = gpu.num_sms.max(1) as u64;
-    let concurrent = (sms * (ctas_per_sm as u64).max(1)).max(1);
-    let waves = ctas.div_ceil(concurrent);
-
-    let warps_per_sm = (ctas * warps).div_ceil(sms);
-    let warps_per_sched = warps_per_sm.div_ceil(sm.sub_cores.max(1) as u64);
+    // Occupancy from the plan's resources, by the simulator's rule.
+    let req = CtaRequirements::new(
+        plan.threads as u32,
+        plan.regs_per_thread as u32,
+        plan.shared_bytes as u32,
+    );
+    let (resident, _) = sm.resources.resident_ctas(&req);
+    let Spread {
+        waves,
+        warps_per_sched,
+        ..
+    } = spread(gpu, ctas, warps, resident as u32);
 
     // Compute bound: tensor-core occupancy per scheduler slot.
     let compute = mma_per_warp * ii * warps_per_sched;

@@ -13,15 +13,13 @@
 //!    timing tables, a dependence-chain critical path, and memory
 //!    traffic (global sectors, MIO transactions).
 //! 2. [`mod@estimate`] — a **roofline composition** of the walk: occupancy
-//!    from register/shared usage (via `tcsim_verify::perf`), wave count,
-//!    and the max of issue, per-unit throughput, MIO, DRAM and
-//!    latency bounds for a whole [`tcsim_sim::GpuConfig`].
+//!    from register/shared usage (`tcsim_verify::perf::occupancy`, which
+//!    counts with the simulator's admission rule), wave count, and the
+//!    max of issue, per-unit throughput, MIO, DRAM and latency bounds for
+//!    a whole [`tcsim_sim::GpuConfig`].
 //! 3. [`gemm`] — a **closed-form roofline for tiled WMMA GEMM** used to
 //!    rank CTA-tile candidates (tcsim-nn's three WMMA `GemmKernel`
 //!    families) without simulating them.
-//! 4. [`limits`] — the bridge pinning `tcsim_verify::perf::PerfLimits`
-//!    (which cannot see `tcsim-sm`) to the real [`tcsim_sm::SmConfig`]
-//!    presets.
 //!
 //! The `tcsim-model` binary in `tcsim-bench` sweeps this estimator
 //! against the cycle-level simulator over the committed fuzz corpus and
@@ -30,10 +28,8 @@
 
 pub mod estimate;
 pub mod gemm;
-pub mod limits;
 pub mod walk;
 
 pub use estimate::{estimate, mem_latency, Estimate};
 pub use gemm::{gemm_roofline, GemmEstimate, TilePlan};
-pub use limits::limits_for;
 pub use walk::{walk_kernel, WalkSummary};

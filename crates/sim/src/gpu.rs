@@ -5,9 +5,9 @@ use crate::config::GpuConfig;
 use crate::options::SimOptions;
 use crate::stats::LaunchStats;
 use std::sync::Arc;
-use tcsim_isa::{ByteMemory, Kernel, LaunchConfig};
+use tcsim_isa::{ByteMemory, CtaRequirements, Kernel, LaunchConfig};
 use tcsim_mem::{DeviceMemory, MemSystem};
-use tcsim_sm::{CtaRequirements, DecodedKernel, LaunchSpec, Sm};
+use tcsim_sm::{DecodedKernel, LaunchSpec, Sm};
 use tcsim_trace::{NullTracer, TraceEvent, TraceSummary, Tracer};
 
 /// A simulated GPU: SMs, the shared memory system, and device memory.
@@ -184,14 +184,20 @@ impl Gpu {
             spec.kernel.name(),
             spec.kernel.num_regs()
         );
-        assert!(
-            self.cfg.sm.fits(&CtaRequirements::default(), 0, &req),
-            "kernel {} CTA ({} warps, {} regs, {} B shared) exceeds SM resources",
-            spec.kernel.name(),
-            req.warps,
-            req.registers,
-            req.shared_bytes
-        );
+        if let Err(limiter) = self
+            .cfg
+            .sm
+            .resources
+            .admit(&CtaRequirements::default(), 0, &req)
+        {
+            panic!(
+                "kernel {} CTA ({} warps, {} regs, {} B shared) exceeds SM resources ({limiter})",
+                spec.kernel.name(),
+                req.warps,
+                req.registers,
+                req.shared_bytes
+            );
+        }
 
         for sm in &mut self.sms {
             sm.flush_l1();

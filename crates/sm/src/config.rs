@@ -1,6 +1,7 @@
 //! Streaming-multiprocessor configuration (the Fig 1 sub-core resources).
 
-use crate::sm::CtaRequirements;
+use std::fmt;
+use tcsim_isa::{SmResources, TensorGen};
 
 /// Warp scheduling policy of each sub-core scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,18 +19,13 @@ pub enum SchedPolicy {
 /// §II-A and Fig 1: four sub-cores, each with one warp scheduler
 /// (1 warp-inst/clk), 16 FP32 + 16 INT + 8 FP64 + 4 MUFU lanes, two
 /// tensor cores, and a shared MIO path for memory operations.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct SmConfig {
     /// Processing blocks per SM (Volta: 4).
     pub sub_cores: usize,
-    /// Maximum resident warps per SM (Volta: 64).
-    pub max_warps: usize,
-    /// Maximum resident CTAs per SM (Volta: 32).
-    pub max_ctas: usize,
-    /// 32-bit registers per SM (Volta: 64K).
-    pub registers: u32,
-    /// Shared memory capacity per SM in bytes (Volta: up to 96 KiB).
-    pub shared_bytes: u32,
+    /// Warp, CTA, register and shared-memory capacity, which CTAs are
+    /// admitted against ([`SmResources::admit`]).
+    pub resources: SmResources,
     /// L1 data cache size in KiB.
     pub l1_kib: usize,
     /// FP32 lanes per sub-core (FFMA/clk).
@@ -77,10 +73,7 @@ impl SmConfig {
     pub fn volta() -> SmConfig {
         SmConfig {
             sub_cores: 4,
-            max_warps: 64,
-            max_ctas: 32,
-            registers: 65536,
-            shared_bytes: 96 * 1024,
+            resources: SmResources::of(TensorGen::Volta),
             l1_kib: 128,
             fp32_lanes: 16,
             int_lanes: 16,
@@ -105,7 +98,7 @@ impl SmConfig {
     /// timing, 64 KiB shared carve-out.
     pub fn turing() -> SmConfig {
         SmConfig {
-            shared_bytes: 64 * 1024,
+            resources: SmResources::of(TensorGen::Turing),
             l1_kib: 96,
             volta_tensor: false,
             ..SmConfig::volta()
@@ -123,25 +116,14 @@ impl SmConfig {
     }
 
     /// The tensor-core generation this SM models.
-    pub fn tensor_gen(&self) -> tcsim_isa::TensorGen {
+    pub fn tensor_gen(&self) -> TensorGen {
         if self.volta_tensor {
-            tcsim_isa::TensorGen::Volta
+            TensorGen::Volta
         } else if self.ampere_mma_sync {
-            tcsim_isa::TensorGen::Ampere
+            TensorGen::Ampere
         } else {
-            tcsim_isa::TensorGen::Turing
+            TensorGen::Turing
         }
-    }
-
-    /// Whether one more CTA needing `req` fits on an SM whose `ctas`
-    /// resident CTAs hold `held` between them: the occupancy rule of
-    /// [`crate::Sm::can_accept`], and of a launch asking whether a CTA
-    /// fits on an empty SM at all.
-    pub fn fits(&self, held: &CtaRequirements, ctas: usize, req: &CtaRequirements) -> bool {
-        held.warps + req.warps <= self.max_warps
-            && held.registers + req.registers <= self.registers
-            && held.shared_bytes + req.shared_bytes <= self.shared_bytes
-            && ctas < self.max_ctas
     }
 
     /// Issue interval in cycles for a 32-thread warp over `lanes` lanes.
@@ -159,6 +141,59 @@ impl SmConfig {
     }
 }
 
+/// The flat field list `#[derive(Debug)]` printed while the resource
+/// table was four loose fields: tcsim-serve and tcsim-infer hash this
+/// rendering into their cache keys, so it stays the same.
+impl fmt::Debug for SmConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let SmConfig {
+            sub_cores,
+            resources,
+            l1_kib,
+            fp32_lanes,
+            int_lanes,
+            fp64_lanes,
+            mufu_lanes,
+            tensor_cores,
+            alu_latency,
+            fp64_latency,
+            mufu_latency,
+            shared_latency,
+            mio_cycles_per_txn,
+            operand_collect,
+            reg_banks,
+            volta_tensor,
+            ampere_mma_sync,
+            scheduler,
+            operand_reuse_cache,
+        } = self;
+        f.debug_struct("SmConfig")
+            .field("sub_cores", sub_cores)
+            .field("max_warps", &resources.max_warps)
+            .field("max_ctas", &resources.max_ctas)
+            .field("registers", &resources.registers)
+            .field("shared_bytes", &resources.shared_bytes)
+            .field("l1_kib", l1_kib)
+            .field("fp32_lanes", fp32_lanes)
+            .field("int_lanes", int_lanes)
+            .field("fp64_lanes", fp64_lanes)
+            .field("mufu_lanes", mufu_lanes)
+            .field("tensor_cores", tensor_cores)
+            .field("alu_latency", alu_latency)
+            .field("fp64_latency", fp64_latency)
+            .field("mufu_latency", mufu_latency)
+            .field("shared_latency", shared_latency)
+            .field("mio_cycles_per_txn", mio_cycles_per_txn)
+            .field("operand_collect", operand_collect)
+            .field("reg_banks", reg_banks)
+            .field("volta_tensor", volta_tensor)
+            .field("ampere_mma_sync", ampere_mma_sync)
+            .field("scheduler", scheduler)
+            .field("operand_reuse_cache", operand_reuse_cache)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,8 +206,8 @@ mod tests {
         assert_eq!(c.fp32_lanes, 16);
         assert_eq!(c.fp64_lanes, 8);
         assert_eq!(c.mufu_lanes, 4);
-        assert_eq!(c.registers, 65536);
-        assert_eq!(c.max_warps, 64);
+        assert_eq!(c.resources.registers, 65536);
+        assert_eq!(c.resources.max_warps, 64);
     }
 
     #[test]
@@ -190,22 +225,20 @@ mod tests {
     }
 
     #[test]
-    fn a_cta_fits_beside_what_is_held() {
-        let c = SmConfig::volta();
-        let empty = CtaRequirements::default();
-        let half = CtaRequirements {
-            warps: 32,
-            registers: 32768,
-            shared_bytes: 48 * 1024,
-        };
-        assert!(c.fits(&empty, 0, &half));
-        assert!(c.fits(&half, 1, &half));
-        let more = CtaRequirements {
-            shared_bytes: half.shared_bytes + 1,
-            ..half
-        };
-        assert!(!c.fits(&half, 1, &more), "shared memory");
-        assert!(!c.fits(&empty, c.max_ctas, &empty), "CTA slots");
+    fn debug_form_lists_the_resources_flat() {
+        // Serve and infer cache keys hash this text.
+        let text = format!("{:?}", SmConfig::volta());
+        assert!(
+            text.starts_with(
+                "SmConfig { sub_cores: 4, max_warps: 64, max_ctas: 32, registers: 65536, \
+                 shared_bytes: 98304, l1_kib: 128, fp32_lanes: 16,"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.ends_with("scheduler: Gto, operand_reuse_cache: true }"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -225,14 +258,13 @@ mod tests {
 
     #[test]
     fn tensor_generation_classification() {
-        use tcsim_isa::TensorGen;
         assert_eq!(SmConfig::volta().tensor_gen(), TensorGen::Volta);
         assert_eq!(SmConfig::turing().tensor_gen(), TensorGen::Turing);
         let ampere = SmConfig::ampere();
         assert_eq!(ampere.tensor_gen(), TensorGen::Ampere);
         // Ampere keeps the Turing structural parameters.
         assert!(!ampere.volta_tensor);
-        assert_eq!(ampere.shared_bytes, SmConfig::turing().shared_bytes);
+        assert_eq!(ampere.resources, SmConfig::turing().resources);
         assert_eq!(ampere.l1_kib, SmConfig::turing().l1_kib);
     }
 }

@@ -31,5 +31,5 @@ mod stats;
 pub use config::{SchedPolicy, SmConfig};
 pub use decode::{DecodedKernel, UopTiming};
 pub use scoreboard::{Hazard, Scoreboard};
-pub use sm::{CtaRequirements, LaunchSpec, Sm};
+pub use sm::{LaunchSpec, Sm};
 pub use stats::{unit_index, SmStats, WmmaKind, WmmaSample};

@@ -17,7 +17,8 @@ use std::sync::Arc;
 use tcsim_core::{trace_mma, TensorCoreModel};
 use tcsim_isa::exec::{step_into, ExecEnv, MemAccess, MemOp, StepAction, WarpExec, FULL_MASK};
 use tcsim_isa::{
-    Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, UnitClass, UopStream, WmmaDirective, WARP_SIZE,
+    CtaRequirements, Dim3, Instr, Kernel, LaunchConfig, MemSpace, Op, UnitClass, UopStream,
+    WmmaDirective, WARP_SIZE,
 };
 use tcsim_mem::{
     coalesce_into, conflict_passes_in, tile_conflict_passes, tile_sectors_into, DeviceMemory,
@@ -44,23 +45,12 @@ pub struct LaunchSpec {
 impl LaunchSpec {
     /// Static resources one CTA of this launch occupies on an SM.
     pub fn cta_requirements(&self) -> CtaRequirements {
-        CtaRequirements {
-            warps: self.launch.warps_per_cta() as usize,
-            registers: self.kernel.num_regs() * self.launch.threads_per_cta(),
-            shared_bytes: self.kernel.shared_bytes() + self.launch.shared_bytes,
-        }
+        CtaRequirements::new(
+            self.launch.threads_per_cta(),
+            self.kernel.num_regs(),
+            self.kernel.shared_bytes() + self.launch.shared_bytes,
+        )
     }
-}
-
-/// Static resources a CTA occupies (occupancy limiting).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CtaRequirements {
-    /// Warp slots needed.
-    pub warps: usize,
-    /// Register-file allocation (registers × threads).
-    pub registers: u32,
-    /// Shared-memory allocation in bytes.
-    pub shared_bytes: u32,
 }
 
 struct CtaSlot {
@@ -225,7 +215,7 @@ impl Sm {
             l1: None,
             mio_free: 0,
             ctas: Vec::new(),
-            warps: (0..cfg.max_warps).map(|_| None).collect(),
+            warps: (0..cfg.resources.max_warps).map(|_| None).collect(),
             sub: vec![SubCore::default(); cfg.sub_cores],
             tensor: if cfg.volta_tensor {
                 TensorCoreModel::volta()
@@ -235,7 +225,7 @@ impl Sm {
             held: CtaRequirements::default(),
             stats: SmStats::default(),
             profile_wmma: false,
-            meta: WarpMeta::new(cfg.max_warps),
+            meta: WarpMeta::new(cfg.resources.max_warps),
             live_ctas: 0,
             barrier_waiters: 0,
             retire_check: false,
@@ -275,7 +265,10 @@ impl Sm {
 
     /// Whether a CTA with the given requirements can be accepted now.
     pub fn can_accept(&self, req: &CtaRequirements) -> bool {
-        self.cfg.fits(&self.held, self.live_ctas, req)
+        self.cfg
+            .resources
+            .admit(&self.held, self.live_ctas, req)
+            .is_ok()
     }
 
     /// Places one CTA onto the SM.

@@ -8,25 +8,30 @@
 //! checker (DESIGN.md §4.12) but asks throughput questions instead of
 //! safety questions:
 //!
-//! * **`low-occupancy`** — registers, static+dynamic shared memory, the
-//!   warp budget and the CTA-slot budget each bound how many CTAs an SM
-//!   can host ([`occupancy`]); below a quarter of the warp capacity the
-//!   scheduler is unlikely to hide ALU/memory latency.
+//! * **`low-occupancy`** — how many CTAs an SM hosts ([`occupancy`]) is
+//!   counted with the simulator's own admission rule,
+//!   [`SmResources::resident_ctas`]; below a quarter of the warp
+//!   capacity the scheduler is unlikely to hide ALU/memory latency.
 //! * **`shared-bank-conflict`** — for each shared load/store whose
 //!   per-lane byte address is *exactly* recovered (affine with no
-//!   interval slack), the 32 lanes of a representative warp are mapped
-//!   onto the 32 four-byte banks; `k` distinct words in one bank
-//!   serialize into `k` passes. Identical addresses broadcast for free.
+//!   interval slack), the lanes of a representative warp become
+//!   [`MemAccess`]es of the instruction's width, and
+//!   [`tcsim_mem::conflict_passes`] — the count the simulator charges —
+//!   says how many passes they serialize into.
 //! * **`global-uncoalesced`** — per-lane global `ld`/`st` addresses are
 //!   recovered through a 64-bit pair domain (`ld.param.b64` bases plus
-//!   `IAdd64`/`IMAD.WIDE` arithmetic); the lint counts distinct 32-byte
-//!   sectors touched by one warp and warns when the access needs more
-//!   than twice the ideal sector count.
+//!   `IAdd64`/`IMAD.WIDE` arithmetic); [`tcsim_mem::coalesce`] counts the
+//!   32-byte sectors one warp touches, and the lint warns when the access
+//!   needs more than twice the ideal sector count. A pointer parameter is
+//!   taken to be sector-aligned, as device allocations are.
 //!
-//! Addresses that are not exactly recoverable (interval slack from `And`
-//! masks, unresolved loop-carried values) are skipped silently: the lint
-//! reports provable throughput hazards, not possibilities — the opposite
-//! polarity of the race checker, which must over-approximate.
+//! Accesses whose lanes are not exactly known are skipped silently:
+//! addresses with interval slack (from `And` masks or unresolved
+//! loop-carried values) or below zero, and instructions under a
+//! thread-varying guard or divergent control flow, whose active lanes are
+//! unknown. The lint reports provable throughput hazards, not
+//! possibilities — the opposite polarity of the race checker, which must
+//! over-approximate. [`access_costs`] lists what it recovered.
 
 use crate::cfg::Cfg;
 use crate::dataflow::Taint;
@@ -34,59 +39,12 @@ use crate::shmem::{
     self, env_fixpoint, eval, sym_max, transfer, Affine, Env, NSYM, S_LANE, S_TIDX, S_TIDY, S_TIDZ,
 };
 use crate::{Diagnostic, LaunchGeometry, Sink};
-use std::collections::{HashMap, HashSet};
-use tcsim_isa::{Instr, Kernel, MemSpace, MemWidth, Op, Operand, TensorGen};
-
-/// Per-SM resource limits the occupancy computation checks against.
-///
-/// `tcsim-verify` depends only on the ISA crate, so these mirror the
-/// `SmConfig` presets in `tcsim-sm` rather than importing them; the
-/// `tcsim-model` crate (which sees both) pins the two in agreement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PerfLimits {
-    /// Resident warp contexts per SM.
-    pub max_warps: u32,
-    /// Resident CTA slots per SM.
-    pub max_ctas: u32,
-    /// 32-bit registers in the SM register file.
-    pub registers: u32,
-    /// Shared-memory bytes per SM.
-    pub shared_bytes: u32,
-}
-
-impl PerfLimits {
-    /// Volta-like limits (96 KiB shared).
-    pub fn volta() -> PerfLimits {
-        PerfLimits {
-            max_warps: 64,
-            max_ctas: 32,
-            registers: 65536,
-            shared_bytes: 96 * 1024,
-        }
-    }
-
-    /// Turing-like limits (64 KiB shared).
-    pub fn turing() -> PerfLimits {
-        PerfLimits {
-            shared_bytes: 64 * 1024,
-            ..PerfLimits::volta()
-        }
-    }
-
-    /// Ampere-like limits (Turing numbers in this model).
-    pub fn ampere() -> PerfLimits {
-        PerfLimits::turing()
-    }
-
-    /// Limits for a tensor-core generation.
-    pub fn for_gen(gen: TensorGen) -> PerfLimits {
-        match gen {
-            TensorGen::Volta => PerfLimits::volta(),
-            TensorGen::Turing => PerfLimits::turing(),
-            TensorGen::Ampere => PerfLimits::ampere(),
-        }
-    }
-}
+use std::collections::HashMap;
+use tcsim_isa::exec::MemAccess;
+use tcsim_isa::{
+    CtaRequirements, Instr, Kernel, Limiter, MemSpace, MemWidth, Op, Operand, SmResources,
+};
+use tcsim_mem::{coalesce, conflict_passes};
 
 /// Static occupancy of one kernel under one launch geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,9 +58,8 @@ pub struct Occupancy {
     pub warps_per_sm: u32,
     /// Warp capacity the fraction is taken against.
     pub max_warps: u32,
-    /// The binding resource: `"warps"`, `"ctas"`, `"registers"` or
-    /// `"shared"`.
-    pub limiter: &'static str,
+    /// The resource that stops one more CTA from becoming resident.
+    pub limiter: Limiter,
 }
 
 impl Occupancy {
@@ -112,44 +69,21 @@ impl Occupancy {
     }
 }
 
-/// Computes static occupancy: how many CTAs of `kernel` under `geom` fit
-/// on one SM with `lim` resources, and which resource binds first.
-///
-/// Registers are charged per warp at allocation granularity
-/// (`num_regs · 32` per warp), shared memory per CTA (static + dynamic),
-/// matching the simulator's launch-time admission in `tcsim-sim`.
-pub fn occupancy(kernel: &Kernel, geom: &LaunchGeometry, lim: &PerfLimits) -> Occupancy {
-    let warps_per_cta = geom.warps_per_cta().max(1);
-    let regs_per_cta = kernel.num_regs().max(1) * 32 * warps_per_cta;
-    let shared_per_cta = kernel.shared_bytes() + geom.dynamic_shared;
-
-    let by_warps = lim.max_warps / warps_per_cta;
-    let by_regs = lim.registers / regs_per_cta;
-    let by_shared = lim
-        .shared_bytes
-        .checked_div(shared_per_cta)
-        .unwrap_or(u32::MAX);
-
-    // Tightest bound wins; ties resolve toward the hard scheduler limits
-    // so the message names the structural constraint first.
-    let mut ctas = lim.max_ctas;
-    let mut limiter = "ctas";
-    for (bound, name) in [
-        (by_warps, "warps"),
-        (by_regs, "registers"),
-        (by_shared, "shared"),
-    ] {
-        if bound < ctas {
-            ctas = bound;
-            limiter = name;
-        }
-    }
-    let warps_per_sm = (ctas * warps_per_cta).min(lim.max_warps);
+/// Computes static occupancy: how many CTAs of `kernel` under `geom` an
+/// SM with `res` admits, by the simulator's rule, and which resource
+/// stops the next one.
+pub fn occupancy(kernel: &Kernel, geom: &LaunchGeometry, res: &SmResources) -> Occupancy {
+    let req = CtaRequirements::new(
+        geom.threads_per_cta(),
+        kernel.num_regs(),
+        kernel.shared_bytes() + geom.dynamic_shared,
+    );
+    let (ctas, limiter) = res.resident_ctas(&req);
     Occupancy {
-        warps_per_cta,
-        ctas_per_sm: ctas,
-        warps_per_sm,
-        max_warps: lim.max_warps,
+        warps_per_cta: req.warps as u32,
+        ctas_per_sm: ctas as u32,
+        warps_per_sm: (ctas * req.warps) as u32,
+        max_warps: res.max_warps as u32,
         limiter,
     }
 }
@@ -305,56 +239,34 @@ fn pair_fixpoint(
     inb
 }
 
-/// Concrete byte address of lane `l` (warp 0, CTA 0) for an exact affine
-/// form. Returns `None` when the form carries interval slack.
-fn lane_addr(a: &Affine, l: i64, geom: &LaunchGeometry) -> Option<i64> {
+/// The accesses of warp 0 in CTA 0, `width` wide, for an exact affine
+/// address form. Returns `None` when the form carries interval slack or a
+/// lane's address is negative.
+fn lane_accesses(a: &Affine, width: MemWidth, geom: &LaunchGeometry) -> Option<Vec<MemAccess>> {
     if a.lo != a.hi {
         return None;
     }
     let (bx, by) = (geom.block.x as i64, geom.block.y as i64);
-    // Row-major warp formation: lane l of warp 0 is linear thread id l.
-    let v = a.lo
-        + a.c[S_LANE] * l
-        + a.c[S_TIDX] * (l % bx)
-        + a.c[S_TIDY] * ((l / bx) % by)
-        + a.c[S_TIDZ] * (l / (bx * by));
-    Some(v)
-}
-
-/// Maximum number of distinct words a warp drives into one bank, or
-/// `None` when any lane address is unrecoverable.
-fn conflict_degree(addrs: &[i64]) -> Option<(usize, usize)> {
-    let mut per_bank: HashMap<i64, HashSet<i64>> = HashMap::new();
-    for &a in addrs {
-        let word = a >> 2;
-        per_bank.entry(word & 31).or_default().insert(word);
-    }
-    per_bank
-        .iter()
-        .map(|(bank, words)| (words.len(), *bank as usize))
-        .max()
-}
-
-/// Distinct 32-byte sectors a warp's access touches (each lane covers
-/// `width` bytes from its address).
-fn sector_count(addrs: &[i64], width: i64) -> usize {
-    let mut sectors = HashSet::new();
-    for &a in addrs {
-        let mut s = a >> 5;
-        while s <= (a + width - 1) >> 5 {
-            sectors.insert(s);
-            s += 1;
-        }
-    }
-    sectors.len()
-}
-
-fn active_lanes(geom: &LaunchGeometry) -> i64 {
-    (geom.threads_per_cta() as i64).clamp(1, 32)
+    let lanes = (geom.threads_per_cta() as i64).clamp(1, 32);
+    (0..lanes)
+        .map(|l| {
+            // Row-major warp formation: lane l of warp 0 is linear thread id l.
+            let addr = a.lo
+                + a.c[S_LANE] * l
+                + a.c[S_TIDX] * (l % bx)
+                + a.c[S_TIDY] * ((l / bx) % by)
+                + a.c[S_TIDZ] * (l / (bx * by));
+            Some(MemAccess {
+                lane: l as u8,
+                addr: u64::try_from(addr).ok()?,
+                bytes: width.bytes() as u8,
+            })
+        })
+        .collect()
 }
 
 /// A shared or global load/store whose lane addresses in warp 0 of
-/// CTA 0 the lint recovered exactly, with the cost the lint assigns it.
+/// CTA 0 the lint recovered exactly, with what the simulator charges it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AccessCost {
     /// Index of the instruction in `Kernel::instrs()`.
@@ -363,10 +275,13 @@ pub struct AccessCost {
     pub space: MemSpace,
     /// Bank-conflict passes (shared) or 32-byte sectors (global).
     pub count: u32,
+    /// The sectors the lanes' bytes would take if packed densely (1 for
+    /// shared accesses).
+    pub ideal: u32,
 }
 
 /// The cost of every shared and global load/store of `kernel` under
-/// `geom` whose lane addresses are exactly recoverable, in walk order
+/// `geom` whose lane accesses are exactly recoverable, in walk order
 /// (an instruction appears once per reachable block holding it).
 pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
     let cfg = Cfg::build(kernel);
@@ -374,7 +289,6 @@ pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
     let max = sym_max(geom);
     let envs = env_fixpoint(kernel, geom, &cfg, &taint, &max);
     let penvs = pair_fixpoint(kernel, geom, &cfg, &envs, &max);
-    let lanes = active_lanes(geom);
     let mut costs = Vec::new();
 
     for b in 0..cfg.num_blocks() {
@@ -386,31 +300,29 @@ pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
         };
         for pc in cfg.blocks[b].start..cfg.blocks[b].end {
             let i = &kernel.instrs()[pc];
-            match i.op {
+            let all_lanes =
+                !taint.divergent[pc] && !i.guard.is_some_and(|(p, _)| taint.pred[p.0 as usize]);
+            let cost = match i.op {
                 Op::Ld {
                     space: MemSpace::Shared,
-                    ..
+                    width,
                 }
                 | Op::St {
                     space: MemSpace::Shared,
-                    ..
-                } => {
-                    let addr = i
-                        .srcs
-                        .first()
-                        .zip(i.srcs.get(1))
-                        .and_then(|(a, o)| eval(a, &env, geom).zip(eval(o, &env, geom)))
-                        .and_then(|(a, o)| shmem::val_add(&a, &o));
-                    let addrs: Option<Vec<i64>> =
-                        addr.and_then(|v| (0..lanes).map(|l| lane_addr(&v.a, l, geom)).collect());
-                    if let Some((degree, _)) = addrs.as_deref().and_then(conflict_degree) {
-                        costs.push(AccessCost {
-                            pc,
-                            space: MemSpace::Shared,
-                            count: degree as u32,
-                        });
-                    }
-                }
+                    width,
+                } if all_lanes => i
+                    .srcs
+                    .first()
+                    .zip(i.srcs.get(1))
+                    .and_then(|(a, o)| eval(a, &env, geom).zip(eval(o, &env, geom)))
+                    .and_then(|(a, o)| shmem::val_add(&a, &o))
+                    .and_then(|v| lane_accesses(&v.a, width, geom))
+                    .map(|lanes| AccessCost {
+                        pc,
+                        space: MemSpace::Shared,
+                        count: conflict_passes(&lanes),
+                        ideal: 1,
+                    }),
                 Op::Ld {
                     space: MemSpace::Global,
                     width,
@@ -418,8 +330,8 @@ pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
                 | Op::St {
                     space: MemSpace::Global,
                     width,
-                } => {
-                    let addr = i.srcs.first().and_then(|a| match a {
+                } if all_lanes => {
+                    let base = i.srcs.first().and_then(|a| match a {
                         Operand::RegPair(r) => penv.get(&r.0).copied(),
                         _ => None,
                     });
@@ -429,21 +341,18 @@ pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
                         .and_then(|o| eval(o, &env, geom))
                         .filter(|v| v.t.is_none())
                         .map(|v| v.a);
-                    if let (Some(p), Some(off)) = (addr, off) {
-                        let form = p.off.add(&off);
-                        let addrs: Option<Vec<i64>> =
-                            (0..lanes).map(|l| lane_addr(&form, l, geom)).collect();
-                        if let Some(addrs) = addrs {
-                            costs.push(AccessCost {
-                                pc,
-                                space: MemSpace::Global,
-                                count: sector_count(&addrs, width.bytes() as i64) as u32,
-                            });
-                        }
-                    }
+                    base.zip(off)
+                        .and_then(|(p, off)| lane_accesses(&p.off.add(&off), width, geom))
+                        .map(|lanes| AccessCost {
+                            pc,
+                            space: MemSpace::Global,
+                            count: coalesce(&lanes).len() as u32,
+                            ideal: (lanes.len() as u64 * width.bytes()).div_ceil(32) as u32,
+                        })
                 }
-                _ => {}
-            }
+                _ => None,
+            };
+            costs.extend(cost);
             pair_transfer(&mut penv, &env, i, geom);
             transfer(&mut env, i, geom, &max);
         }
@@ -451,14 +360,14 @@ pub fn access_costs(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<AccessCost> {
     costs
 }
 
-/// Runs all performance lints on `kernel` under `geom` and `lim`,
-/// returning warning diagnostics in the same shape as
-/// [`crate::Verifier::check`]. Never reports errors and never gates a
-/// launch.
-pub fn check_perf(kernel: &Kernel, geom: &LaunchGeometry, lim: &PerfLimits) -> Vec<Diagnostic> {
+/// Runs all performance lints on `kernel` under `geom`, against the
+/// per-SM resources of `geom.gen`, returning warning diagnostics in the
+/// same shape as [`crate::Verifier::check`]. Never reports errors and
+/// never gates a launch.
+pub fn check_perf(kernel: &Kernel, geom: &LaunchGeometry) -> Vec<Diagnostic> {
     let mut sink = Sink::new();
 
-    let occ = occupancy(kernel, geom, lim);
+    let occ = occupancy(kernel, geom, &SmResources::of(geom.gen));
     if occ.ctas_per_sm == 0 {
         sink.warn(
             0,
@@ -481,105 +390,27 @@ pub fn check_perf(kernel: &Kernel, geom: &LaunchGeometry, lim: &PerfLimits) -> V
         );
     }
 
-    let cfg = Cfg::build(kernel);
-    let taint = Taint::compute(kernel, geom, &cfg);
-    let max = sym_max(geom);
-    let envs = env_fixpoint(kernel, geom, &cfg, &taint, &max);
-    let penvs = pair_fixpoint(kernel, geom, &cfg, &envs, &max);
-    let lanes = active_lanes(geom);
-
-    for b in 0..cfg.num_blocks() {
-        if !cfg.block_reachable(b) {
-            continue;
-        }
-        let (Some(mut env), Some(mut penv)) = (envs[b].clone(), penvs[b].clone()) else {
-            continue;
-        };
-        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            let i = &kernel.instrs()[pc];
-            match i.op {
-                Op::Ld {
-                    space: MemSpace::Shared,
-                    ..
-                }
-                | Op::St {
-                    space: MemSpace::Shared,
-                    ..
-                } => {
-                    let addr = i
-                        .srcs
-                        .first()
-                        .zip(i.srcs.get(1))
-                        .and_then(|(a, o)| eval(a, &env, geom).zip(eval(o, &env, geom)))
-                        .and_then(|(a, o)| shmem::val_add(&a, &o));
-                    // Toggled (double-buffered) addresses shift every lane
-                    // by the same stage stride, which does not change the
-                    // conflict pattern: the low world is representative.
-                    if let Some(v) = addr {
-                        let addrs: Option<Vec<i64>> =
-                            (0..lanes).map(|l| lane_addr(&v.a, l, geom)).collect();
-                        if let Some(addrs) = addrs {
-                            if let Some((degree, bank)) = conflict_degree(&addrs) {
-                                if degree >= 2 {
-                                    sink.warn(
-                                        pc,
-                                        "shared-bank-conflict",
-                                        format!(
-                                            "{degree} lanes of a warp address {degree} distinct \
-                                             words in shared-memory bank {bank}: this access \
-                                             serializes into {degree} conflict passes"
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                Op::Ld {
-                    space: MemSpace::Global,
-                    width,
-                }
-                | Op::St {
-                    space: MemSpace::Global,
-                    width,
-                } => {
-                    let addr = i.srcs.first().and_then(|a| match a {
-                        Operand::RegPair(r) => penv.get(&r.0).copied(),
-                        _ => None,
-                    });
-                    let off = i
-                        .srcs
-                        .get(1)
-                        .and_then(|o| eval(o, &env, geom))
-                        .filter(|v| v.t.is_none())
-                        .map(|v| v.a);
-                    if let (Some(p), Some(off)) = (addr, off) {
-                        let form = p.off.add(&off);
-                        let w = width.bytes() as i64;
-                        let addrs: Option<Vec<i64>> =
-                            (0..lanes).map(|l| lane_addr(&form, l, geom)).collect();
-                        if let Some(addrs) = addrs {
-                            let sectors = sector_count(&addrs, w);
-                            let ideal = ((lanes * w + 31) / 32).max(1) as usize;
-                            if sectors > 2 * ideal {
-                                sink.warn(
-                                    pc,
-                                    "global-uncoalesced",
-                                    format!(
-                                        "warp touches {sectors} 32-byte sectors where {ideal} \
-                                         would suffice: global access is uncoalesced \
-                                         ({}x the ideal DRAM traffic)",
-                                        sectors / ideal
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-            pair_transfer(&mut penv, &env, i, geom);
-            transfer(&mut env, i, geom, &max);
+    for a in access_costs(kernel, geom) {
+        let (count, ideal) = (a.count, a.ideal);
+        if a.space == MemSpace::Shared && count >= 2 {
+            sink.warn(
+                a.pc,
+                "shared-bank-conflict",
+                format!(
+                    "a warp addresses {count} distinct words in one shared-memory bank: \
+                     this access serializes into {count} conflict passes"
+                ),
+            );
+        } else if a.space == MemSpace::Global && count > 2 * ideal {
+            sink.warn(
+                a.pc,
+                "global-uncoalesced",
+                format!(
+                    "warp touches {count} 32-byte sectors where {ideal} would suffice: \
+                     global access is uncoalesced ({}x the ideal DRAM traffic)",
+                    count / ideal
+                ),
+            );
         }
     }
 
@@ -589,7 +420,7 @@ pub fn check_perf(kernel: &Kernel, geom: &LaunchGeometry, lim: &PerfLimits) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcsim_isa::{KernelBuilder, Operand, SpecialReg};
+    use tcsim_isa::{KernelBuilder, Operand, SpecialReg, TensorGen};
 
     fn rules(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.rule).collect()
@@ -602,11 +433,11 @@ mod tests {
         b.exit();
         let k = b.build();
         let geom = LaunchGeometry::new(1u32, 64u32);
-        let occ = occupancy(&k, &geom, &PerfLimits::volta());
+        let occ = occupancy(&k, &geom, &SmResources::of(TensorGen::Volta));
         // 96 KiB / 40 KiB = 2 CTAs of 2 warps each.
         assert_eq!(occ.ctas_per_sm, 2);
         assert_eq!(occ.warps_per_sm, 4);
-        assert_eq!(occ.limiter, "shared");
+        assert_eq!(occ.limiter, Limiter::Shared);
         assert!(occ.fraction() < 0.25);
     }
 
@@ -616,11 +447,11 @@ mod tests {
         b.exit();
         let k = b.build();
         let geom = LaunchGeometry::new(1u32, 1024u32);
-        let occ = occupancy(&k, &geom, &PerfLimits::volta());
+        let occ = occupancy(&k, &geom, &SmResources::of(TensorGen::Volta));
         assert_eq!(occ.warps_per_cta, 32);
         assert_eq!(occ.ctas_per_sm, 2);
         assert_eq!(occ.warps_per_sm, 64);
-        assert_eq!(occ.limiter, "warps");
+        assert_eq!(occ.limiter, Limiter::Warps);
         assert!((occ.fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -632,10 +463,11 @@ mod tests {
         b.mov(r, Operand::Imm(1));
         b.exit();
         let k = b.build();
-        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32), &PerfLimits::volta());
+        let geom = LaunchGeometry::new(1u32, 32u32);
+        let diags = check_perf(&k, &geom);
         assert!(rules(&diags).contains(&"low-occupancy"), "{diags:?}");
         // Over-subscription: one CTA that can never fit.
-        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32), &PerfLimits::turing());
+        let diags = check_perf(&k, &geom.turing());
         assert!(diags
             .iter()
             .any(|d| d.message.contains("cannot become resident")));
@@ -654,12 +486,47 @@ mod tests {
         b.ld_shared(tcsim_isa::MemWidth::B32, d, t, 0);
         b.exit();
         let k = b.build();
-        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32), &PerfLimits::volta());
+        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32));
         let conflict = diags
             .iter()
             .find(|d| d.rule == "shared-bank-conflict")
             .unwrap();
-        assert!(conflict.message.contains("8 lanes"), "{}", conflict.message);
+        assert!(
+            conflict.message.contains("into 8 conflict passes"),
+            "{}",
+            conflict.message
+        );
+    }
+
+    #[test]
+    fn misaligned_wide_shared_load_counts_every_word() {
+        // 8-byte loads at a 132-byte lane stride: each lane's second word
+        // lands in the bank of the next lane's first word.
+        let mut b = KernelBuilder::new("wide");
+        b.shared_alloc(32 * 132 + 8);
+        let t = b.reg();
+        b.mov(t, Operand::Special(SpecialReg::LaneId));
+        b.imul(t, t, Operand::Imm(132));
+        let d = b.reg_pair();
+        b.ld_shared(tcsim_isa::MemWidth::B64, d, t, 0);
+        b.exit();
+        let costs = access_costs(&b.build(), &LaunchGeometry::new(1u32, 32u32));
+        assert_eq!(costs.len(), 1);
+        assert_eq!(costs[0].count, 2);
+    }
+
+    #[test]
+    fn negative_addresses_are_not_costed() {
+        let mut b = KernelBuilder::new("below");
+        b.shared_alloc(1024);
+        let t = b.reg();
+        let d = b.reg();
+        b.mov(t, Operand::Special(SpecialReg::LaneId));
+        b.shl(t, t, Operand::Imm(2));
+        b.ld_shared(tcsim_isa::MemWidth::B32, d, t, -64);
+        b.exit();
+        let k = b.build();
+        assert!(access_costs(&k, &LaunchGeometry::new(1u32, 32u32)).is_empty());
     }
 
     #[test]
@@ -673,7 +540,7 @@ mod tests {
         b.ld_shared(tcsim_isa::MemWidth::B32, d, t, 0);
         b.exit();
         let k = b.build();
-        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32), &PerfLimits::volta());
+        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32));
         assert!(
             !rules(&diags).contains(&"shared-bank-conflict"),
             "{diags:?}"
@@ -694,7 +561,7 @@ mod tests {
         b.ld_global(tcsim_isa::MemWidth::B32, d, addr, 0);
         b.exit();
         let k = b.build();
-        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32), &PerfLimits::volta());
+        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32));
         assert!(rules(&diags).contains(&"global-uncoalesced"), "{diags:?}");
     }
 
@@ -712,7 +579,7 @@ mod tests {
         b.ld_global(tcsim_isa::MemWidth::B32, d, addr, 0);
         b.exit();
         let k = b.build();
-        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32), &PerfLimits::volta());
+        let diags = check_perf(&k, &LaunchGeometry::new(1u32, 32u32));
         assert!(!rules(&diags).contains(&"global-uncoalesced"), "{diags:?}");
     }
 }

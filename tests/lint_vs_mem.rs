@@ -3,8 +3,9 @@
 //! `tcsim_verify::perf` recovers exactly, the lint's bank-conflict pass
 //! count or sector count equals what `tcsim-mem` computes over the lane
 //! accesses `exec::step_into` produces for warp 0 of CTA 0, at every
-//! execution of that instruction (one that warp never executes has
-//! nothing to compare). The kernels are the committed corpus, a slice of
+//! execution of that instruction that accesses memory (one that warp
+//! never executes, or executes with every lane masked off, has nothing
+//! to compare). The kernels are the committed corpus, a slice of
 //! generated ones, the GEMM family, the tcsim-nn kernels and directed
 //! shared-memory strides of every width.
 
@@ -26,23 +27,7 @@ use tcsim_verify::LaunchGeometry;
 
 /// Disagreements between the lint and the simulator, as
 /// `"<kernel> @<pc>: lint <n>, sim <counts>"`.
-// Stores under a thread-varying guard, which the lint costs as if every
-// lane were active, and misaligned wide shared loads, whose conflicts the
-// lint counts from each lane's first word only.
-const KNOWN_DISAGREEMENTS: &[&str] = &[
-    "gen Simt seed 1 @28: lint 32, sim [0]",
-    "gen Simt seed 1 @55: lint 32, sim [16]",
-    "gen Simt seed 3 @35: lint 32, sim [0]",
-    "gen Simt seed 7 @48: lint 32, sim [0]",
-    "gen Simt seed 14 @20: lint 32, sim [0]",
-    "gen Simt seed 14 @25: lint 32, sim [0]",
-    "gen Simt seed 17 @39: lint 32, sim [0]",
-    "ld.shared.b64 stride 132 @2: lint 1, sim [2]",
-    "ld.shared.b64 stride 4 @2: lint 1, sim [2]",
-    "ld.shared.b128 stride 132 @2: lint 1, sim [4]",
-    "ld.shared.b128 stride 136 @2: lint 2, sim [4]",
-    "ld.shared.b128 stride 4 @2: lint 1, sim [2]",
-];
+const KNOWN_DISAGREEMENTS: &[&str] = &[];
 
 /// One launch to compare: the kernel, its geometry and parameter buffer.
 struct Launch {
@@ -129,7 +114,8 @@ impl Launch {
                     StepAction::Barrier => waiting[w] = true,
                     StepAction::Exited => done[w] = true,
                 }
-                let Some(mem) = info.mem.filter(|m| w == 0 && m.tile.is_none()) else {
+                // An execution with every lane masked off accesses nothing.
+                let Some(mem) = info.mem.filter(|_| w == 0 && !accesses.is_empty()) else {
                     continue;
                 };
                 let count = match mem.space {

@@ -1,58 +1,19 @@
 //! The occupancy lint and the simulator agree on residency: for a grid of
 //! CTA shapes on every SM preset, the CTA count and limiter that
-//! `tcsim_verify::perf::occupancy` reports equal how many CTAs
-//! `SmConfig::fits` admits onto an empty SM, one after another, and the
-//! first resource (CTA slots, warps, registers, shared memory, in that
-//! order) the next CTA would overflow.
+//! `tcsim_verify::perf::occupancy` reports equal how many CTAs the
+//! simulator's admission rule (`SmResources::admit`, behind
+//! `Sm::can_accept`) places onto an empty SM one after another, and the
+//! resource it names when it turns the next one away.
 
 use std::sync::Arc;
-use tcsim_isa::{Kernel, KernelBuilder, LaunchConfig, TensorGen};
-use tcsim_sm::{CtaRequirements, LaunchSpec, SmConfig};
-use tcsim_verify::perf::{occupancy, PerfLimits};
+use tcsim_isa::{CtaRequirements, Kernel, KernelBuilder, LaunchConfig, Limiter, TensorGen};
+use tcsim_sm::{LaunchSpec, SmConfig};
+use tcsim_verify::perf::occupancy;
 use tcsim_verify::LaunchGeometry;
 
 /// Disagreements between the lint and the simulator, as
 /// `"<gen> regs <r> threads <t> shared <s>: lint <n> <limiter>, sim <n> <limiter>"`.
-// The lint charges `num_regs · 32` registers per warp; the simulator
-// charges `num_regs` per thread, so a partial last warp costs less.
-const KNOWN_DISAGREEMENTS: &[&str] = &[
-    "volta regs 64 threads 33 shared 0: lint 16 registers, sim 31 registers",
-    "volta regs 64 threads 33 shared 1: lint 16 registers, sim 31 registers",
-    "volta regs 64 threads 33 shared 4096: lint 16 registers, sim 24 shared",
-    "volta regs 64 threads 100 shared 0: lint 8 registers, sim 10 registers",
-    "volta regs 64 threads 100 shared 1: lint 8 registers, sim 10 registers",
-    "volta regs 64 threads 100 shared 4096: lint 8 registers, sim 10 registers",
-    "volta regs 255 threads 1 shared 0: lint 8 registers, sim 32 ctas",
-    "volta regs 255 threads 1 shared 1: lint 8 registers, sim 32 ctas",
-    "volta regs 255 threads 1 shared 4096: lint 8 registers, sim 24 shared",
-    "volta regs 255 threads 33 shared 0: lint 4 registers, sim 7 registers",
-    "volta regs 255 threads 33 shared 1: lint 4 registers, sim 7 registers",
-    "volta regs 255 threads 33 shared 4096: lint 4 registers, sim 7 registers",
-    "turing regs 64 threads 33 shared 0: lint 16 registers, sim 31 registers",
-    "turing regs 64 threads 33 shared 1: lint 16 registers, sim 31 registers",
-    "turing regs 64 threads 33 shared 4096: lint 16 registers, sim 16 shared",
-    "turing regs 64 threads 100 shared 0: lint 8 registers, sim 10 registers",
-    "turing regs 64 threads 100 shared 1: lint 8 registers, sim 10 registers",
-    "turing regs 64 threads 100 shared 4096: lint 8 registers, sim 10 registers",
-    "turing regs 255 threads 1 shared 0: lint 8 registers, sim 32 ctas",
-    "turing regs 255 threads 1 shared 1: lint 8 registers, sim 32 ctas",
-    "turing regs 255 threads 1 shared 4096: lint 8 registers, sim 16 shared",
-    "turing regs 255 threads 33 shared 0: lint 4 registers, sim 7 registers",
-    "turing regs 255 threads 33 shared 1: lint 4 registers, sim 7 registers",
-    "turing regs 255 threads 33 shared 4096: lint 4 registers, sim 7 registers",
-    "ampere regs 64 threads 33 shared 0: lint 16 registers, sim 31 registers",
-    "ampere regs 64 threads 33 shared 1: lint 16 registers, sim 31 registers",
-    "ampere regs 64 threads 33 shared 4096: lint 16 registers, sim 16 shared",
-    "ampere regs 64 threads 100 shared 0: lint 8 registers, sim 10 registers",
-    "ampere regs 64 threads 100 shared 1: lint 8 registers, sim 10 registers",
-    "ampere regs 64 threads 100 shared 4096: lint 8 registers, sim 10 registers",
-    "ampere regs 255 threads 1 shared 0: lint 8 registers, sim 32 ctas",
-    "ampere regs 255 threads 1 shared 1: lint 8 registers, sim 32 ctas",
-    "ampere regs 255 threads 1 shared 4096: lint 8 registers, sim 16 shared",
-    "ampere regs 255 threads 33 shared 0: lint 4 registers, sim 7 registers",
-    "ampere regs 255 threads 33 shared 1: lint 4 registers, sim 7 registers",
-    "ampere regs 255 threads 33 shared 4096: lint 4 registers, sim 7 registers",
-];
+const KNOWN_DISAGREEMENTS: &[&str] = &[];
 
 /// A kernel that allocates `regs` registers and `shared` bytes of static
 /// shared memory.
@@ -67,26 +28,19 @@ fn kernel(regs: usize, shared: u32) -> Kernel {
 }
 
 /// How many CTAs needing `req` the simulator's rule admits onto an empty
-/// SM, and the resource the next one would overflow first.
-fn admitted(sm: &SmConfig, req: &CtaRequirements) -> (u32, &'static str) {
+/// SM, and the resource it names when it turns the next one away.
+fn admitted(sm: &SmConfig, req: &CtaRequirements) -> (u32, Limiter) {
     let mut held = CtaRequirements::default();
     let mut ctas = 0;
-    while sm.fits(&held, ctas, req) {
+    loop {
+        if let Err(limiter) = sm.resources.admit(&held, ctas, req) {
+            return (ctas as u32, limiter);
+        }
         held.warps += req.warps;
         held.registers += req.registers;
         held.shared_bytes += req.shared_bytes;
         ctas += 1;
     }
-    let limiter = if ctas >= sm.max_ctas {
-        "ctas"
-    } else if held.warps + req.warps > sm.max_warps {
-        "warps"
-    } else if held.registers + req.registers > sm.registers {
-        "registers"
-    } else {
-        "shared"
-    };
-    (ctas as u32, limiter)
 }
 
 #[test]
@@ -114,7 +68,7 @@ fn lint_occupancy_matches_the_simulator_admission_rule() {
                     let mut geom = LaunchGeometry::new(1u32, threads);
                     geom.gen = gen;
                     geom.dynamic_shared = dynamic;
-                    let lint = occupancy(&k, &geom, &PerfLimits::for_gen(gen));
+                    let lint = occupancy(&k, &geom, &sm.resources);
                     let spec = LaunchSpec {
                         kernel: Arc::new(k),
                         params: Arc::new(Vec::new()),
@@ -127,7 +81,7 @@ fn lint_occupancy_matches_the_simulator_admission_rule() {
                         disagreements.push(format!(
                             "{} regs {regs} threads {threads} shared {}: lint {} {}, sim {ctas} \
                              {limiter}",
-                            gen.qualifier(),
+                            gen,
                             stat + dynamic,
                             lint.ctas_per_sm,
                             lint.limiter

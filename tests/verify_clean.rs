@@ -226,8 +226,7 @@ fn corpus_header_is_the_lint_sniff_marker() {
 
 /// Runs the performance lints and formats findings for the golden list.
 fn perf_lint(name: &str, kernel: &Kernel, geom: &LaunchGeometry, found: &mut Vec<String>) {
-    use tcsim_verify::perf::{check_perf, PerfLimits};
-    for d in check_perf(kernel, geom, &PerfLimits::for_gen(geom.gen)) {
+    for d in tcsim_verify::perf::check_perf(kernel, geom) {
         found.push(format!("{name}: {} @{}: {}", d.rule, d.index, d.message));
     }
 }
@@ -256,16 +255,16 @@ fn shipped_kernels_match_pinned_perf_goldens() {
         "seed_simt_b.case: global-uncoalesced @63: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
         "seed_simt_b.case: global-uncoalesced @66: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
         "seed_wmma_b.case: global-uncoalesced @15: warp touches 32 32-byte sectors where 4 would suffice: global access is uncoalesced (8x the ideal DRAM traffic)",
-        "wmma_shared_gemm: shared-bank-conflict @43: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "wmma_shared_gemm: shared-bank-conflict @43: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
         "cutlass_gemm: low-occupancy @0: only 12/64 warps resident per SM (3 CTAs, limited by registers); too few warps to hide ALU and memory latency",
-        "cutlass_gemm: shared-bank-conflict @91: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @94: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @97: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @100: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @108: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @111: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @114: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
-        "cutlass_gemm: shared-bank-conflict @117: 2 lanes of a warp address 2 distinct words in shared-memory bank 30: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @91: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @94: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @97: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @100: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @108: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @111: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @114: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
+        "cutlass_gemm: shared-bank-conflict @117: a warp addresses 2 distinct words in one shared-memory bank: this access serializes into 2 conflict passes",
     ];
     let mut found = Vec::new();
 
