@@ -335,19 +335,26 @@ fn submit(
     // stream, which can be megabytes.
     let key = spec.cache_key();
 
+    let accepted = |coalesced| {
+        let _ = tx.send(
+            Event::Accepted {
+                id: id.clone(),
+                key: key.clone(),
+                coalesced,
+            }
+            .to_line(),
+        );
+    };
+
+    // A job that waits on the dispatcher is announced `accepted` under
+    // the lock, before the dispatcher can see it, so its `running` and
+    // `done` cannot overtake the announcement.
     let mut core = shared.mu.lock().unwrap();
     if let Some(entry) = core.cache.get(&key) {
         core.counters.cache_hits += 1;
         core.counters.jobs_done += 1;
         drop(core);
-        let _ = tx.send(
-            Event::Accepted {
-                id: id.clone(),
-                key: key.clone(),
-                coalesced: false,
-            }
-            .to_line(),
-        );
+        accepted(false);
         let _ = tx.send(
             Event::Done {
                 id,
@@ -374,18 +381,10 @@ fn submit(
     };
     if let Some(waiters) = core.in_flight.get_mut(&key) {
         // Identical job already queued or running: share its execution.
+        accepted(true);
         waiters.push(waiter);
         core.counters.coalesced += 1;
         conn_inflight.fetch_add(1, Ordering::SeqCst);
-        drop(core);
-        let _ = tx.send(
-            Event::Accepted {
-                id,
-                key,
-                coalesced: true,
-            }
-            .to_line(),
-        );
         return;
     }
     if core.queue.len() >= shared.opts.max_pending {
@@ -393,22 +392,12 @@ fn submit(
         reject("queue-full".into());
         return;
     }
+    accepted(false);
     core.in_flight.insert(key.clone(), vec![waiter]);
-    core.queue.push_back(PendingJob {
-        key: key.clone(),
-        spec,
-    });
+    core.queue.push_back(PendingJob { key, spec });
     conn_inflight.fetch_add(1, Ordering::SeqCst);
     drop(core);
     shared.cv.notify_one();
-    let _ = tx.send(
-        Event::Accepted {
-            id,
-            key,
-            coalesced: false,
-        }
-        .to_line(),
-    );
 }
 
 fn dispatch_loop(shared: Arc<Shared>) {

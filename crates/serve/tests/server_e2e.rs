@@ -139,6 +139,62 @@ fn batch_with_duplicates_simulates_each_distinct_job_once() {
 }
 
 #[test]
+fn each_job_sees_accepted_then_running_then_done() {
+    let (server, addr) = start(ServeOptions {
+        quota: 1024,
+        ..Default::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    // Back-to-back submits, no waiting: twenty distinct jobs submitted
+    // ten times each, so later copies coalesce onto a queued or running
+    // twin or hit the cache once it is done.
+    let mut ids = Vec::new();
+    for round in 0..10 {
+        for bias in 0..20 {
+            let id = format!("r{round}b{bias}");
+            client
+                .send(&Request::Submit {
+                    id: id.clone(),
+                    job: spec(100 + bias),
+                })
+                .expect("submit");
+            ids.push(id);
+        }
+    }
+    let mut events: std::collections::HashMap<String, Vec<Event>> = Default::default();
+    let mut done = 0;
+    while done < ids.len() {
+        let ev = client.recv().expect("event");
+        let id = match &ev {
+            Event::Accepted { id, .. } | Event::Running { id } => id.clone(),
+            Event::Done { id, .. } => {
+                done += 1;
+                id.clone()
+            }
+            other => panic!("unexpected event {other:?}"),
+        };
+        events.entry(id).or_default().push(ev);
+    }
+    for id in &ids {
+        let seq = &events[id];
+        let Some(Event::Accepted { coalesced, .. }) = seq.first() else {
+            panic!("{id}: first event is not accepted: {seq:?}");
+        };
+        let Some(Event::Done { cached, .. }) = seq.last() else {
+            panic!("{id}: last event is not done: {seq:?}");
+        };
+        let running = seq.iter().filter(|e| matches!(e, Event::Running { .. }));
+        match running.count() {
+            // Only a job that ran its own simulation is sure to be told.
+            0 => assert!(*coalesced || *cached, "{id}: ran without running: {seq:?}"),
+            1 => assert_eq!(seq.len(), 3, "{id}: {seq:?}"),
+            n => panic!("{id}: {n} running events: {seq:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn full_queue_rejects_with_explicit_reason() {
     // max_pending = 0: no job can wait, every miss is turned away.
     let (server, addr) = start(ServeOptions {
