@@ -16,16 +16,11 @@ use tcsim_verify::{Diagnostic, LaunchGeometry, Verifier};
 
 /// A launch-validation failure.
 ///
-/// The `try_*` builder methods return these instead of panicking; the
-/// legacy panicking methods format the same variants into their original
-/// panic messages, so both APIs diagnose identically.
+/// [`LaunchBuilder::try_into_parts`] and [`LaunchBuilder::try_launch`]
+/// return these; the panicking methods panic with the same variants'
+/// messages, so both diagnose identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LaunchError {
-    /// Typed `param_*` calls mixed with [`LaunchBuilder::raw_params`].
-    MixedParamStyles {
-        /// Kernel name.
-        kernel: String,
-    },
     /// More arguments supplied than the kernel declares.
     ExtraParam {
         /// Kernel name.
@@ -101,9 +96,6 @@ pub enum LaunchError {
 impl fmt::Display for LaunchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LaunchError::MixedParamStyles { kernel } => {
-                write!(f, "kernel {kernel}: cannot mix typed params with raw_params")
-            }
             LaunchError::ExtraParam { kernel, declared, bytes } => write!(
                 f,
                 "kernel {kernel} declares {declared} parameter(s); extra {bytes}-byte argument supplied"
@@ -227,7 +219,6 @@ pub struct LaunchBuilder {
     dynamic_shared: u32,
     params: Vec<u8>,
     next_param: usize,
-    raw: bool,
     tracer: Option<Box<dyn Tracer>>,
 }
 
@@ -241,7 +232,6 @@ impl LaunchBuilder {
             dynamic_shared: 0,
             params: Vec::new(),
             next_param: 0,
-            raw: false,
             tracer: None,
         }
     }
@@ -294,11 +284,6 @@ impl LaunchBuilder {
     }
 
     fn try_push_param(&mut self, bytes_len: u32, le: &[u8]) -> Result<(), LaunchError> {
-        if self.raw {
-            return Err(LaunchError::MixedParamStyles {
-                kernel: self.kernel.name().to_string(),
-            });
-        }
         let descs = self.kernel.params();
         if self.next_param >= descs.len() {
             return Err(LaunchError::ExtraParam {
@@ -347,50 +332,6 @@ impl LaunchBuilder {
         self.param_u32(v.to_bits())
     }
 
-    /// Fallible [`LaunchBuilder::param_u32`]: returns the error the
-    /// panicking form would have formatted.
-    pub fn try_param_u32(mut self, v: u32) -> Result<LaunchBuilder, LaunchError> {
-        self.try_push_param(4, &v.to_le_bytes())?;
-        Ok(self)
-    }
-
-    /// Fallible [`LaunchBuilder::param_u64`].
-    pub fn try_param_u64(mut self, v: u64) -> Result<LaunchBuilder, LaunchError> {
-        self.try_push_param(8, &v.to_le_bytes())?;
-        Ok(self)
-    }
-
-    /// Fallible [`LaunchBuilder::param_f32`].
-    pub fn try_param_f32(self, v: f32) -> Result<LaunchBuilder, LaunchError> {
-        self.try_param_u32(v.to_bits())
-    }
-
-    /// Escape hatch: supplies the whole parameter buffer verbatim,
-    /// bypassing per-parameter validation — for replaying captured
-    /// parameter buffers. New code should prefer the typed `param_*`
-    /// methods.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`LaunchError::MixedParamStyles`] message if typed
-    /// `param_*` calls were already made (thin wrapper over
-    /// [`LaunchBuilder::try_raw_params`]).
-    pub fn raw_params(self, bytes: &[u8]) -> LaunchBuilder {
-        self.try_raw_params(bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`LaunchBuilder::raw_params`].
-    pub fn try_raw_params(mut self, bytes: &[u8]) -> Result<LaunchBuilder, LaunchError> {
-        if self.next_param != 0 {
-            return Err(LaunchError::MixedParamStyles {
-                kernel: self.kernel.name().to_string(),
-            });
-        }
-        self.params = bytes.to_vec();
-        self.raw = true;
-        Ok(self)
-    }
-
     /// Validates geometry and parameters, then runs the kernel to
     /// completion on `gpu`, returning its statistics.
     ///
@@ -429,17 +370,15 @@ impl LaunchBuilder {
         let block = self.block.ok_or_else(|| LaunchError::BlockNotSet {
             kernel: self.kernel.name().to_string(),
         })?;
-        if !self.raw {
-            let declared = self.kernel.params().len();
-            if self.next_param != declared {
-                return Err(LaunchError::MissingParams {
-                    kernel: self.kernel.name().to_string(),
-                    declared,
-                    supplied: self.next_param,
-                });
-            }
-            self.params.resize(self.kernel.param_bytes() as usize, 0);
+        let declared = self.kernel.params().len();
+        if self.next_param != declared {
+            return Err(LaunchError::MissingParams {
+                kernel: self.kernel.name().to_string(),
+                declared,
+                supplied: self.next_param,
+            });
         }
+        self.params.resize(self.kernel.param_bytes() as usize, 0);
         let cfg = LaunchConfig::new(grid, block).with_shared_bytes(self.dynamic_shared);
         Ok((self.kernel, cfg, self.params))
     }
@@ -573,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn typed_params_match_raw_packing() {
+    fn typed_params_reach_the_kernel() {
         let mut gpu = Gpu::new(GpuConfig::mini());
         let out = gpu.alloc(32 * 4);
         let stats = LaunchBuilder::new(two_param_kernel())
@@ -604,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is 8 bytes, argument is 4 bytes")]
+    #[should_panic(expected = "kernel store_n parameter `out` is 8 bytes, argument is 4 bytes")]
     fn wrong_width_is_rejected() {
         let _ = LaunchBuilder::new(two_param_kernel())
             .grid(1u32)
@@ -623,7 +562,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "extra 4-byte argument")]
+    #[should_panic(
+        expected = "kernel store_n declares 2 parameter(s); extra 4-byte argument supplied"
+    )]
     fn extra_param_is_rejected() {
         let _ = LaunchBuilder::new(two_param_kernel())
             .grid(1u32)
@@ -667,41 +608,6 @@ mod tests {
         );
         b.exit();
         b.build()
-    }
-
-    #[test]
-    fn try_param_reports_width_mismatch() {
-        let err = LaunchBuilder::new(two_param_kernel())
-            .try_param_u32(7)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            LaunchError::ParamWidth {
-                kernel: "store_n".into(),
-                name: "out".into(),
-                declared: 8,
-                supplied: 4,
-            }
-        );
-        // The typed error renders exactly the legacy panic wording.
-        assert!(err.to_string().contains("is 8 bytes, argument is 4 bytes"));
-    }
-
-    #[test]
-    fn try_param_reports_extra_argument() {
-        let err = LaunchBuilder::new(two_param_kernel())
-            .param_u64(0)
-            .param_u32(1)
-            .try_param_u32(2)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            LaunchError::ExtraParam {
-                kernel: "store_n".into(),
-                declared: 2,
-                bytes: 4
-            }
-        );
     }
 
     #[test]
@@ -764,30 +670,6 @@ mod tests {
         assert!(
             matches!(&err, LaunchError::ZeroDim { what: "block", .. }),
             "got: {err}"
-        );
-    }
-
-    #[test]
-    fn try_mixing_raw_and_typed_params_is_a_typed_error() {
-        let err = LaunchBuilder::new(two_param_kernel())
-            .param_u64(0)
-            .try_raw_params(&[0u8; 12])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            LaunchError::MixedParamStyles {
-                kernel: "store_n".into()
-            }
-        );
-        let err = LaunchBuilder::new(two_param_kernel())
-            .raw_params(&[0u8; 12])
-            .try_param_u64(0)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            LaunchError::MixedParamStyles {
-                kernel: "store_n".into()
-            }
         );
     }
 
@@ -885,14 +767,6 @@ mod tests {
     // The panicking variants are thin wrappers over the `try_` forms;
     // these pin their exact messages (the `LaunchError` Display wording).
     #[test]
-    #[should_panic(expected = "cannot mix typed params with raw_params")]
-    fn mixed_param_styles_panic_message_is_pinned() {
-        let _ = LaunchBuilder::new(two_param_kernel())
-            .param_u64(0)
-            .raw_params(&[0u8; 12]);
-    }
-
-    #[test]
     #[should_panic(expected = "grid extent 0x1x1 has a zero dimension")]
     fn zero_dimension_panic_message_is_pinned() {
         let _ = LaunchBuilder::new(two_param_kernel())
@@ -911,18 +785,5 @@ mod tests {
             .block(32u32)
             .param_u64(0x1_0002)
             .into_parts();
-    }
-
-    #[test]
-    fn raw_params_bypass_validation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        let (_, _, params) = LaunchBuilder::new(two_param_kernel())
-            .grid(1u32)
-            .block(32u32)
-            .raw_params(&bytes)
-            .into_parts();
-        assert_eq!(params, bytes);
     }
 }
