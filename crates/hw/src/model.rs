@@ -14,10 +14,10 @@
 //! * the paper's measured instruction latencies (Fig 9, Fig 15) for
 //!   latency-bound regimes.
 //!
-//! Predictions combine a compute roofline, a memory roofline, an
-//! occupancy ramp for grids too small to fill the machine, and a fixed
+//! Predictions combine a compute roofline, a memory roofline and a fixed
 //! launch overhead, plus deterministic seeded measurement noise standing
-//! in for run-to-run hardware variation.
+//! in for run-to-run hardware variation. Small grids pay through the
+//! efficiency curves alone: no separate occupancy ramp is applied.
 
 use crate::KernelClass;
 
@@ -105,15 +105,6 @@ impl HwModel {
         }
     }
 
-    /// Fraction of SMs that can be busy for a grid of `ctas` CTAs (the
-    /// machine-fill ramp; reported for diagnostics — the small-grid
-    /// penalty itself is folded into the per-class efficiency curves,
-    /// whose `s_half` constants were chosen against whole-kernel
-    /// observations, so multiplying both in would double-count it).
-    pub fn occupancy(&self, ctas: f64) -> f64 {
-        (ctas / (2.0 * self.sms)).clamp(1.0 / (2.0 * self.sms), 1.0)
-    }
-
     /// Deterministic "measurement noise" in `[1-noise, 1+noise]`, keyed by
     /// the workload signature (the same workload always measures the same).
     pub fn jitter(&self, key: u64) -> f64 {
@@ -154,12 +145,6 @@ impl HwModel {
         let flops = 2.0 * (size as f64).powi(3);
         let cycles = self.gemm_cycles(size, size, size, class);
         flops / (cycles / (self.clock_ghz * 1e9)) / 1e12
-    }
-
-    /// Predicted hardware IPC for a kernel that issues `instructions`
-    /// warp instructions and runs `cycles` (predicted) cycles.
-    pub fn ipc(&self, instructions: u64, cycles: f64) -> f64 {
-        instructions as f64 / cycles
     }
 
     /// Minimum `wmma.{load,mma,store}` latencies the paper measured in a
