@@ -21,26 +21,6 @@ use tcsim_verify::{Diagnostic, LaunchGeometry, Verifier};
 /// messages, so both diagnose identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LaunchError {
-    /// More arguments supplied than the kernel declares.
-    ExtraParam {
-        /// Kernel name.
-        kernel: String,
-        /// Declared parameter count.
-        declared: usize,
-        /// Size of the surplus argument in bytes.
-        bytes: u32,
-    },
-    /// Argument width differs from the declared parameter width.
-    ParamWidth {
-        /// Kernel name.
-        kernel: String,
-        /// Declared parameter name.
-        name: String,
-        /// Declared width in bytes.
-        declared: u32,
-        /// Supplied width in bytes.
-        supplied: u32,
-    },
     /// Fewer arguments supplied than the kernel declares.
     MissingParams {
         /// Kernel name.
@@ -96,14 +76,6 @@ pub enum LaunchError {
 impl fmt::Display for LaunchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LaunchError::ExtraParam { kernel, declared, bytes } => write!(
-                f,
-                "kernel {kernel} declares {declared} parameter(s); extra {bytes}-byte argument supplied"
-            ),
-            LaunchError::ParamWidth { kernel, name, declared, supplied } => write!(
-                f,
-                "kernel {kernel} parameter `{name}` is {declared} bytes, argument is {supplied} bytes"
-            ),
             LaunchError::MissingParams { kernel, declared, supplied } => write!(
                 f,
                 "kernel {kernel} declares {declared} parameter(s); only {supplied} supplied"
@@ -283,36 +255,31 @@ impl LaunchBuilder {
         self
     }
 
-    fn try_push_param(&mut self, bytes_len: u32, le: &[u8]) -> Result<(), LaunchError> {
-        let descs = self.kernel.params();
-        if self.next_param >= descs.len() {
-            return Err(LaunchError::ExtraParam {
-                kernel: self.kernel.name().to_string(),
-                declared: descs.len(),
-                bytes: bytes_len,
-            });
-        }
-        let desc = &descs[self.next_param];
+    /// Packs the next argument at its declared offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel declares no further parameter or the next
+    /// one has another width.
+    fn push_param(&mut self, bytes_len: u32, le: &[u8]) {
+        let (kernel, descs) = (self.kernel.name(), self.kernel.params());
+        let Some(desc) = descs.get(self.next_param) else {
+            panic!(
+                "kernel {kernel} declares {} parameter(s); extra {bytes_len}-byte argument supplied",
+                descs.len()
+            );
+        };
         if desc.bytes != bytes_len {
-            return Err(LaunchError::ParamWidth {
-                kernel: self.kernel.name().to_string(),
-                name: desc.name.clone(),
-                declared: desc.bytes,
-                supplied: bytes_len,
-            });
+            panic!(
+                "kernel {kernel} parameter `{}` is {} bytes, argument is {bytes_len} bytes",
+                desc.name, desc.bytes
+            );
         }
         // Pad to the declared offset: identical to KernelBuilder's
         // natural-alignment layout, so the cursor always lands exactly.
-        let offset = desc.offset as usize;
-        self.params.resize(offset, 0);
+        self.params.resize(desc.offset as usize, 0);
         self.params.extend_from_slice(le);
         self.next_param += 1;
-        Ok(())
-    }
-
-    fn push_param(&mut self, bytes_len: u32, le: &[u8]) {
-        self.try_push_param(bytes_len, le)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Appends a 32-bit parameter (little-endian, naturally aligned).
