@@ -38,7 +38,7 @@ impl CtaRequirements {
     pub fn new(threads: u32, regs_per_thread: u32, shared_bytes: u32) -> CtaRequirements {
         CtaRequirements {
             warps: threads.div_ceil(WARP_SIZE as u32) as usize,
-            registers: regs_per_thread * threads,
+            registers: regs_per_thread.saturating_mul(threads),
             shared_bytes,
         }
     }
