@@ -2,7 +2,7 @@
 //!
 //! The simulator threads one `&mut dyn Tracer` through its hot loops.
 //! [`NullTracer`] keeps the disabled path to a single inlined boolean
-//! check (verified by the `trace_overhead` benchmark in `tcsim-bench`);
+//! check (measured as `trace.overhead_share` by `tcsim-perf trace`);
 //! [`RingTracer`] records into a bounded, preallocated ring so a long
 //! simulation can always keep its most recent window of events without
 //! allocating on the hot path after warmup.

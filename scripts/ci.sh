@@ -36,8 +36,9 @@ cargo test -q --release --offline -p tcsim-mem
 
 echo "== tier-1: SM and launch bookkeeping under the release profile =="
 # The L1 an SM builds at its first CTA, the one occupancy rule
-# (SmConfig::fits) behind can_accept and the launch check, and the launch
-# boundary's flush and clock reset, as the benchmark compiles them.
+# (tcsim_isa::SmResources::admit, behind can_accept and the launch check),
+# and the launch boundary's flush and clock reset, as the benchmark
+# compiles them.
 cargo test -q --release --offline -p tcsim-sm -p tcsim-sim
 
 echo "== tier-1: host reference GEMM and operand staging under the release profile =="
